@@ -18,8 +18,8 @@ from typing import Callable
 from .chartab import CharTable, character_table
 from .invariants import InvariantReport, report
 from .permcore import (
-    ClassData, PermGroup, Permutation, center, conjugacy_classes,
-    derived_series, direct_product, is_cyclic_subset,
+    ClassData, InvariantViolation, PermGroup, Permutation, center,
+    conjugacy_classes, derived_series, direct_product, is_cyclic_subset,
     minimal_normal_subgroups, normal_subgroups, quotient_group,
     socle_from_normals, socle_of_nilpotent, structure_flags,
     subgroup_closure,
@@ -289,7 +289,8 @@ _REGISTRY: dict[str, CatalogEntry] = {}
 
 
 def _add(entry: CatalogEntry) -> None:
-    assert entry.name not in _REGISTRY
+    if entry.name in _REGISTRY:
+        raise InvariantViolation(f"catalog name {entry.name!r} registered twice")
     _REGISTRY[entry.name] = entry
 
 

@@ -5,8 +5,12 @@ eigenvectors of the class-multiplication matrices over F_p, where p = 1
 (mod exponent) and p > 2*sqrt(|G|).  Central characters, degrees, and
 values are computed mod p, then every value is lifted exactly to a
 cyclotomic integer through root-of-unity multiplicities.  The finished
-table must pass both orthogonality relations exactly; failure raises
-instead of returning a wrong table.
+table is then proven in integer arithmetic: with e the lcm of the value
+conductors, each value becomes the integer vector of its power-basis
+coordinates mod x^e - 1, each relation (inverse class equals conjugate,
+first and second orthogonality) is accumulated as one such vector, and
+one exact remainder by a cyclotomic polynomial decides it.  Failure
+raises OrthogonalityFailure instead of returning a wrong table.
 """
 
 from __future__ import annotations
@@ -15,8 +19,10 @@ import math
 import random
 from fractions import Fraction
 
-from .cyclo import Cyc
-from .permcore import ClassData, PermGroup, TooManyClasses, conjugacy_classes
+from .cyclo import Cyc, cyclotomic_polynomial
+from .permcore import (
+    ClassData, InvariantViolation, PermGroup, TooManyClasses, conjugacy_classes,
+)
 
 
 class EigensplitFailure(RuntimeError):
@@ -24,7 +30,24 @@ class EigensplitFailure(RuntimeError):
 
 
 class OrthogonalityFailure(RuntimeError):
-    """A finished table failed its exact self-verification."""
+    """A finished table failed its exact self-verification.
+
+    relation names the violated check: "degrees", "integrality",
+    "conjugate", "first" or "second".  indices is the offending row pair
+    (first), class pair (second) or (row, class) pair (integrality,
+    conjugate); for degrees it is the row whose degree does not divide
+    the order, or empty when the squares miss the order.  order is |G|
+    and prime the table's Dixon prime, so the failure can be reproduced.
+    """
+
+    def __init__(self, message: str, relation: str, indices: tuple[int, ...],
+                 order: int, prime: int):
+        super().__init__(f"{message} (relation={relation}, indices={indices}, "
+                         f"order={order}, prime={prime})")
+        self.relation = relation
+        self.indices = indices
+        self.order = order
+        self.prime = prime
 
 
 class NonIntegralCodegree(RuntimeError):
@@ -81,45 +104,33 @@ def class_mult_coeffs(classes: ClassData) -> list[list[list[int]]]:
     to one fixed representative of C_k; the count is independent of the
     representative.
     """
+    return [_class_product_rows(classes, i) for i in range(classes.n_classes)]
+
+
+def _class_product_rows(classes: ClassData, i: int) -> list[list[int]]:
+    # rows[j][t] = a[i][j][t], from #{y in C_j : rep_i * y in C_t}
     group = classes.group
     k = classes.n_classes
-    out = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for i in range(k):
-        counts = _rep_product_counts(group, classes, i)
-        size_i = classes.sizes[i]
-        for j in range(k):
-            row = counts[j]
-            for t in range(k):
-                if row[t]:
-                    num = row[t] * size_i
-                    assert num % classes.sizes[t] == 0
-                    out[i][j][t] = num // classes.sizes[t]
-    return out
-
-
-def _rep_product_counts(group: PermGroup, classes: ClassData, i: int) -> list[list[int]]:
-    # counts[j][t] = #{y in C_j : rep_i * y in C_t}
-    k = classes.n_classes
-    counts = [[0] * k for _ in range(k)]
+    rows = [[0] * k for _ in range(k)]
     rep = classes.reps[i]
     elt_class = classes.elt_class
     for y in range(group.order):
-        counts[elt_class[y]][elt_class[group.mult_index(rep, y)]] += 1
-    return counts
-
-
-def _class_matrix(group: PermGroup, classes: ClassData, i: int, p: int) -> list[list[int]]:
-    counts = _rep_product_counts(group, classes, i)
-    k = classes.n_classes
+        rows[elt_class[y]][elt_class[group.mult_index(rep, y)]] += 1
     size_i = classes.sizes[i]
-    mat = [[0] * k for _ in range(k)]
-    for j in range(k):
+    for row in rows:
         for t in range(k):
-            if counts[j][t]:
-                num = counts[j][t] * size_i
-                assert num % classes.sizes[t] == 0
-                mat[j][t] = (num // classes.sizes[t]) % p
-    return mat
+            if row[t]:
+                num, rem = divmod(row[t] * size_i, classes.sizes[t])
+                if rem:
+                    raise InvariantViolation(
+                        f"class product count {row[t]} * {size_i} not divisible "
+                        f"by class size {classes.sizes[t]}")
+                row[t] = num
+    return rows
+
+
+def _class_matrix(classes: ClassData, i: int, p: int) -> list[list[int]]:
+    return [[x % p for x in row] for row in _class_product_rows(classes, i)]
 
 
 # --- polynomial arithmetic over F_p (ascending coefficient lists) ---
@@ -197,7 +208,8 @@ def _pdiv_exact(a: list[int], b: list[int], p: int) -> list[int]:
         for i, bv in enumerate(b):
             a[shift + i] = (a[shift + i] - coef * bv) % p
         _ptrim(a)
-    assert not a, "division was not exact"
+    if a:
+        raise EigensplitFailure("polynomial division was not exact")
     return _ptrim(q)
 
 
@@ -564,7 +576,7 @@ def character_table(group: PermGroup, classes: ClassData | None = None,
     for i in range(1, k):
         if all(len(s) == 1 for s in subspaces):
             break
-        mat = _class_matrix(group, cd, i, p)
+        mat = _class_matrix(cd, i, p)
         refined: list[list[list[int]]] = []
         for s in subspaces:
             if len(s) == 1:
@@ -640,7 +652,9 @@ def _lift_row(theta: list[int], d: int, cd: ClassData, p: int, e: int,
                 acc += theta_pow[t] * term
                 term = term * wj % p
             mu = acc % p * m_inv % p
-            assert 2 * mu < p, "multiplicity lift out of range"
+            if 2 * mu >= p:
+                raise EigensplitFailure(
+                    f"multiplicity {mu} of root {j} at class {i} out of range mod {p}")
             if mu:
                 mus[j] = Fraction(mu)
         values[i] = Cyc.from_exponents(m, mus) if mus else Cyc.zero()
@@ -648,41 +662,116 @@ def _lift_row(theta: list[int], d: int, cd: ClassData, p: int, e: int,
 
 
 def _self_verify(table: CharTable) -> None:
+    """Prove the table exactly or raise OrthogonalityFailure.
+
+    With e the lcm of the value conductors (a divisor of the exponent),
+    every value is read as the integer vector of its power-basis
+    coordinates mod x^e - 1 (zeta_n^j -> x^(j*e/n), complex
+    conjugation negates exponents).  Each relation (inverse class equals
+    conjugate, first and second orthogonality) is accumulated as one such
+    vector, minus its expected constant, and decided by _vanishes.
+    """
     cd = table.classes
     k = cd.n_classes
     order = table.group.order
     rows = table.rows
+
+    def fail(message: str, relation: str, *indices: int):
+        raise OrthogonalityFailure(message, relation, indices, order, table.dixon_prime)
+
     degs = [r.degree for r in rows]
     if sum(d * d for d in degs) != order:
-        raise OrthogonalityFailure("degree squares do not sum to the order")
-    for d in degs:
+        fail("degree squares do not sum to the order", "degrees")
+    for r, d in enumerate(degs):
         if order % d:
-            raise OrthogonalityFailure("degree does not divide the order")
-    conj_rows = []
-    for r in rows:
-        conj = [r.values[cd.inverse_class[i]] for i in range(k)]
+            fail("degree does not divide the order", "degrees", r)
+    # Every value lies in Q(zeta_e), and equality there is equality in
+    # any larger cyclotomic field, such as that of the group exponent.
+    e = math.lcm(*(v.n for r in rows for v in r.values))
+    vecs = []
+    for r, row in enumerate(rows):
+        vec_row = []
+        for i, v in enumerate(row.values):
+            if any(c.denominator != 1 for c in v.coeffs):
+                fail("value is not an algebraic integer", "integrality", r, i)
+            step = e // v.n
+            vec_row.append(tuple((j * step, c.numerator)
+                                 for j, c in enumerate(v.coeffs) if c))
+        vecs.append(vec_row)
+    # Conjugation sends x^y to x^(e - y); acc[x - y] with -e < x - y < e
+    # is, by Python's negative indexing, exactly the slot (x - y) mod e.
+    for r in range(len(rows)):
         for i in range(k):
-            if conj[i] != r.values[i].conjugate():
-                raise OrthogonalityFailure("inverse classes are not conjugates")
-        conj_rows.append(conj)
+            acc = [0] * e
+            for x, c in vecs[r][cd.inverse_class[i]]:
+                acc[x] += c
+            for y, d in vecs[r][i]:
+                acc[-y] -= d
+            if not _vanishes(acc):
+                fail("inverse classes are not conjugates", "conjugate", r, i)
     for a in range(len(rows)):
-        va = rows[a].values
+        va = vecs[a]
         for b in range(a, len(rows)):
-            cb = conj_rows[b]
-            acc = Cyc.zero()
+            vb = vecs[b]
+            acc = [0] * e
             for i in range(k):
-                acc = acc + (va[i] * cb[i])._scaled(Fraction(cd.sizes[i]))
-            expected = order if a == b else 0
-            if acc != expected:
-                raise OrthogonalityFailure("first orthogonality failed")
+                size = cd.sizes[i]
+                for x, c in va[i]:
+                    sc = size * c
+                    for y, d in vb[i]:
+                        acc[x - y] += sc * d
+            if a == b:
+                acc[0] -= order
+            if not _vanishes(acc):
+                fail("first orthogonality failed", "first", a, b)
     for i in range(k):
         for j in range(i, k):
-            acc = Cyc.zero()
-            for r_idx in range(len(rows)):
-                acc = acc + rows[r_idx].values[i] * conj_rows[r_idx][j]
-            expected = order // cd.sizes[i] if i == j else 0
-            if acc != expected:
-                raise OrthogonalityFailure("second orthogonality failed")
+            acc = [0] * e
+            for vec_row in vecs:
+                for x, c in vec_row[i]:
+                    for y, d in vec_row[j]:
+                        acc[x - y] += c * d
+            if i == j:
+                acc[0] -= order // cd.sizes[i]
+            if not _vanishes(acc):
+                fail("second orthogonality failed", "second", i, j)
+
+
+def _cyclotomic_remainder(acc: list[int]) -> tuple[int, list[int]]:
+    """Reduce sum(acc[t] * zeta_e^t), e = len(acc), in the smallest field.
+
+    With g the gcd of e and the support of acc, the sum is Q(zeta_m) for
+    m = e/g and Q(y) = sum(acc[s*g] * y^s).  Returns (m, r) with r the
+    remainder of Q by the m-th cyclotomic polynomial, trailing zeros
+    stripped; r is empty iff the sum is 0.
+    """
+    e = len(acc)
+    g = e
+    for t in range(1, e):
+        if acc[t]:
+            g = math.gcd(g, t)
+            if g == 1:
+                break
+    m = e // g
+    q = acc[::g]
+    cp = cyclotomic_polynomial(m)
+    deg = len(cp) - 1
+    terms = [(s, c) for s, c in enumerate(cp[:-1]) if c]
+    for top in range(m - 1, deg - 1, -1):
+        c = q[top]
+        if c:
+            base = top - deg
+            for s, pc in terms:
+                q[base + s] -= c * pc
+    del q[deg:]
+    while q and not q[-1]:
+        q.pop()
+    return m, q
+
+
+def _vanishes(acc: list[int]) -> bool:
+    """True iff sum(acc[t] * zeta_e^t) == 0, e = len(acc)."""
+    return not any(acc) or not _cyclotomic_remainder(acc)[1]
 
 
 def codegree(table: CharTable, row: int) -> int:

@@ -35,6 +35,11 @@ class TooManyClasses(RuntimeError):
     """Class count exceeds the guard for normal-subgroup enumeration."""
 
 
+class InvariantViolation(RuntimeError):
+    """A computed structure contradicts a theorem it must satisfy (a bug,
+    never bad input)."""
+
+
 class ParseError(ValueError):
     """Group-file syntax error, with 1-based line and column."""
 
@@ -647,7 +652,8 @@ def direct_product(left: PermGroup, right: PermGroup, bound: int | None = None) 
                                 tuple(x + left.degree for x in g.images), _check=False))
     target = left.order * right.order
     product = PermGroup.from_generators(gens, degree=d, bound=bound or target + 1)
-    assert product.order == target
+    if product.order != target:
+        raise InvariantViolation(f"direct product has order {product.order}, not {target}")
     return product
 
 
@@ -679,8 +685,8 @@ def o_p_subgroups(group: PermGroup, nilpotent: bool,
         for n in p_normals:
             if len(n) > len(best):
                 best = n
-        for n in p_normals:
-            assert n <= best, "normal p-subgroups not nested under the largest"
+        if any(not n <= best for n in p_normals):
+            raise InvariantViolation("normal p-subgroups not nested under the largest")
         out[p] = best
     return out
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from functools import cache
 
+from .permcore import InvariantViolation
+
 
 class SizeMismatch(ValueError):
     """Partition and cycle type describe different symmetric groups."""
@@ -55,7 +57,8 @@ def hook_degree(lam) -> int:
             leg = conj[j] - i - 1
             prod *= arm + leg + 1
     num = math.factorial(n)
-    assert num % prod == 0
+    if num % prod:
+        raise InvariantViolation(f"hook product {prod} does not divide {n}!")
     return num // prod
 
 

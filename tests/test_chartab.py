@@ -1,13 +1,20 @@
 """Exact character tables: prime choice, class algebra, orthogonality."""
 
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
 from charval import catalog
 from charval.chartab import (
+    Character,
     CharTable,
+    OrthogonalityFailure,
     TooManyClasses,
+    _cyclotomic_remainder,
+    _self_verify,
+    _vanishes,
     character_table,
     choose_dixon_prime,
     class_mult_coeffs,
@@ -161,3 +168,92 @@ def test_abelian_tables_are_fourier_matrices():
         assert len(set(column)) == n  # pairwise distinct
         for row in table.rows:
             assert all(v.is_root_of_unity() for v in row.values)
+
+
+# --- negative controls: the self-check must reject corrupted tables ---
+
+def _with_values(table: CharTable, changes: dict) -> CharTable:
+    """Copy of table with values[r][i] replaced for each (r, i) in changes."""
+    rows = list(table.rows)
+    for (r, i), value in changes.items():
+        old = rows[r]
+        values = list(old.values)
+        values[i] = value
+        rows[r] = Character(tuple(values), old.degree, old.kernel, old.center_z)
+    return CharTable(table.group, table.classes, tuple(rows), table.dixon_prime)
+
+
+def _plus_one(table, cd):
+    r, i = len(table.rows) - 1, cd.n_classes - 1
+    relation = "first" if cd.inverse_class[i] == i else "conjugate"
+    return {(r, i): table.rows[r].values[i] + 1}, relation
+
+
+def _swap_rows_in_column(table, cd):
+    last = len(table.rows) - 1
+    first_col, last_col = table.rows[0].values[0], table.rows[last].values[0]
+    return {(0, 0): last_col, (last, 0): first_col}, "first"
+
+
+def _non_conjugate_at_inverse(table, cd):
+    r, i = len(table.rows) - 1, cd.n_classes - 1
+    e = math.lcm(*cd.element_orders)
+    m = next(d for d in range(3, e + 1) if e % d == 0)  # zeta_m is not real
+    wrong = table.rows[r].values[i].conjugate() + zeta(m)
+    return {(r, cd.inverse_class[i]): wrong}, "conjugate"
+
+
+def _half_coordinate(table, cd):
+    r, i = len(table.rows) - 1, cd.n_classes - 1
+    return {(r, i): table.rows[r].values[i] + Fraction(1, 2)}, "integrality"
+
+
+@pytest.mark.parametrize("fault", [_plus_one, _swap_rows_in_column,
+                                   _non_conjugate_at_inverse, _half_coordinate],
+                         ids=lambda f: f.__name__.lstrip("_"))
+@pytest.mark.parametrize("name", ["sym_3", "q8", "sg_21_1", "alt_5",
+                                  "sg_27_3", "sg_147_4"])
+def test_self_verify_rejects_corrupted_tables(name, fault):
+    _, g, cd, table, _ = catalog.bundle(name)
+    changes, relation = fault(table, cd)
+    bad = _with_values(table, changes)
+    with pytest.raises(OrthogonalityFailure) as info:
+        _self_verify(bad)
+    err = info.value
+    assert err.relation == relation
+    assert err.order == g.order and err.prime == table.dixon_prime
+    assert f"relation={relation}, indices={err.indices}" in str(err)
+    assert H.exactness_failures(name, g, cd, bad)
+
+
+def test_self_verify_failure_names_the_row_and_class():
+    _, g, cd, table, _ = catalog.bundle("sg_21_1")
+    changes, _ = _half_coordinate(table, cd)
+    with pytest.raises(OrthogonalityFailure, match=r"^value is not an algebraic "
+                       r"integer \(relation=integrality, indices=\((\d+), (\d+)\), "
+                       r"order=21, prime=43\)$") as info:
+        _self_verify(_with_values(table, changes))
+    assert info.value.indices == next(iter(changes))
+
+
+def test_self_verify_degree_failure_keeps_the_old_message():
+    _, g, cd, table, _ = catalog.bundle("sym_3")
+    row = table.rows[0]
+    bad = CharTable(g, cd, (Character(row.values, 2, row.kernel, row.center_z),)
+                    + table.rows[1:], table.dixon_prime)
+    with pytest.raises(OrthogonalityFailure,
+                       match="^degree squares do not sum to the order") as info:
+        _self_verify(bad)
+    assert info.value.relation == "degrees"
+
+
+def test_cyclotomic_remainder_decides_in_the_smallest_field():
+    assert _cyclotomic_remainder([1, 1, 1]) == (3, [])      # 1 + z3 + z3^2 = 0
+    assert _cyclotomic_remainder([1, 1, 0]) == (3, [1, 1])  # 1 + z3 = -z3^2
+    assert _vanishes([1, 1, 1]) and not _vanishes([1, 1, 0])
+    assert _cyclotomic_remainder([0] * 420) == (1, [])
+    acc = [0] * 420
+    acc[0] = acc[140] = acc[280] = 5
+    assert _cyclotomic_remainder(acc) == (3, [])
+    acc[280] = 4
+    assert _cyclotomic_remainder(acc) == (3, [1, 1])        # 5 + 5 z3 + 4 z3^2
