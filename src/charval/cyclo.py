@@ -4,8 +4,9 @@ A value is stored as its coordinate vector over the power basis
 1, z, z^2, ..., z^(phi(n)-1) of Q(zeta_n), where n is the smallest
 conductor containing the value.  Coordinates are Fractions, so every
 operation is exact; equality of values is equality of (conductor,
-coordinates) after canonicalization.  Rational numbers are the
-conductor-1 case and take fast paths throughout.
+coordinates) after canonicalization.  Arithmetic and the descent to the
+minimal conductor run on integer numerators over a common denominator.
+Rational numbers are the conductor-1 case and take fast paths throughout.
 """
 
 from __future__ import annotations
@@ -100,83 +101,110 @@ def _power_rows(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _embed_rows(n: int, m: int) -> tuple[tuple[int, ...], ...]:
-    # Coordinates of each conductor-n basis vector zeta_n^j inside Q(zeta_m).
-    if m % n:
-        raise ValueError(f"{n} does not divide {m}")
-    step = m // n
-    rows_m = _power_rows(m)
-    return tuple(rows_m[j * step] for j in range(phi(n)))
+def _sparse_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # The rows of _power_rows(n) as (index, value) pairs of their nonzero
+    # entries.
+    return tuple(
+        tuple((i, r) for i, r in enumerate(row) if r) for row in _power_rows(n)
+    )
 
 
 @lru_cache(maxsize=None)
 def _descent_solver(n: int, d: int):
-    # Pivot data for rewriting a conductor-n coordinate vector over the
-    # embedded power basis of Q(zeta_d), d a proper divisor of n.
-    # Returns (basis columns as rows, pivot row indices, inverse of the
-    # pivot submatrix as Fractions).
-    cols = _embed_rows(d, n)  # phi(d) vectors of length phi(n)
-    kn, kd = phi(n), phi(d)
-    # Gaussian elimination on the kn x kd matrix to locate kd pivot rows.
-    work = [[Fraction(cols[j][i]) for j in range(kd)] for i in range(kn)]
-    pivots: list[int] = []
-    for col in range(kd):
-        pr = None
-        for i in range(kn):
-            if i not in pivots and work[i][col]:
-                pr = i
-                break
-        if pr is None:
-            raise ArithmeticError("embedded basis is rank-deficient")
-        pivots.append(pr)
-        inv = 1 / work[pr][col]
-        work[pr] = [x * inv for x in work[pr]]
-        for i in range(kn):
-            if i != pr and work[i][col]:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[pr])]
-    sub = [[Fraction(cols[j][i]) for j in range(kd)] for i in pivots]
-    return cols, tuple(pivots), _invert_fraction_matrix(sub)
+    # Plan for rewriting a conductor-n coordinate vector over the power
+    # basis of Q(zeta_d), where d = n/p for a prime p.  Returns (p, plan).
+    #
+    # If p divides d, phi(n) = p*phi(d) and zeta_d^j = zeta_n^(p*j) is itself
+    # a basis vector of Q(zeta_n) for j < phi(d): the value descends exactly
+    # when only coordinates at multiples of p are nonzero, and plan is None.
+    #
+    # Otherwise zeta_n = zeta_d^u * zeta_p^w with u = 1/p mod d and
+    # w = 1/d mod p, and 1, zeta_p, ..., zeta_p^(p-2) is a basis of Q(zeta_n)
+    # over Q(zeta_d).  plan[j] = (w*j mod p, sparse row of zeta_d^(u*j)),
+    # which files the term c*zeta_n^j under the power of zeta_p it carries.
+    if n % d:
+        raise ValueError(f"{d} does not divide {n}")
+    p = n // d
+    if d % p == 0:
+        return p, None
+    u = pow(p, -1, d) if d > 1 else 0
+    w = pow(d, -1, p)
+    rows = _sparse_rows(d)
+    return p, tuple(((w * j) % p, rows[(u * j) % d]) for j in range(phi(n)))
 
 
-def _invert_fraction_matrix(mat: list[list[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
-    k = len(mat)
-    aug = [list(row) + [Fraction(i == j) for j in range(k)] for i, row in enumerate(mat)]
-    for col in range(k):
-        pr = next(i for i in range(col, k) if aug[i][col])
-        aug[col], aug[pr] = aug[pr], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(k):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return tuple(tuple(row[k:]) for row in aug)
-
-
-def _try_descend(n: int, d: int, coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...] | None:
-    cols, pivots, inv = _descent_solver(n, d)
-    kd = phi(d)
-    x = [sum(inv[i][j] * coeffs[pivots[j]] for j in range(kd)) for i in range(kd)]
-    # Full verification: the candidate coordinates must reproduce every entry.
-    for i in range(phi(n)):
-        if sum(x[j] * cols[j][i] for j in range(kd)) != coeffs[i]:
+def _try_descend(n: int, d: int, num: list[int]) -> list[int] | None:
+    # Integer coordinates over Q(zeta_d) of the value with integer
+    # coordinates num over Q(zeta_n), or None if it does not lie in Q(zeta_d).
+    p, plan = _descent_solver(n, d)
+    if plan is None:
+        if any(c for i, c in enumerate(num) if i % p):
             return None
-    return tuple(x)
+        return num[::p]
+    # x = sum over b < p of y_b * zeta_p^b with y_b in Q(zeta_d).  Since
+    # zeta_p^(p-1) = -(1 + zeta_p + ... + zeta_p^(p-2)), x lies in Q(zeta_d)
+    # exactly when y_1 = ... = y_(p-1), and then x = y_0 - y_(p-1).
+    kd = phi(d)
+    parts = [[0] * kd for _ in range(p)]
+    for c, (b, row) in zip(num, plan):
+        if c:
+            part = parts[b]
+            for i, r in row:
+                part[i] += c * r
+    last = parts[p - 1]
+    for b in range(1, p - 1):
+        if parts[b] != last:
+            return None
+    return [a - b for a, b in zip(parts[0], last)]
 
 
-def _canonical(n: int, coeffs) -> tuple[int, tuple[Fraction, ...]]:
-    coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+def _as_ints(coeffs) -> tuple[list[int], int]:
+    # Integer numerators over the least common denominator of coeffs.
+    den = math.lcm(*(c.denominator for c in coeffs))
+    if den == 1:
+        return [c.numerator for c in coeffs], 1
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _embed_ints(num: list[int], n: int, m: int) -> list[int]:
+    # Integer coordinates of a conductor-n vector inside Q(zeta_m).
+    if m == n:
+        return num
+    step = m // n
+    rows = _sparse_rows(m)
+    acc = [0] * phi(m)
+    for j, c in enumerate(num):
+        if c:
+            for i, r in rows[j * step]:
+                acc[i] += c * r
+    return acc
+
+
+def _canonical_ints(n: int, num: list[int], den: int) -> tuple[int, tuple[Fraction, ...]]:
+    # Descend one prime at a time; the minimal conductor is unique, and so
+    # are the coordinates over its power basis.
     changed = True
     while n > 1 and changed:
         changed = False
         for p in _prime_factors(n):
-            down = _try_descend(n, n // p, coeffs)
+            down = _try_descend(n, n // p, num)
             if down is not None:
-                n, coeffs = n // p, down
+                n, num = n // p, down
                 changed = True
                 break
-    return n, coeffs
+    if den == 1:
+        return n, tuple(Fraction(v) for v in num)
+    return n, tuple(Fraction(v, den) for v in num)
+
+
+def _canonical(n: int, coeffs) -> tuple[int, tuple[Fraction, ...]]:
+    num, den = _as_ints(coeffs)
+    return _canonical_ints(n, num, den)
+
+
+def _from_ints(n: int, num: list[int], den: int) -> "Cyc":
+    n, coeffs = _canonical_ints(n, num, den)
+    return Cyc(n, coeffs, _raw=True)
 
 
 class Cyc:
@@ -212,18 +240,16 @@ class Cyc:
             raise ValueError(f"conductor must be positive, got {n}")
         if n == 1:
             return Cyc.from_rational(sum(Fraction(c) for c in terms.values()))
-        k = phi(n)
-        rows = _power_rows(n)
-        acc = [Fraction(0)] * k
-        for e, c in terms.items():
-            c = Fraction(c)
-            if not c:
-                continue
-            row = rows[e % n]
-            for i in range(k):
-                if row[i]:
-                    acc[i] += c * row[i]
-        return Cyc(n, tuple(acc))
+        rows = _sparse_rows(n)
+        fracs = [(e, Fraction(c)) for e, c in terms.items()]
+        den = math.lcm(*(c.denominator for _, c in fracs))
+        acc = [0] * phi(n)
+        for e, c in fracs:
+            if c:
+                v = c.numerator * (den // c.denominator)
+                for i, r in rows[e % n]:
+                    acc[i] += v * r
+        return _from_ints(n, acc, den)
 
     # -- classification ----------------------------------------------------
 
@@ -260,9 +286,13 @@ class Cyc:
         if self.n == 1 and other.n == 1:
             return Cyc(1, (self.coeffs[0] + other.coeffs[0],), _raw=True)
         m = math.lcm(self.n, other.n)
-        a = self._embedded(m)
-        b = other._embedded(m)
-        return Cyc(m, tuple(x + y for x, y in zip(a, b)))
+        a, da = _as_ints(self.coeffs)
+        b, db = _as_ints(other.coeffs)
+        den = math.lcm(da, db)
+        fa, fb = den // da, den // db
+        a = _embed_ints(a, self.n, m)
+        b = _embed_ints(b, other.n, m)
+        return _from_ints(m, [x * fa + y * fb for x, y in zip(a, b)], den)
 
     __radd__ = __add__
 
@@ -290,43 +320,24 @@ class Cyc:
         if other.n == 1:
             return self._scaled(other.coeffs[0])
         m = math.lcm(self.n, other.n)
-        a = self._embedded(m)
-        b = other._embedded(m)
+        a, da = _as_ints(self.coeffs)
+        b, db = _as_ints(other.coeffs)
+        a = _embed_ints(a, self.n, m)
+        b = [(j, y) for j, y in enumerate(_embed_ints(b, other.n, m)) if y]
         k = phi(m)
-        rows = _power_rows(m)
-        if all(x.denominator == 1 for x in a) and all(x.denominator == 1 for x in b):
-            ai = [x.numerator for x in a]
-            bi = [x.numerator for x in b]
-            conv = [0] * (2 * k - 1)
-            for i, x in enumerate(ai):
-                if x:
-                    for j, y in enumerate(bi):
-                        if y:
-                            conv[i + j] += x * y
-            acc_int = list(conv[:k])
-            for t in range(k, 2 * k - 1):
-                c = conv[t]
-                if c:
-                    row = rows[t]
-                    for i in range(k):
-                        if row[i]:
-                            acc_int[i] += c * row[i]
-            return Cyc(m, tuple(Fraction(v) for v in acc_int))
-        conv = [Fraction(0)] * (2 * k - 1)
+        conv = [0] * (2 * k - 1)
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        acc = list(conv[:k])
+                for j, y in b:
+                    conv[i + j] += x * y
+        acc = conv[:k]
+        rows = _sparse_rows(m)
         for t in range(k, 2 * k - 1):
             c = conv[t]
             if c:
-                row = rows[t]
-                for i in range(k):
-                    if row[i]:
-                        acc[i] += c * row[i]
-        return Cyc(m, tuple(acc))
+                for i, r in rows[t]:
+                    acc[i] += c * r
+        return _from_ints(m, acc, da * db)
 
     __rmul__ = __mul__
 
@@ -346,19 +357,6 @@ class Cyc:
         if not q:
             return _ZERO
         return Cyc(self.n, tuple(c * q for c in self.coeffs), _raw=True)
-
-    def _embedded(self, m: int) -> tuple[Fraction, ...]:
-        if m == self.n:
-            return self.coeffs
-        rows = _embed_rows(self.n, m)
-        k = phi(m)
-        acc = [Fraction(0)] * k
-        for c, row in zip(self.coeffs, rows):
-            if c:
-                for i in range(k):
-                    if row[i]:
-                        acc[i] += c * row[i]
-        return tuple(acc)
 
     # -- Galois ------------------------------------------------------------
 

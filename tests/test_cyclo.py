@@ -70,6 +70,39 @@ def test_canonical_form_is_construction_independent():
     assert Cyc.from_exponents(9, {3: 1}) == zeta(3)
 
 
+@pytest.mark.parametrize("n", [8, 12, 15, 20, 21, 30, 36, 45, 60, 63, 72, 84])
+def test_roots_of_unity_reduce_to_their_conductor(n):
+    for a in range(n):
+        c = n // math.gcd(n, a)
+        if c % 4 == 2:
+            c //= 2
+        assert zeta(n, a).n == c
+        assert zeta(n, a) * zeta(n, n - a) == Cyc.one()
+
+
+def _gauss_sum(q: int) -> Cyc:
+    # sum of (a/q) zeta_q^a; its square is (-1)^((q-1)/2) q
+    return Cyc.from_exponents(
+        q, {a: 1 if pow(a, (q - 1) // 2, q) == 1 else -1 for a in range(1, q)})
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
+def test_gauss_sums_square_down_to_the_rationals(q):
+    g = _gauss_sum(q)
+    assert g.n == q
+    assert g * g == (-1) ** ((q - 1) // 2) * q
+
+
+def test_products_of_square_roots_descend_to_their_conductor():
+    sqrt2 = zeta(8) + zeta(8, 7)
+    # sqrt(2) sqrt(-3) sqrt(5) sqrt(-7) = sqrt(210), of discriminant 840
+    root = sqrt2 * _gauss_sum(3) * _gauss_sum(5) * _gauss_sum(7)
+    assert root.n == 840
+    assert root * root == 210
+    assert (root * sqrt2).n == 105  # 2 sqrt(105), and 105 = 1 mod 4
+    assert (root * _gauss_sum(3)).n == 280  # sqrt(-630) = 3 sqrt(-70)
+
+
 @given(cyc_values(), cyc_values(), cyc_values())
 def test_ring_laws(a, b, c):
     assert a + b == b + a
