@@ -19,9 +19,9 @@ import math
 import random
 from fractions import Fraction
 
-from .cyclo import Cyc, cyclotomic_polynomial
+from .cyclo import Cyc, cyclotomic_polynomial, is_prime, prime_factors
 from .permcore import (
-    ClassData, InvariantViolation, PermGroup, TooManyClasses, conjugacy_classes,
+    ClassData, PermGroup, TooManyClasses, conjugacy_classes,
 )
 
 
@@ -61,37 +61,13 @@ class PrimeSearchExhausted(RuntimeError):
 _PRIME_CAP = 10 ** 7
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13):
-        if n % q == 0:
-            return n == q
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def choose_dixon_prime(group: PermGroup, classes: ClassData | None = None) -> int:
     """Smallest prime p = 1 (mod exponent) with p > 2*sqrt(|G|), strictly."""
     cd = classes if classes is not None else conjugacy_classes(group)
     e = math.lcm(*cd.element_orders)
     p = e + 1
     while p <= _PRIME_CAP:
-        if p * p > 4 * group.order and _is_prime(p):
+        if p * p > 4 * group.order and is_prime(p):
             return p
         p += e
     raise PrimeSearchExhausted(f"no prime = 1 mod {e} below {_PRIME_CAP}")
@@ -104,33 +80,11 @@ def class_mult_coeffs(classes: ClassData) -> list[list[list[int]]]:
     to one fixed representative of C_k; the count is independent of the
     representative.
     """
-    return [_class_product_rows(classes, i) for i in range(classes.n_classes)]
-
-
-def _class_product_rows(classes: ClassData, i: int) -> list[list[int]]:
-    # rows[j][t] = a[i][j][t], from #{y in C_j : rep_i * y in C_t}
-    group = classes.group
-    k = classes.n_classes
-    rows = [[0] * k for _ in range(k)]
-    rep = classes.reps[i]
-    elt_class = classes.elt_class
-    for y in range(group.order):
-        rows[elt_class[y]][elt_class[group.mult_index(rep, y)]] += 1
-    size_i = classes.sizes[i]
-    for row in rows:
-        for t in range(k):
-            if row[t]:
-                num, rem = divmod(row[t] * size_i, classes.sizes[t])
-                if rem:
-                    raise InvariantViolation(
-                        f"class product count {row[t]} * {size_i} not divisible "
-                        f"by class size {classes.sizes[t]}")
-                row[t] = num
-    return rows
+    return [classes.product_rows(i) for i in range(classes.n_classes)]
 
 
 def _class_matrix(classes: ClassData, i: int, p: int) -> list[list[int]]:
-    return [[x % p for x in row] for row in _class_product_rows(classes, i)]
+    return [[x % p for x in row] for row in classes.product_rows(i)]
 
 
 # --- polynomial arithmetic over F_p (ascending coefficient lists) ---
@@ -294,56 +248,19 @@ def _mat_vec(mat: list[list[int]], vec: list[int], p: int) -> list[int]:
     return out
 
 
-def _nullspace(mat: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of the right nullspace, deterministic (free vars ascending)."""
-    d = len(mat)
-    a = [row[:] for row in mat]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(d):
-        piv = None
-        for rr in range(r, d):
-            if a[rr][c]:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][c], p - 2, p)
-        a[r] = [x * inv % p for x in a[r]]
-        for rr in range(d):
-            if rr != r and a[rr][c]:
-                f = a[rr][c]
-                a[rr] = [(x - f * y) % p for x, y in zip(a[rr], a[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == d:
-            break
-    pivot_cols = {c for _, c in pivots}
-    basis = []
-    for free in range(d):
-        if free in pivot_cols:
-            continue
-        v = [0] * d
-        v[free] = 1
-        for rr, cc in pivots:
-            v[cc] = (-a[rr][free]) % p
-        basis.append(v)
-    return basis
+def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form mod p: (nonzero reduced rows, pivot columns).
 
-
-def _pivot_columns(rows: list[list[int]], p: int) -> list[int]:
+    Reduced row r is 1 at pivot column r and 0 at every other pivot column.
+    """
     m = [row[:] for row in rows]
     n_rows = len(m)
-    n_cols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        piv = None
-        for rr in range(r, n_rows):
-            if m[rr][c]:
-                piv = rr
-                break
+    pivots: list[int] = []
+    for c in range(len(m[0])):
+        r = len(pivots)
+        if r == n_rows:
+            break
+        piv = next((rr for rr in range(r, n_rows) if m[rr][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
@@ -354,31 +271,24 @@ def _pivot_columns(rows: list[list[int]], p: int) -> list[int]:
                 f = m[rr][c]
                 m[rr] = [(x - f * y) % p for x, y in zip(m[rr], m[r])]
         pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return pivots
+    return m[:len(pivots)], pivots
 
 
-def _invert(mat: list[list[int]], p: int) -> list[list[int]]:
-    d = len(mat)
-    a = [row[:] + [1 if i == j else 0 for j in range(d)] for i, row in enumerate(mat)]
-    for c in range(d):
-        piv = None
-        for r in range(c, d):
-            if a[r][c]:
-                piv = r
-                break
-        if piv is None:
-            raise EigensplitFailure("pivot submatrix is singular")
-        a[c], a[piv] = a[piv], a[c]
-        inv = pow(a[c][c], p - 2, p)
-        a[c] = [x * inv % p for x in a[c]]
-        for r in range(d):
-            if r != c and a[r][c]:
-                f = a[r][c]
-                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[c])]
-    return [row[d:] for row in a]
+def _nullspace(mat: list[list[int]], p: int) -> list[list[int]]:
+    """Basis of the right nullspace, deterministic (free vars ascending)."""
+    reduced, pivots = _rref(mat, p)
+    n = len(mat[0])
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(n):
+        if free in pivot_set:
+            continue
+        v = [0] * n
+        v[free] = 1
+        for row, c in zip(reduced, pivots):
+            v[c] = (-row[free]) % p
+        basis.append(v)
+    return basis
 
 
 def _split_subspace(basis: list[list[int]], mat: list[list[int]], p: int,
@@ -386,25 +296,21 @@ def _split_subspace(basis: list[list[int]], mat: list[list[int]], p: int,
     """Split an invariant subspace into eigenspaces of mat restricted to it.
 
     basis: list of d independent vectors of length k.  Returns the list
-    of eigenspace bases, eigenvalues ascending.
+    of eigenspace bases, eigenvalues ascending.  The subspace is worked in
+    its reduced echelon basis; a change of basis changes the restriction
+    only up to similarity, so the eigenvalues and eigenspaces are the same.
     """
     d = len(basis)
-    images = [_mat_vec(mat, v, p) for v in basis]
-    piv = _pivot_columns(basis, p)
+    basis, piv = _rref(basis, p)
     if len(piv) != d:
         raise EigensplitFailure("subspace basis is dependent")
-    q = [[basis[s][c] for c in piv] for s in range(d)]
-    q_inv = _invert(q, p)
-    # coords[t][s]: coefficient of basis[s] in images[t]
+    # coords[t][s]: coefficient of basis[s] in the image of basis[t]; the
+    # reduced basis is the identity at the pivot columns, so it is the
+    # image's entry at piv[s]
     coords = []
-    for w in images:
-        wp = [w[c] for c in piv]
-        coef = [0] * d
-        for s in range(d):
-            acc = 0
-            for t in range(d):
-                acc += wp[t] * q_inv[t][s]
-            coef[s] = acc % p
+    for v in basis:
+        w = _mat_vec(mat, v, p)
+        coef = [w[c] for c in piv]
         # exact invariance check over all k coordinates
         k = len(w)
         for c in range(k):
@@ -474,17 +380,7 @@ def _sqrt_mod(n: int, p: int) -> int:
 
 
 def _primitive_root(p: int) -> int:
-    fac = []
-    n = p - 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            fac.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        fac.append(n)
+    fac = prime_factors(p - 1)
     g = 2
     while True:
         if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
@@ -620,9 +516,10 @@ def character_table(group: PermGroup, classes: ClassData | None = None,
         if not (degree_val.is_integer() and degree_val.as_int() == d):
             raise EigensplitFailure("identity value disagrees with degree")
         kernel = frozenset(i for i in range(k) if values[i] == d)
-        d_sq_exact = Cyc.from_rational(Fraction(d * d))
+        # A value is a sum of d roots of unity, so |chi(g)| = d exactly when
+        # all d agree, that is when chi(g)/d is itself a root of unity.
         center_z = frozenset(i for i in range(k)
-                             if values[i].abs_squared() == d_sq_exact)
+                             if (values[i] * Fraction(1, d)).is_root_of_unity())
         rows.append(Character(tuple(values), d, kernel, center_z))
 
     rows.sort(key=lambda r: (r.degree, tuple(v.display() for v in r.values)))

@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import catalog, verify
 from .chartab import CharTable, character_table
@@ -115,16 +114,9 @@ def _verify_targets(args) -> list[str]:
 
 
 def _cmd_verify(args) -> int:
-    names = sorted(_verify_targets(args))
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            batches = list(pool.map(
-                lambda n: verify.check_group(n, args.seed), names))
-        verdicts = [v for batch in batches for v in batch]
-    else:
-        verdicts = []
-        for name in names:
-            verdicts.extend(verify.check_group(name, args.seed))
+    verdicts = []
+    for name in sorted(_verify_targets(args)):
+        verdicts.extend(verify.check_group(name, args.seed))
     if not args.group:
         verdicts.extend(verify.scan_checks(args.seed))
     if args.claim:
@@ -224,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--claim", choices=verify.CLAIMS,
                      help="restrict output to one claim")
     ver.add_argument("--optional-tier", action="store_true")
-    ver.add_argument("--jobs", type=int, default=1)
     ver.add_argument("--json", action="store_true")
     ver.add_argument("--seed", type=int, default=0)
     ver.set_defaults(fn=_cmd_verify)

@@ -64,7 +64,8 @@ def phi(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _prime_factors(n: int) -> tuple[int, ...]:
+def prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing n, ascending; () for n = 1."""
     out = []
     d = 2
     while d * d <= n:
@@ -76,6 +77,17 @@ def _prime_factors(n: int) -> tuple[int, ...]:
     if n > 1:
         out.append(n)
     return tuple(out)
+
+
+def is_prime(n: int) -> bool:
+    return n > 1 and prime_factors(n) == (n,)
+
+
+def is_p_power(n: int, p: int) -> bool:
+    """True iff n = p^a for some a >= 0."""
+    while n > 1 and n % p == 0:
+        n //= p
+    return n == 1
 
 
 @lru_cache(maxsize=None)
@@ -186,7 +198,7 @@ def _canonical_ints(n: int, num: list[int], den: int) -> tuple[int, tuple[Fracti
     changed = True
     while n > 1 and changed:
         changed = False
-        for p in _prime_factors(n):
+        for p in prime_factors(n):
             down = _try_descend(n, n // p, num)
             if down is not None:
                 n, num = n // p, down

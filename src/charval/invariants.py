@@ -89,13 +89,14 @@ def per_char_values(table: CharTable, row: int) -> tuple[Cyc, ...]:
 
 
 def root_of_unity_elements(table: CharTable) -> tuple[int, ...]:
-    """Classes on which every irreducible value has modulus 1."""
-    out = []
-    one = Cyc.one()
-    for i in range(table.classes.n_classes):
-        if all(r.values[i].abs_squared() == one for r in table.rows):
-            out.append(i)
-    return tuple(out)
+    """Classes on which every irreducible value has modulus 1.
+
+    A cyclotomic integer of modulus 1 is a root of unity: complex
+    conjugation is central in the Galois group, so every Galois conjugate
+    has modulus 1 too, and Kronecker's theorem applies.
+    """
+    return tuple(i for i in range(table.classes.n_classes)
+                 if all(r.values[i].is_root_of_unity() for r in table.rows))
 
 
 def report(table: CharTable, max_classes: int = 25) -> InvariantReport:

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+
+from .cyclo import is_p_power, is_prime, prime_factors
 
 
 class RepeatedPoint(ValueError):
@@ -381,6 +382,32 @@ class ClassData:
             self._power_cache[key] = hit
         return hit
 
+    def product_rows(self, i: int) -> list[list[int]]:
+        """rows[j][t] = a[i][j][t], the class-algebra structure constants.
+
+        a[i][j][t] counts pairs (x, y) with x in C_i, y in C_j and xy equal
+        to one fixed element of C_t; it is #{y in C_j : rep_i * y in C_t}
+        scaled by |C_i| / |C_t|.
+        """
+        group = self.group
+        k = self.n_classes
+        rows = [[0] * k for _ in range(k)]
+        rep = self.reps[i]
+        elt_class = self.elt_class
+        for y in range(group.order):
+            rows[elt_class[y]][elt_class[group.mult_index(rep, y)]] += 1
+        size_i = self.sizes[i]
+        for row in rows:
+            for t in range(k):
+                if row[t]:
+                    num, rem = divmod(row[t] * size_i, self.sizes[t])
+                    if rem:
+                        raise InvariantViolation(
+                            f"class product count {row[t]} * {size_i} not "
+                            f"divisible by class size {self.sizes[t]}")
+                    row[t] = num
+        return rows
+
 
 def conjugacy_classes(group: PermGroup) -> ClassData:
     return ClassData(group)
@@ -503,19 +530,6 @@ def is_cyclic_subset(group: PermGroup, subset) -> bool:
     return max(group.element_order(i) for i in subset) == len(subset)
 
 
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def normal_subgroups(group: PermGroup, classes: ClassData | None = None,
                      max_classes: int = 25) -> tuple[frozenset[int], ...]:
     """All normal subgroups, as element-index sets.
@@ -532,15 +546,9 @@ def normal_subgroups(group: PermGroup, classes: ClassData | None = None,
     k = cd.n_classes
     if k > max_classes:
         raise TooManyClasses(f"{k} classes exceeds guard {max_classes}")
-    pm = [[0] * k for _ in range(k)]
-    for i in range(k):
-        rep = cd.reps[i]
-        row = pm[i]
-        for j in range(k):
-            mask = 0
-            for y in cd.classes[j]:
-                mask |= 1 << cd.elt_class[group.mult_index(rep, y)]
-            row[j] = mask
+    # pm[i][j]: the classes meeting C_i * C_j, as a bit mask
+    pm = [[sum(1 << t for t, a in enumerate(row) if a) for row in cd.product_rows(i)]
+          for i in range(k)]
     sat_cache: dict[int, int] = {}
 
     def saturate(mask: int) -> int:
@@ -673,15 +681,15 @@ class StructureFlags:
 def o_p_subgroups(group: PermGroup, nilpotent: bool,
                   normals: tuple[frozenset[int], ...] | None) -> dict[int, frozenset[int]]:
     out: dict[int, frozenset[int]] = {}
-    for p in _factorize(group.order):
+    for p in prime_factors(group.order):
         if nilpotent:
             members = frozenset(
                 i for i in range(group.order)
-                if _is_p_power(group.element_order(i), p))
+                if is_p_power(group.element_order(i), p))
             out[p] = members
             continue
         best: frozenset[int] = frozenset({0})
-        p_normals = [n for n in normals if _is_p_power(len(n), p)]
+        p_normals = [n for n in normals if is_p_power(len(n), p)]
         for n in p_normals:
             if len(n) > len(best):
                 best = n
@@ -689,12 +697,6 @@ def o_p_subgroups(group: PermGroup, nilpotent: bool,
             raise InvariantViolation("normal p-subgroups not nested under the largest")
         out[p] = best
     return out
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def frobenius_decomposition(group: PermGroup,
@@ -776,10 +778,8 @@ def structure_flags(group: PermGroup, classes: ClassData | None = None,
     gen_idx = group.generator_indices()
     abelian = all(group.commutator_index(a, b) == 0
                   for a in gen_idx for b in gen_idx)
-    factors = _factorize(group.order)
-    p_group_p = next(iter(factors)) if len(factors) == 1 else None
-    if group.order == 1:
-        p_group_p = None
+    factors = prime_factors(group.order)
+    p_group_p = factors[0] if len(factors) == 1 else None
     elem_p = None
     if abelian and p_group_p is not None:
         if all(group.element_order(i) == p_group_p for i in range(1, group.order)):
@@ -826,7 +826,7 @@ def socle_of_nilpotent(group: PermGroup) -> frozenset[int]:
     the socle is generated by the prime-order elements of the center.
     """
     z = center(group)
-    seeds = {i for i in z if i and _is_prime(group.element_order(i))}
+    seeds = {i for i in z if i and is_prime(group.element_order(i))}
     if not seeds:
         return frozenset({0})
     return subgroup_closure(group, seeds)
@@ -850,15 +850,3 @@ def socle_from_normals(group: PermGroup,
     if not seeds:
         return frozenset({0})
     return subgroup_closure(group, seeds)
-
-
-@lru_cache(maxsize=None)
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True

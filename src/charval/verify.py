@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 from . import catalog
 from .chartab import CharTable, codegree
+from .cyclo import is_p_power, prime_factors
 from .invariants import InvariantReport
 from .permcore import (
-    PermGroup, _factorize, is_cyclic_subset, normal_subgroups, quotient_group,
-    structure_flags,
+    PermGroup, normal_subgroups, quotient_group, structure_flags,
 )
 
 CLAIMS = ("four_values_solvable", "cdc3_solvable", "cdc2_shape",
@@ -64,12 +64,6 @@ def _commuting_subset(group: PermGroup, elems) -> bool:
 def _elementary_abelian_subset(group: PermGroup, elems, p: int) -> bool:
     return all(group.element_order(x) in (1, p) for x in elems) \
         and _commuting_subset(group, elems)
-
-
-def _is_power_of(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def check_four_values_solvable(table: CharTable, rep: InvariantReport,
@@ -194,7 +188,7 @@ def check_nonnilpotent_cdc3(table: CharTable, rep: InvariantReport,
         if 2 * len(n) != g.order or not _commuting_subset(g, n):
             continue
         odd = [x for x in n if g.element_order(x) % 2 == 1]
-        two = {x for x in n if _is_power_of(g.element_order(x), 2)}
+        two = {x for x in n if is_p_power(g.element_order(x), 2)}
         if all(g.element_order(x) in (1, 3) for x in odd) and two == set(o2):
             half = n
             break
@@ -203,7 +197,7 @@ def check_nonnilpotent_cdc3(table: CharTable, rep: InvariantReport,
                     "no abelian index-2 subgroup with elementary 3-part "
                     "and matching 2-core")
     sylow2_abelian = any(
-        _is_power_of(g.element_order(t), 2)
+        is_p_power(g.element_order(t), 2)
         and all(g.mult_index(t, x) == g.mult_index(x, t) for x in o2)
         for t in range(g.order) if t not in half)
     if not sylow2_abelian:
@@ -235,9 +229,9 @@ def check_two_degrees(table: CharTable, rep: InvariantReport, label: str,
         return _vacuous(label, claim, f"|cd|={len(rep.cd)}")
     g = table.group
     m = rep.cd[1]
-    primes = _factorize(m)
+    primes = prime_factors(m)
     if len(primes) == 1 and rep.flags.is_nilpotent:
-        p = next(iter(primes))
+        p = primes[0]
         if all(_commuting_subset(g, members)
                for q, members in rep.flags.o_p.items() if q != p):
             return _met(label, claim, True,

@@ -1,7 +1,9 @@
 """Exact character tables: prime choice, class algebra, orthogonality."""
 
+import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,8 @@ from charval.chartab import (
     OrthogonalityFailure,
     TooManyClasses,
     _cyclotomic_remainder,
+    _nullspace,
+    _rref,
     _self_verify,
     _vanishes,
     character_table,
@@ -257,3 +261,30 @@ def test_cyclotomic_remainder_decides_in_the_smallest_field():
     assert _cyclotomic_remainder(acc) == (3, [])
     acc[280] = 4
     assert _cyclotomic_remainder(acc) == (3, [1, 1])        # 5 + 5 z3 + 4 z3^2
+
+
+def _span(rows, p, n):
+    return {tuple(sum(c * r[j] for c, r in zip(cs, rows)) % p for j in range(n))
+            for cs in itertools.product(range(p), repeat=len(rows))}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_rref_and_nullspace_agree_with_brute_force(seed):
+    p = 5
+    rng = random.Random(seed)
+    n_rows, n = rng.randint(1, 4), rng.randint(1, 4)
+    mat = [[rng.choice([0, 0, 1, 2, 3, 4]) for _ in range(n)] for _ in range(n_rows)]
+    reduced, pivots = _rref(mat, p)
+    rank = len(pivots)
+    assert pivots == sorted(set(pivots)) and len(reduced) == rank
+    for r, row in enumerate(reduced):
+        assert [row[c] for c in pivots] == [int(s == r) for s in range(rank)]
+        assert all(x == 0 for x in row[:pivots[r]])
+    assert _span(reduced, p, n) == _span(mat, p, n)
+    kernel = {v for v in itertools.product(range(p), repeat=n)
+              if all(sum(a * x for a, x in zip(row, v)) % p == 0 for row in mat)}
+    basis = _nullspace(mat, p)
+    assert len(basis) == n - rank
+    assert all(tuple(v) in kernel for v in basis)
+    assert len(kernel) == p ** (n - rank)
+    assert len(_span(basis, p, n)) == len(kernel)

@@ -11,7 +11,10 @@ from charval.cyclo import (
     Cyc,
     NotCoprime,
     cyclotomic_polynomial,
+    is_p_power,
+    is_prime,
     phi,
+    prime_factors,
     zeta,
 )
 
@@ -244,3 +247,13 @@ def test_approx_tracks_exact_values():
     assert abs(zeta(8).approx() - complex(2 ** -0.5, 2 ** -0.5)) < 1e-12
     x = zeta(5) + zeta(5, 4)
     assert abs(x.approx() - (5 ** 0.5 - 1) / 2) < 1e-12
+
+
+def test_number_theory_helpers_agree_with_brute_force():
+    primes = [q for q in range(2, 500) if all(q % d for d in range(2, q))]
+    for n in range(1, 500):
+        assert prime_factors(n) == tuple(q for q in primes if n % q == 0), n
+        assert is_prime(n) == (n in primes), n
+        for q in primes[:8]:
+            powers = {q ** a for a in range(10)}
+            assert is_p_power(n, q) == (n in powers), (n, q)

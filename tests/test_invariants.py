@@ -9,6 +9,8 @@ from charval import catalog
 from charval.cyclo import Cyc
 from charval.invariants import per_char_values, report, sorted_values
 
+CORE = catalog.names("core")
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
@@ -106,3 +108,16 @@ def test_json_shape_is_stable():
                                 "o_p", "frobenius"]
     assert d["flags"]["is_extraspecial"] is True
     assert json.dumps(d) == json.dumps(report(table).to_json_dict())
+
+
+@pytest.mark.parametrize("name", CORE)
+def test_modulus_sets_match_the_abs_squared_definitions(name):
+    _, g, cd, table, rep = catalog.bundle(name)
+    one = Cyc.one()
+    for row in table.rows:
+        d_sq = Cyc.from_rational(row.degree ** 2)
+        assert row.center_z == {i for i, v in enumerate(row.values)
+                                if v.abs_squared() == d_sq}, name
+    assert rep.root_of_unity_elements == tuple(
+        i for i in range(cd.n_classes)
+        if all(r.values[i].abs_squared() == one for r in table.rows)), name

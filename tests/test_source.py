@@ -16,3 +16,14 @@ def test_library_has_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_no_function_defined_in_two_modules():
+    """One definition per helper: a second copy of a name is a duplicate."""
+    owners: dict[str, list[str]] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owners.setdefault(node.name, []).append(path.name)
+    dupes = {name: files for name, files in owners.items() if len(files) > 1}
+    assert not dupes, dupes
