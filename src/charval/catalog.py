@@ -42,7 +42,6 @@ class CatalogEntry:
     source: str
     tier: str = "core"  # core | large | optional
     builder: Callable[[], PermGroup] = None
-    max_classes: int = 25       # guard for normal-subgroup enumeration
     table_guard: int = 60       # guard for table construction
     a5a6_free: bool = True      # no alternating composition factor A5/A6
     expected: dict = field(default_factory=dict)
@@ -425,21 +424,19 @@ def _register_all() -> None:
                       expected={"four_value_nonlinear": True, "socle": 16,
                                 "unique_minimal_normal": 16, "cd": (1, 5)}))
     _add(CatalogEntry("sg_81_3", 81, "SmallGroup(81,3): C3^2 : C9",
-                      builder=_sg_81_3, max_classes=35,
+                      builder=_sg_81_3,
                       expected={"four_value_nonlinear": True, "socle": 9,
                                 "socle_elementary_p": 3}))
     _add(CatalogEntry("sg_81_4", 81, "SmallGroup(81,4): C9 : C9",
-                      builder=_sg_81_4, max_classes=35,
+                      builder=_sg_81_4,
                       expected={"four_value_nonlinear": True, "socle": 9,
                                 "socle_elementary_p": 3}))
     _add(CatalogEntry("sg_81_12", 81, "SmallGroup(81,12): C3 x Heisenberg",
                       builder=_builder_direct(lambda: _cyclic(3), _heisenberg3),
-                      max_classes=35,
                       expected={"four_value_nonlinear": True, "socle": 9,
                                 "socle_elementary_p": 3}))
     _add(CatalogEntry("sg_81_13", 81, "SmallGroup(81,13): C3 x (C9 : C3)",
                       builder=_builder_direct(lambda: _cyclic(3), _sg_27_4),
-                      max_classes=35,
                       expected={"four_value_nonlinear": True, "socle": 9,
                                 "socle_elementary_p": 3}))
     _add(CatalogEntry("sg_136_12", 136, "SmallGroup(136,12): C17 : C8, x -> 2x",
@@ -452,7 +449,7 @@ def _register_all() -> None:
                                 "socle_elementary_p": 7, "cd": (1, 3)}))
     _add(CatalogEntry("sg_250_14", 250, "SmallGroup(250,14): C5^3 : C2 (inversion)",
                       tier="optional", builder=lambda: _dih_vector(5, 3, 250),
-                      max_classes=70, table_guard=70,
+                      table_guard=70,
                       expected={"four_value_nonlinear": True, "cd": (1, 2),
                                 "deg2_rows": 62,
                                 "exists_normal_with_frobenius_cyclic_quotient": True}))
@@ -520,7 +517,7 @@ def _bundle_cached(resolved: str, seed: int) -> tuple[
     g = build(resolved)
     cd = conjugacy_classes(g)
     table = character_table(g, cd, seed=seed, max_classes=ent.table_guard)
-    rep = report(table, max_classes=ent.max_classes)
+    rep = report(table)
     return ent, g, cd, table, rep
 
 
@@ -617,7 +614,7 @@ def check_expected(name: str, seed: int = 0) -> list[str]:
                          & exp.keys()) \
         or ("socle" in exp and not rep.flags.is_nilpotent)
     if wants_normals:
-        normals = normal_subgroups(g, cd, max_classes=ent.max_classes)
+        normals = normal_subgroups(table)
     if "socle" in exp:
         soc = socle_of_nilpotent(g) if rep.flags.is_nilpotent \
             else socle_from_normals(g, normals)
@@ -639,8 +636,7 @@ def check_expected(name: str, seed: int = 0) -> list[str]:
         for n_set in normals:
             if g.order // len(n_set) == 10:
                 q = quotient_group(g, n_set)
-                flags_q = structure_flags(q)
-                if not flags_q.is_abelian:
+                if not structure_flags(character_table(q)).is_abelian:
                     got += 1
         if got != exp["quotient_d10_count"]:
             fail("quotient_d10_count", got)
@@ -654,10 +650,11 @@ def check_expected(name: str, seed: int = 0) -> list[str]:
         for n_set in normals:
             if len(n_set) == g.order:
                 continue
-            q = g if len(n_set) == 1 else quotient_group(g, n_set)
-            flags_q = structure_flags(q, max_classes=ent.max_classes)
+            qt = table if len(n_set) == 1 else \
+                character_table(quotient_group(g, n_set))
+            flags_q = structure_flags(qt)
             if flags_q.frobenius is not None and \
-                    is_cyclic_subset(q, flags_q.frobenius[1]):
+                    is_cyclic_subset(qt.group, flags_q.frobenius[1]):
                 got = True
                 break
         if got != exp["exists_normal_with_frobenius_cyclic_quotient"]:

@@ -20,9 +20,11 @@ import random
 from fractions import Fraction
 
 from .cyclo import Cyc, cyclotomic_polynomial, is_prime, prime_factors
-from .permcore import (
-    ClassData, PermGroup, TooManyClasses, conjugacy_classes,
-)
+from .permcore import ClassData, PermGroup, conjugacy_classes
+
+
+class TooManyClasses(RuntimeError):
+    """Class count exceeds the guard for table construction."""
 
 
 class EigensplitFailure(RuntimeError):
@@ -116,23 +118,26 @@ def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
     return _ptrim(out)
 
 
-def _pmod(a: list[int], m: list[int], p: int) -> list[int]:
+def _pdivmod(a: list[int], m: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of a by m over F_p."""
     a = a[:]
     dm = len(m) - 1
     inv_lead = pow(m[-1], p - 2, p)
+    q = [0] * max(len(a) - dm, 0)
     while len(a) - 1 >= dm and a:
         coef = a[-1] * inv_lead % p
         shift = len(a) - 1 - dm
+        q[shift] = coef
         for i, mv in enumerate(m):
             a[shift + i] = (a[shift + i] - coef * mv) % p
         _ptrim(a)
-    return a
+    return _ptrim(q), a
 
 
 def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
     a, b = a[:], b[:]
     while b:
-        a, b = b, _pmod(a, b, p)
+        a, b = b, _pdivmod(a, b, p)[1]
     if a:
         inv = pow(a[-1], p - 2, p)
         a = [c * inv % p for c in a]
@@ -141,30 +146,13 @@ def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 def _ppowmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
     result = [1]
-    base = _pmod(base, m, p)
+    base = _pdivmod(base, m, p)[1]
     while e:
         if e & 1:
-            result = _pmod(_pmul(result, base, p), m, p)
-        base = _pmod(_pmul(base, base, p), m, p)
+            result = _pdivmod(_pmul(result, base, p), m, p)[1]
+        base = _pdivmod(_pmul(base, base, p), m, p)[1]
         e >>= 1
     return result
-
-
-def _pdiv_exact(a: list[int], b: list[int], p: int) -> list[int]:
-    a = a[:]
-    dm = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    q = [0] * (len(a) - dm)
-    while len(a) - 1 >= dm and a:
-        coef = a[-1] * inv_lead % p
-        shift = len(a) - 1 - dm
-        q[shift] = coef
-        for i, bv in enumerate(b):
-            a[shift + i] = (a[shift + i] - coef * bv) % p
-        _ptrim(a)
-    if a:
-        raise EigensplitFailure("polynomial division was not exact")
-    return _ptrim(q)
 
 
 def _charpoly(mat: list[list[int]], p: int) -> list[int]:
@@ -230,8 +218,11 @@ def _split_linear(g: list[int], p: int, rng: random.Random, out: list[int]) -> N
         t = _ppowmod([a, 1], (p - 1) // 2, g, p)
         h = _pgcd(_psub(t, [1], p), g, p)
         if 0 < len(h) - 1 < d:
+            cofactor, rem = _pdivmod(g, h, p)
+            if rem:
+                raise EigensplitFailure("polynomial division was not exact")
             _split_linear(h, p, rng, out)
-            _split_linear(_pdiv_exact(g, h, p), p, rng, out)
+            _split_linear(cofactor, p, rng, out)
             return
 
 

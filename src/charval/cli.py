@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import catalog, verify
-from .chartab import CharTable, character_table
+from .chartab import CharTable, TooManyClasses, character_table
 from .invariants import InvariantReport, report
 from .permcore import (
     OrderBoundExceeded, ParseError, PermGroup, conjugacy_classes,
@@ -252,7 +252,8 @@ def run(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except (ParseError, catalog.UnknownName, catalog.ConstructionMismatch,
-            OrderBoundExceeded, SizeMismatch, ValueError) as exc:
+            OrderBoundExceeded, SizeMismatch, TooManyClasses,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

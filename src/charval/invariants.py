@@ -99,12 +99,8 @@ def root_of_unity_elements(table: CharTable) -> tuple[int, ...]:
                  if all(r.values[i].is_root_of_unity() for r in table.rows))
 
 
-def report(table: CharTable, max_classes: int = 25) -> InvariantReport:
-    """Full invariant report for a verified table.
-
-    max_classes guards the normal-subgroup enumeration that backs the
-    structural flags of non-nilpotent groups.
-    """
+def report(table: CharTable) -> InvariantReport:
+    """Full invariant report for a verified table."""
     group = table.group
     cv_set: set[Cyc] = set()
     for r in table.rows:
@@ -114,7 +110,7 @@ def report(table: CharTable, max_classes: int = 25) -> InvariantReport:
     ncv_set = {v for v in cv_set if not v.is_positive_natural()}
     per_sizes = tuple(len(set(r.values)) for r in table.rows)
     cods = tuple(codegree(table, i) for i in range(len(table.rows)))
-    flags = structure_flags(group, table.classes, max_classes=max_classes)
+    flags = structure_flags(table)
     return InvariantReport(
         order=group.order,
         class_count=table.classes.n_classes,

@@ -1,19 +1,24 @@
 """Finite permutation groups with full element enumeration.
 
 Groups here are small (order bounded, default 2500), so the element list
-is materialized by breadth-first closure over the generators and all
-structural questions (classes, normal subgroups, quotients, derived
-series) are answered by exact enumeration.  Element order is canonical:
-BFS from the identity with the generator list in the given order, which
-makes every downstream computation deterministic.
+is materialized by breadth-first closure over the generators, and
+classes, quotients and the derived series are answered by exact
+enumeration.  Normal subgroups are read off a proven character table:
+each is an intersection of kernels of irreducible characters.  Element
+order is canonical: BFS from the identity with the generator list in the
+given order, which makes every downstream computation deterministic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .cyclo import is_p_power, is_prime, prime_factors
+
+if TYPE_CHECKING:
+    from .chartab import CharTable
 
 
 class RepeatedPoint(ValueError):
@@ -30,10 +35,6 @@ class OrderBoundExceeded(RuntimeError):
 
 class NotNormal(ValueError):
     """Quotient requested by a subset that is not a normal subgroup."""
-
-
-class TooManyClasses(RuntimeError):
-    """Class count exceeds the guard for normal-subgroup enumeration."""
 
 
 class InvariantViolation(RuntimeError):
@@ -530,77 +531,21 @@ def is_cyclic_subset(group: PermGroup, subset) -> bool:
     return max(group.element_order(i) for i in subset) == len(subset)
 
 
-def normal_subgroups(group: PermGroup, classes: ClassData | None = None,
-                     max_classes: int = 25) -> tuple[frozenset[int], ...]:
-    """All normal subgroups, as element-index sets.
+def normal_subgroups(table: CharTable) -> tuple[frozenset[int], ...]:
+    """All normal subgroups, as element-index sets sorted by (size, elements).
 
-    Normal subgroups are exactly the class-closed unions containing the
-    identity class that are product-closed.  The search branches on the
-    lowest undecided class and saturates partial unions under class
-    products, pruning when saturation touches an excluded class; each
-    normal subgroup is reached exactly once.
-
-    Raises TooManyClasses when the class count exceeds max_classes.
+    Every normal subgroup N is the intersection of the kernels of the
+    irreducible characters of G/N, lifted to G (Isaacs, Character Theory
+    of Finite Groups, Ch. 2), so the closure of {G} under intersection
+    with each row's kernel is exactly the set of normal subgroups.
     """
-    cd = classes if classes is not None else conjugacy_classes(group)
-    k = cd.n_classes
-    if k > max_classes:
-        raise TooManyClasses(f"{k} classes exceeds guard {max_classes}")
-    # pm[i][j]: the classes meeting C_i * C_j, as a bit mask
-    pm = [[sum(1 << t for t, a in enumerate(row) if a) for row in cd.product_rows(i)]
-          for i in range(k)]
-    sat_cache: dict[int, int] = {}
-
-    def saturate(mask: int) -> int:
-        hit = sat_cache.get(mask)
-        if hit is not None:
-            return hit
-        start = mask
-        work = [b for b in range(k) if (mask >> b) & 1]
-        while work:
-            i = work.pop()
-            m = mask
-            b = 0
-            while m:
-                if m & 1:
-                    new = (pm[i][b] | pm[b][i]) & ~mask
-                    if new:
-                        mask |= new
-                        nb = new
-                        c = 0
-                        while nb:
-                            if nb & 1:
-                                work.append(c)
-                            nb >>= 1
-                            c += 1
-                m >>= 1
-                b += 1
-        sat_cache[start] = mask
-        return mask
-
-    full = (1 << k) - 1
-    found: list[int] = []
-
-    def dfs(inc: int, exc: int) -> None:
-        inc = saturate(inc)
-        if inc & exc:
-            return
-        und = full & ~inc & ~exc
-        if not und:
-            found.append(inc)
-            return
-        c = (und & -und).bit_length() - 1
-        dfs(inc | (1 << c), exc)
-        dfs(inc, exc | (1 << c))
-
-    dfs(1, 0)
-    subs = []
-    for mask in found:
-        members: list[int] = []
-        for b in range(k):
-            if (mask >> b) & 1:
-                members.extend(cd.classes[b])
-        subs.append(frozenset(members))
+    cd = table.classes
+    masks = {(1 << cd.n_classes) - 1}
+    for row in table.rows:
+        kernel = sum(1 << i for i in row.kernel)
+        masks |= {m & kernel for m in masks}
+    subs = [frozenset(x for i, cls in enumerate(cd.classes) if m >> i & 1
+                      for x in cls) for m in masks]
     subs.sort(key=lambda s: (len(s), sorted(s)))
     return tuple(subs)
 
@@ -699,7 +644,7 @@ def o_p_subgroups(group: PermGroup, nilpotent: bool,
     return out
 
 
-def frobenius_decomposition(group: PermGroup,
+def frobenius_decomposition(classes: ClassData,
                             normals: tuple[frozenset[int], ...],
                             ) -> tuple[frozenset[int], frozenset[int]] | None:
     """(kernel, complement) if G is Frobenius with that kernel, else None.
@@ -710,10 +655,11 @@ def frobenius_decomposition(group: PermGroup,
     2-generated, so closure over 1- and 2-element subsets of the
     candidate pool finds one.
     """
+    group = classes.group
     for n_set in sorted(normals, key=len, reverse=True):
         if len(n_set) in (1, group.order):
             continue
-        if not _kernel_centralizer_condition(group, n_set):
+        if not _kernel_centralizer_condition(classes, n_set):
             continue
         h = group.order // len(n_set)
         comp = _find_complement(group, n_set, h)
@@ -722,10 +668,13 @@ def frobenius_decomposition(group: PermGroup,
     return None
 
 
-def _kernel_centralizer_condition(group: PermGroup, n_set: frozenset[int]) -> bool:
+def _kernel_centralizer_condition(classes: ClassData, n_set: frozenset[int]) -> bool:
+    # C_G(n^x) = C_G(n)^x and N is normal, so one representative per
+    # nonidentity class of N decides the condition for all of N.
+    group = classes.group
     outside = [g for g in range(group.order) if g not in n_set]
-    for n in n_set:
-        if n == 0:
+    for n in classes.reps[1:]:
+        if n not in n_set:
             continue
         for g in outside:
             if group.conjugate_index(n, g) == n:
@@ -766,15 +715,15 @@ def _find_complement(group: PermGroup, n_set: frozenset[int], h: int) -> frozens
     return None
 
 
-def structure_flags(group: PermGroup, classes: ClassData | None = None,
-                    max_classes: int = 25) -> StructureFlags:
-    """Compute the structural flag set.
+def structure_flags(table: CharTable) -> StructureFlags:
+    """Compute the structural flag set of the table's group.
 
-    Nilpotent groups avoid normal-subgroup enumeration entirely: O_p is
-    the set of p-power-order elements and no nilpotent group is
-    Frobenius.  Non-nilpotent groups enumerate normal subgroups (guarded
-    by max_classes).
+    Nilpotent groups need no normal subgroups: O_p is the set of
+    p-power-order elements and no nilpotent group is Frobenius.
+    Non-nilpotent groups read their normal subgroups off the table's
+    kernels.
     """
+    group = table.group
     gen_idx = group.generator_indices()
     abelian = all(group.commutator_index(a, b) == 0
                   for a in gen_idx for b in gen_idx)
@@ -798,11 +747,11 @@ def structure_flags(group: PermGroup, classes: ClassData | None = None,
                 extraspecial = central_quotient_elem_ab
     normals = None
     if not nilpotent:
-        normals = normal_subgroups(group, classes, max_classes=max_classes)
+        normals = normal_subgroups(table)
     o_p = o_p_subgroups(group, nilpotent, normals)
     frob = None
     if not nilpotent:
-        frob = frobenius_decomposition(group, normals)
+        frob = frobenius_decomposition(table.classes, normals)
     return StructureFlags(
         is_abelian=abelian,
         elementary_abelian_p=elem_p,

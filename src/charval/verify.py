@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 
 from . import catalog
-from .chartab import CharTable, codegree
+from .chartab import CharTable, character_table, codegree
 from .cyclo import is_p_power, prime_factors
 from .invariants import InvariantReport
 from .permcore import (
@@ -137,8 +137,8 @@ def check_cdc2_shape(table: CharTable, rep: InvariantReport,
                 f"|cdc|={len(rep.cdc)}, shape={shape}")
 
 
-def check_nilpotent_cdc3(table: CharTable, rep: InvariantReport, label: str,
-                         max_classes: int = 25) -> Verdict:
+def check_nilpotent_cdc3(table: CharTable, rep: InvariantReport,
+                         label: str) -> Verdict:
     """For nonabelian nilpotent groups, three equivalent descriptions of
     |cdc|=3, and an extraspecial 2-group factor when they hold."""
     claim = "nilpotent_cdc3"
@@ -159,10 +159,10 @@ def check_nilpotent_cdc3(table: CharTable, rep: InvariantReport, label: str,
     if flags.is_extraspecial:
         return _met(label, claim, True,
                     "all three predicates true; group itself extraspecial")
-    for n in normal_subgroups(g, table.classes, max_classes=max_classes):
+    for n in normal_subgroups(table):
         if len(n) in (1, g.order):
             continue
-        if structure_flags(quotient_group(g, n)).is_extraspecial:
+        if structure_flags(character_table(quotient_group(g, n))).is_extraspecial:
             return _met(label, claim, True,
                         "all three predicates true; extraspecial factor "
                         f"group of order {g.order // len(n)}")
@@ -170,7 +170,7 @@ def check_nilpotent_cdc3(table: CharTable, rep: InvariantReport, label: str,
 
 
 def check_nonnilpotent_cdc3(table: CharTable, rep: InvariantReport,
-                            label: str, max_classes: int = 25) -> Verdict:
+                            label: str) -> Verdict:
     """Non-nilpotent, |cdc|=3, derived length 2: the group is an abelian
     index-2 subgroup (elementary 3-part times its 2-core) with a flip."""
     claim = "nonnilpotent_cdc3"
@@ -184,7 +184,7 @@ def check_nonnilpotent_cdc3(table: CharTable, rep: InvariantReport,
     if not _commuting_subset(g, o2):
         return _met(label, claim, False, "2-core is nonabelian")
     half = None
-    for n in normal_subgroups(g, table.classes, max_classes=max_classes):
+    for n in normal_subgroups(table):
         if 2 * len(n) != g.order or not _commuting_subset(g, n):
             continue
         odd = [x for x in n if g.element_order(x) % 2 == 1]
@@ -208,19 +208,21 @@ def check_nonnilpotent_cdc3(table: CharTable, rep: InvariantReport,
     central = all(g.mult_index(t, x) == g.mult_index(x, t)
                   for t in o2 for x in g.generator_indices())
     elementary2 = all(g.element_order(x) in (1, 2) for x in o2)
-    q = g if len(o2) == 1 else quotient_group(g, frozenset(o2))
-    qflags = structure_flags(q)
+    qtable = table if len(o2) == 1 else \
+        character_table(quotient_group(g, frozenset(o2)))
+    qflags = structure_flags(qtable)
     frob_shape = (qflags.frobenius is not None
                   and len(qflags.frobenius[1]) == 2
-                  and _elementary_abelian_subset(q, qflags.frobenius[0], 3))
+                  and _elementary_abelian_subset(qtable.group,
+                                                 qflags.frobenius[0], 3))
     concl = central and elementary2 and frob_shape
     return _met(label, claim, concl,
                 "decomposition holds; abelian Sylow 2-subgroup, direct "
                 f"2-part {'confirmed' if concl else 'REFUTED'}")
 
 
-def check_two_degrees(table: CharTable, rep: InvariantReport, label: str,
-                      max_classes: int = 25) -> Verdict:
+def check_two_degrees(table: CharTable, rep: InvariantReport,
+                      label: str) -> Verdict:
     """Degree set {1, m}: an abelian normal subgroup of index m exists,
     or m is a prime power and the group is a p-group times an abelian
     group."""
@@ -237,7 +239,7 @@ def check_two_degrees(table: CharTable, rep: InvariantReport, label: str,
             return _met(label, claim, True,
                         f"m={m}=prime power; nilpotent with abelian "
                         "coprime part")
-    for n in normal_subgroups(g, table.classes, max_classes=max_classes):
+    for n in normal_subgroups(table):
         if len(n) * m == g.order and _commuting_subset(g, n):
             return _met(label, claim, True,
                         f"abelian normal subgroup of index {m}")
@@ -251,9 +253,9 @@ def check_group(name: str, seed: int = 0) -> list[Verdict]:
         check_four_values_solvable(table, rep, ent.name),
         check_cdc3_solvable(table, rep, ent.name, ent.a5a6_free),
         check_cdc2_shape(table, rep, ent.name),
-        check_nilpotent_cdc3(table, rep, ent.name, ent.max_classes),
-        check_nonnilpotent_cdc3(table, rep, ent.name, ent.max_classes),
-        check_two_degrees(table, rep, ent.name, ent.max_classes),
+        check_nilpotent_cdc3(table, rep, ent.name),
+        check_nonnilpotent_cdc3(table, rep, ent.name),
+        check_two_degrees(table, rep, ent.name),
     ]
 
 

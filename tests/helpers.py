@@ -162,9 +162,8 @@ def row_value_set(table: CharTable, r: int) -> set[Cyc]:
 
 
 def proper_normals(name: str) -> list[frozenset[int]]:
-    ent, g, cd, table, rep = catalog.bundle(name)
-    return [n for n in normal_subgroups(g, cd, max_classes=ent.max_classes)
-            if 1 < len(n) < g.order]
+    _, g, _, table, _ = catalog.bundle(name)
+    return [n for n in normal_subgroups(table) if 1 < len(n) < g.order]
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +177,7 @@ def quotient_value_failures(name: str) -> list[str]:
     bad = []
     for nsub in proper_normals(name):
         q = quotient_group(g, nsub)
-        qt = character_table(q, max_classes=ent.max_classes)
+        qt = character_table(q, max_classes=ent.table_guard)
         q_cv: set[Cyc] = set()
         q_ncv: set[Cyc] = set()
         for row in qt.rows:

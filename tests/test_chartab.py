@@ -8,16 +8,20 @@ from fractions import Fraction
 
 import pytest
 
-from charval import catalog
+from charval import catalog, chartab
 from charval.chartab import (
     Character,
     CharTable,
+    EigensplitFailure,
     OrthogonalityFailure,
     TooManyClasses,
     _cyclotomic_remainder,
     _nullspace,
+    _pdivmod,
+    _pmul,
     _rref,
     _self_verify,
+    _split_linear,
     _vanishes,
     character_table,
     choose_dixon_prime,
@@ -28,7 +32,6 @@ from charval.cyclo import Cyc, zeta
 from charval.permcore import (
     conjugacy_classes,
     direct_product,
-    normal_subgroups,
 )
 from tests import helpers as H
 
@@ -121,8 +124,8 @@ def test_conjugate_rows_pair_off():
 
 def test_kernels_are_normal_subgroups():
     for name in ("sym_4", "dihedral_8", "frob_3k_2_2"):
-        ent, g, cd, table, _ = catalog.bundle(name)
-        normals = set(normal_subgroups(g, cd, max_classes=ent.max_classes))
+        _, g, cd, table, _ = catalog.bundle(name)
+        normals = H.naive_normal_sets(g, cd)
         for row in table.rows:
             assert H.class_union(cd, row.kernel) in normals, name
 
@@ -150,7 +153,7 @@ def test_table_is_seed_independent():
     for name in ("sym_4", "sg_27_3"):
         ent, g, cd, t0, _ = catalog.bundle(name, seed=0)
         t1 = character_table(catalog.build(name), seed=987,
-                             max_classes=ent.max_classes)
+                             max_classes=ent.table_guard)
         assert json.dumps(t0.to_json_dict()) == json.dumps(t1.to_json_dict())
 
 
@@ -288,3 +291,26 @@ def test_rref_and_nullspace_agree_with_brute_force(seed):
     assert all(tuple(v) in kernel for v in basis)
     assert len(kernel) == p ** (n - rank)
     assert len(_span(basis, p, n)) == len(kernel)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_pdivmod_is_division_with_remainder(seed):
+    p = 7
+    rng = random.Random(seed)
+    a = [rng.randrange(p) for _ in range(rng.randint(0, 7))]
+    m = [rng.randrange(p) for _ in range(rng.randint(0, 4))] + [rng.randrange(1, p)]
+    while a and not a[-1]:
+        a.pop()
+    q, r = _pdivmod(a, m, p)
+    assert len(r) < len(m)
+    total = _pmul(q, m, p) + [0] * len(a)
+    for i, c in enumerate(r):
+        total[i] = (total[i] + c) % p
+    assert total[:len(a)] == a and not any(total[len(a):])
+
+
+def test_split_linear_rejects_an_inexact_cofactor(monkeypatch):
+    # x^2 + 1 over F_5 is (x - 2)(x - 3); a "factor" x + 1 does not divide it
+    monkeypatch.setattr(chartab, "_pgcd", lambda a, b, p: [1, 1])
+    with pytest.raises(EigensplitFailure):
+        _split_linear([1, 0, 1], 5, random.Random(0), [])

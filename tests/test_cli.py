@@ -222,6 +222,27 @@ def test_missing_group_file(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_group_file_past_the_class_guard(capsys, tmp_path):
+    # C2^6: six disjoint transpositions, 64 classes against a guard of 60
+    path = tmp_path / "c2_6.txt"
+    path.write_text("degree 12\n" + "".join(
+        f"({2 * i + 1} {2 * i + 2})\n" for i in range(6)))
+    err = run_err(capsys, ["table", "--group", str(path)])
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_group_file_invariants_past_25_classes(capsys, tmp_path):
+    # C2^4 x S3: 48 classes, not nilpotent, so its flags need normal
+    # subgroups
+    path = tmp_path / "c2_4_s3.txt"
+    path.write_text("degree 11\n(1 2)\n(3 4)\n(5 6)\n(7 8)\n"
+                    "(9 10 11)\n(9 10)\n")
+    d = json.loads(run_ok(capsys, ["invariants", "--group", str(path),
+                                   "--json"]))
+    assert d["class_count"] == 48
+    assert d["flags"]["o_p"] == {"2": 16, "3": 3}
+
+
 # ------------------------------------------------------------ usage errors
 
 def test_unknown_group_name(capsys):

@@ -13,7 +13,6 @@ from charval.permcore import (
     Permutation,
     PointOutOfRange,
     RepeatedPoint,
-    TooManyClasses,
     center,
     centralizer_size,
     conjugacy_classes,
@@ -247,27 +246,34 @@ def test_nilpotency_detection():
 # -- normal subgroups and quotients ------------------------------------------
 
 
-@pytest.mark.parametrize("name", ["sym_4", "alt_4", "dihedral_8", "q8",
-                                  "dihedral_12", "cyclic_12", "frob_3k_2_2"])
+def _oracle_sized_entries() -> list[str]:
+    """Entries the exponential oracle affords: at most 14 classes and
+    order at most 720."""
+    return [name for name in catalog.names()
+            if catalog.entry(name).order <= 720
+            and conjugacy_classes(catalog.build(name)).n_classes <= 14]
+
+
+@pytest.mark.parametrize("name", _oracle_sized_entries())
 def test_normal_subgroups_match_exhaustive_search(name):
-    ent, g, cd, _, _ = catalog.bundle(name)
-    lib = set(normal_subgroups(g, cd, max_classes=ent.max_classes))
-    assert lib == H.naive_normal_sets(g, cd)
+    _, g, cd, table, _ = catalog.bundle(name)
+    normals = normal_subgroups(table)
+    assert set(normals) == H.naive_normal_sets(g, cd)
+    assert list(normals) == sorted(normals, key=lambda n: (len(n), sorted(n)))
 
 
-def test_class_count_guard_trips():
-    g = catalog.build("cyclic_2")
-    big = direct_product(catalog.build("cyclic_12"),
-                         catalog.build("cyclic_3"))
-    cd = conjugacy_classes(big)
-    with pytest.raises(TooManyClasses):
-        normal_subgroups(big, cd, max_classes=25)
-    assert g.order == 2  # small groups stay usable
+def test_every_subgroup_of_the_translations_is_normal_in_sg_250_14():
+    # all 1 + 31 + 31 + 1 subgroups of C5^3 are normal under inversion,
+    # and G is the only normal subgroup outside C5^3
+    _, _, _, table, _ = catalog.bundle("sg_250_14")
+    normals = normal_subgroups(table)
+    assert [len(n) for n in normals] == \
+        [1] + [5] * 31 + [25] * 31 + [125, 250]
 
 
 def test_quotient_by_klein_four_is_sym_3():
-    ent, g, cd, _, _ = catalog.bundle("sym_4")
-    v4 = next(n for n in normal_subgroups(g, cd) if len(n) == 4)
+    _, g, _, table, _ = catalog.bundle("sym_4")
+    v4 = next(n for n in normal_subgroups(table) if len(n) == 4)
     q = quotient_group(g, v4)
     assert q.order == 6
     assert conjugacy_classes(q).n_classes == 3
@@ -285,9 +291,9 @@ def test_quotient_rejects_non_normal_subsets():
 
 def test_quotient_derived_length_never_grows():
     for name in ("sym_4", "frob_3k_2_2", "sg_27_4"):
-        ent, g, cd, _, _ = catalog.bundle(name)
+        _, g, _, table, _ = catalog.bundle(name)
         dl_g = derived_length(g)
-        for n in normal_subgroups(g, cd, max_classes=ent.max_classes):
+        for n in normal_subgroups(table):
             if len(n) == g.order:
                 continue
             assert derived_length(quotient_group(g, n)) <= dl_g, name
@@ -302,9 +308,8 @@ def test_direct_product_multiplies_orders_and_classes():
 
 def test_frobenius_detection_with_brute_centralizers():
     for name, ksize in (("sg_21_1", 7), ("dihedral_10", 5), ("gamma_8", 8)):
-        ent, g, cd, _, _ = catalog.bundle(name)
-        normals = normal_subgroups(g, cd, max_classes=ent.max_classes)
-        frob = frobenius_decomposition(g, normals)
+        _, g, cd, table, _ = catalog.bundle(name)
+        frob = frobenius_decomposition(cd, normal_subgroups(table))
         assert frob is not None, name
         kernel, comp = frob
         assert len(kernel) == ksize and len(comp) == g.order // ksize
@@ -314,20 +319,20 @@ def test_frobenius_detection_with_brute_centralizers():
             centralizes = {x for x in range(g.order)
                            if g.conjugate_index(n, x) == n}
             assert centralizes <= kernel, name
-    _, g, cd, _, _ = catalog.bundle("sym_4")
-    assert frobenius_decomposition(g, normal_subgroups(g, cd)) is None
+    _, _, cd, table, _ = catalog.bundle("sym_4")
+    assert frobenius_decomposition(cd, normal_subgroups(table)) is None
 
 
 def test_structure_flags_examples():
-    flags = structure_flags(*catalog.bundle("sym_4")[1:3])
+    flags = structure_flags(catalog.bundle("sym_4")[3])
     assert not flags.is_abelian and not flags.is_nilpotent
     assert {p: len(s) for p, s in flags.o_p.items()} == {2: 4, 3: 1}
     for name in ("dihedral_8", "q8", "sg_27_3"):
-        assert structure_flags(*catalog.bundle(name)[1:3]).is_extraspecial
-    flags = structure_flags(*catalog.bundle("elab_3_2")[1:3])
+        assert structure_flags(catalog.bundle(name)[3]).is_extraspecial
+    flags = structure_flags(catalog.bundle("elab_3_2")[3])
     assert flags.elementary_abelian_p == 3 and flags.is_abelian
-    assert structure_flags(*catalog.bundle("cyclic_9")[1:3]).p_group_p == 3
-    assert not structure_flags(*catalog.bundle("cyclic_9")[1:3]).is_extraspecial
+    assert structure_flags(catalog.bundle("cyclic_9")[3]).p_group_p == 3
+    assert not structure_flags(catalog.bundle("cyclic_9")[3]).is_extraspecial
 
 
 def test_socle_computations():
@@ -335,15 +340,15 @@ def test_socle_computations():
                        ("cyclic_12", 6), ("elab_2_3", 8)):
         g = catalog.build(name)
         assert len(socle_of_nilpotent(g)) == size, name
-    ent, g, cd, _, _ = catalog.bundle("sym_4")
-    normals = normal_subgroups(g, cd)
+    _, g, _, table, _ = catalog.bundle("sym_4")
+    normals = normal_subgroups(table)
     minimals = minimal_normal_subgroups(normals)
     assert [len(m) for m in minimals] == [4]  # unique minimal normal
     assert len(socle_from_normals(g, normals)) == 4
 
 
 def test_socle_of_simple_group_is_itself():
-    ent, g, cd, _, _ = catalog.bundle("alt_5")
-    normals = normal_subgroups(g, cd)
+    _, g, _, table, _ = catalog.bundle("alt_5")
+    normals = normal_subgroups(table)
     assert len(normals) == 2
     assert len(socle_from_normals(g, normals)) == 60

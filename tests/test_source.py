@@ -27,3 +27,31 @@ def test_no_function_defined_in_two_modules():
                 owners.setdefault(node.name, []).append(path.name)
     dupes = {name: files for name, files in owners.items() if len(files) > 1}
     assert not dupes, dupes
+
+
+def test_module_imports_are_acyclic():
+    """Top-level relative imports form a DAG (imports under
+    TYPE_CHECKING are not top-level and do not count)."""
+    deps: dict[str, set[str]] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        targets = deps.setdefault(path.stem, set())
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:
+                    targets.add(node.module.split(".")[0])
+                else:
+                    targets.update(alias.name for alias in node.names)
+    done: set[str] = set()
+
+    def visit(module: str, path: list[str]) -> None:
+        if module in path:
+            cycle = path[path.index(module):] + [module]
+            raise AssertionError("import cycle: " + " -> ".join(cycle))
+        if module in done:
+            return
+        for target in sorted(deps.get(module, ())):
+            visit(target, path + [module])
+        done.add(module)
+
+    for module in sorted(deps):
+        visit(module, [])
