@@ -602,7 +602,7 @@ def check_expected(name: str, seed: int = 0) -> list[str]:
         if got != exp["complement_cyclic"]:
             fail("complement_cyclic", got)
     if "derived_size" in exp:
-        series = derived_series(g)
+        series = derived_series(table)
         got = len(series[1]) if len(series) > 1 else 1
         if got != exp["derived_size"]:
             fail("derived_size", got)

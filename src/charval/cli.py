@@ -30,8 +30,15 @@ def _emit_json(obj) -> None:
 
 
 def _looks_like_path(selector: str) -> bool:
-    return os.sep in selector or selector.endswith(".txt") \
-        or os.path.exists(selector)
+    """A selector with a path separator or a .txt suffix is a file; any
+    other is a file only when it names no catalog entry or alias."""
+    if os.sep in selector or selector.endswith(".txt"):
+        return True
+    try:
+        catalog.resolve_name(selector)
+    except catalog.UnknownName:
+        return os.path.exists(selector)
+    return False
 
 
 def _load(selector: str, seed: int, max_order: int) -> tuple[

@@ -121,7 +121,7 @@ def report(table: CharTable) -> InvariantReport:
         per_char_cv_sizes=per_sizes,
         cod=cods,
         b=max(cd_set),
-        dl=derived_length(group),
+        dl=derived_length(table),
         is_rational_group=all(v.is_rational() for v in cv_set),
         root_of_unity_elements=root_of_unity_elements(table),
         flags=flags,

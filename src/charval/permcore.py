@@ -2,16 +2,19 @@
 
 Groups here are small (order bounded, default 2500), so the element list
 is materialized by breadth-first closure over the generators, and
-classes, quotients and the derived series are answered by exact
-enumeration.  Normal subgroups are read off a proven character table:
-each is an intersection of kernels of irreducible characters.  Element
-order is canonical: BFS from the identity with the generator list in the
-given order, which makes every downstream computation deterministic.
+classes and quotients are answered by exact enumeration.  Normal
+subgroups, the derived series and the upper central series are read off
+a proven character table as class masks: each normal subgroup is an
+intersection of kernels of irreducible characters, and each centre
+Z(G/N) an intersection of the rows' Z(chi).  Element order is canonical:
+BFS from the identity with the generator list in the given order, which
+makes every downstream computation deterministic.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -196,30 +199,33 @@ def parse_cycle_text(text: str, degree: int) -> Permutation:
 def parse_group_file(text: str, bound: int = 2500) -> "PermGroup":
     """Parse the group-description format.
 
-    Line 1: ``degree N``.  Each further nonblank line: one generator in
-    1-based cycle notation.  ``#`` starts a comment; blank lines ignored.
+    An optional first line ``degree N`` fixes the degree; without it the
+    degree is the largest point named.  Each further nonblank line: one
+    generator in 1-based cycle notation.  ``#`` starts a comment; blank
+    lines ignored.
     """
-    degree = None
+    lines = [(lineno, raw, raw.split("#", 1)[0].strip())
+             for lineno, raw in enumerate(text.splitlines(), start=1)]
+    lines = [item for item in lines if item[2]]
+    if lines and lines[0][2].split()[0] == "degree":
+        lineno, _, header = lines.pop(0)
+        parts = header.split()
+        if len(parts) != 2 or not parts[1].isdigit():
+            raise ParseError("expected 'degree N'", lineno, 1)
+        degree = int(parts[1])
+        if degree < 1:
+            raise ParseError("degree must be at least 1", lineno, len("degree "))
+    else:
+        degree = max((int(tok) for _, _, line in lines
+                      for tok in re.findall(r"\d+", line)), default=0)
+        if degree < 1:
+            raise ParseError("no 'degree N' header and no point to infer it from", 1, 1)
     gens: list[Permutation] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if degree is None:
-            parts = line.split()
-            if len(parts) != 2 or parts[0] != "degree" or not parts[1].isdigit():
-                raise ParseError("expected 'degree N'", lineno, 1)
-            degree = int(parts[1])
-            if degree < 1:
-                raise ParseError("degree must be at least 1", lineno, len("degree "))
-            continue
+    for lineno, raw, line in lines:
         try:
             gens.append(parse_cycle_text(line, degree))
         except (RepeatedPoint, PointOutOfRange, ValueError) as exc:
-            col = raw.index(line[0]) + 1 if line else 1
-            raise ParseError(str(exc), lineno, col) from exc
-    if degree is None:
-        raise ParseError("missing 'degree N' header", 1, 1)
+            raise ParseError(str(exc), lineno, raw.index(line[0]) + 1) from exc
     if not gens:
         gens = [Permutation.identity(degree)]
     return PermGroup.from_generators(gens, degree=degree, bound=bound)
@@ -436,12 +442,9 @@ def center(group: PermGroup) -> frozenset[int]:
 
 def subgroup_closure(group: PermGroup, seeds) -> frozenset[int]:
     """Closure of element indices under multiplication (subgroup generated)."""
-    members = {0}
-    frontier = [0]
     gens = sorted({s for s in seeds if s != 0})
-    for s in gens:
-        members.add(s)
-        frontier.append(s)
+    members = {0, *gens}
+    frontier = [0, *gens]
     while frontier:
         x = frontier.pop()
         for g in gens:
@@ -452,74 +455,82 @@ def subgroup_closure(group: PermGroup, seeds) -> frozenset[int]:
     return frozenset(members)
 
 
-def small_generating_set(group: PermGroup, subset: frozenset[int]) -> list[int]:
-    """Greedy small generating set for a known subgroup (ascending scan)."""
-    gens: list[int] = []
-    cur: frozenset[int] = frozenset({0})
-    for i in sorted(subset):
-        if i not in cur:
-            gens.append(i)
-            cur = subgroup_closure(group, gens)
-            if len(cur) == len(subset):
-                break
-    return gens
+def _class_mask(indices) -> int:
+    return sum(1 << i for i in indices)
 
 
-def _normal_closure_in(group: PermGroup, ambient_gens: list[int], seeds: set[int]) -> frozenset[int]:
-    # Smallest subgroup containing seeds and closed under conjugation by the
-    # subgroup generated by ambient_gens.
-    current = subgroup_closure(group, seeds)
+def _members(classes: ClassData, mask: int) -> frozenset[int]:
+    """The elements of the classes whose bits are set in mask."""
+    return frozenset(x for i, cls in enumerate(classes.classes) if mask >> i & 1
+                     for x in cls)
+
+
+def _center_mask(table: CharTable, below: int = 1) -> int:
+    """Classes of the preimage of Z(G/N), N the union of the classes in
+    below: the intersection of Z(chi) over the rows with N in ker chi."""
+    out = (1 << table.classes.n_classes) - 1
+    for row in table.rows:
+        if below & ~_class_mask(row.kernel) == 0:
+            out &= _class_mask(row.center_z)
+    return out
+
+
+def derived_series(table: CharTable) -> list[frozenset[int]]:
+    """[G, G', G'', ...] down to stabilization (last term perfect or trivial).
+
+    Every term H is normal in G, so H' is the normal closure of the
+    commutators [x, t], x over the class representatives of a set that
+    normally generates H and t over a set that generates H: for normal N,
+    the t with [x, t] in N form a subgroup, and the preimage of Z(H/N) is
+    normal in G.  A normal closure is the intersection of the irreducible
+    kernels containing the seed classes.  The classes of the commutators
+    found serve as both sets for the next term, since a union of classes
+    generates a normal subgroup.
+    """
+    group, cd = table.group, table.classes
+    kernels = [_class_mask(row.kernel) for row in table.rows]
+    term = (1 << cd.n_classes) - 1
+    series = [_members(cd, term)]
+    xs = ts = group.generator_indices()
     while True:
-        extra = set()
-        for t in ambient_gens:
-            for x in current:
-                y = group.conjugate_index(x, t)
-                if y not in current:
-                    extra.add(y)
-        if not extra:
-            return current
-        current = subgroup_closure(group, set(current) | extra)
-
-
-def derived_series(group: PermGroup) -> list[frozenset[int]]:
-    """[G, G', G'', ...] down to stabilization (last term perfect or trivial)."""
-    term = frozenset(range(group.order))
-    gens = list(group.generator_indices())
-    series = [term]
-    while True:
-        comms = {group.commutator_index(a, b) for a in gens for b in gens}
-        nxt = _normal_closure_in(group, gens, comms)
+        comms = 1
+        for x in xs:
+            for t in ts:
+                comms |= 1 << cd.elt_class[group.commutator_index(x, t)]
+        nxt = term
+        for ker in kernels:
+            if comms & ~ker == 0:
+                nxt &= ker
         if nxt == term:
-            break
-        series.append(nxt)
+            return series
         term = nxt
-        if len(term) == 1:
-            break
-        gens = small_generating_set(group, term)
-    return series
+        series.append(_members(cd, term))
+        if term == 1:
+            return series
+        found = [i for i in range(1, cd.n_classes) if comms >> i & 1]
+        xs = [cd.reps[i] for i in found]
+        ts = [t for i in found for t in cd.classes[i]]
 
 
-def derived_length(group: PermGroup) -> int | None:
+def derived_length(table: CharTable) -> int | None:
     """Number of strict steps to the trivial subgroup; None if nonsolvable."""
-    series = derived_series(group)
-    if len(series[-1]) != 1:
-        return None
-    return len(series) - 1
+    series = derived_series(table)
+    return len(series) - 1 if len(series[-1]) == 1 else None
 
 
-def is_nilpotent(group: PermGroup) -> bool:
-    """Upper central series reaches the whole group."""
-    gen_idx = group.generator_indices()
-    z: frozenset[int] = frozenset({0})
-    while True:
-        if len(z) == group.order:
-            return True
-        nxt = frozenset(
-            i for i in range(group.order)
-            if all(group.commutator_index(i, g) in z for g in gen_idx))
-        if len(nxt) == len(z):
+def is_nilpotent(table: CharTable) -> bool:
+    """Upper central series reaches the whole group.
+
+    Z_(i+1)/Z_i = Z(G/Z_i), read off the rows whose kernels contain Z_i.
+    """
+    full = (1 << table.classes.n_classes) - 1
+    z = 1
+    while z != full:
+        nxt = _center_mask(table, z)
+        if nxt == z:
             return False
         z = nxt
+    return True
 
 
 def exponent(group: PermGroup) -> int:
@@ -539,13 +550,11 @@ def normal_subgroups(table: CharTable) -> tuple[frozenset[int], ...]:
     of Finite Groups, Ch. 2), so the closure of {G} under intersection
     with each row's kernel is exactly the set of normal subgroups.
     """
-    cd = table.classes
-    masks = {(1 << cd.n_classes) - 1}
+    masks = {(1 << table.classes.n_classes) - 1}
     for row in table.rows:
-        kernel = sum(1 << i for i in row.kernel)
+        kernel = _class_mask(row.kernel)
         masks |= {m & kernel for m in masks}
-    subs = [frozenset(x for i, cls in enumerate(cd.classes) if m >> i & 1
-                      for x in cls) for m in masks]
+    subs = [_members(table.classes, m) for m in masks]
     subs.sort(key=lambda s: (len(s), sorted(s)))
     return tuple(subs)
 
@@ -633,11 +642,8 @@ def o_p_subgroups(group: PermGroup, nilpotent: bool,
                 if is_p_power(group.element_order(i), p))
             out[p] = members
             continue
-        best: frozenset[int] = frozenset({0})
         p_normals = [n for n in normals if is_p_power(len(n), p)]
-        for n in p_normals:
-            if len(n) > len(best):
-                best = n
+        best = max(p_normals, key=len, default=frozenset({0}))
         if any(not n <= best for n in p_normals):
             raise InvariantViolation("normal p-subgroups not nested under the largest")
         out[p] = best
@@ -723,49 +729,35 @@ def structure_flags(table: CharTable) -> StructureFlags:
     Non-nilpotent groups read their normal subgroups off the table's
     kernels.
     """
-    group = table.group
-    gen_idx = group.generator_indices()
-    abelian = all(group.commutator_index(a, b) == 0
-                  for a in gen_idx for b in gen_idx)
+    group, cd = table.group, table.classes
+    abelian = cd.n_classes == group.order
     factors = prime_factors(group.order)
     p_group_p = factors[0] if len(factors) == 1 else None
     elem_p = None
     if abelian and p_group_p is not None:
         if all(group.element_order(i) == p_group_p for i in range(1, group.order)):
             elem_p = p_group_p
-    nilpotent = True if abelian else is_nilpotent(group)
+    nilpotent = abelian or is_nilpotent(table)
     extraspecial = False
     if p_group_p is not None and not abelian:
-        z = center(group)
-        if len(z) == p_group_p:
-            series = derived_series(group)
-            derived = series[1] if len(series) > 1 else frozenset({0})
-            if derived == z:
-                p = p_group_p
-                central_quotient_elem_ab = all(
-                    _power_index(group, i, p) in z for i in range(group.order))
-                extraspecial = central_quotient_elem_ab
-    normals = None
-    if not nilpotent:
-        normals = normal_subgroups(table)
-    o_p = o_p_subgroups(group, nilpotent, normals)
-    frob = None
-    if not nilpotent:
-        frob = frobenius_decomposition(table.classes, normals)
+        z = _center_mask(table)
+        center_elements = _members(cd, z)
+        if len(center_elements) == p_group_p:
+            series = derived_series(table)
+            if len(series) > 1 and series[1] == center_elements:
+                # G/Z is elementary abelian when every p-th power is central
+                extraspecial = all(z >> cd.power_class(i, p_group_p) & 1
+                                   for i in range(cd.n_classes))
+    normals = None if nilpotent else normal_subgroups(table)
     return StructureFlags(
         is_abelian=abelian,
         elementary_abelian_p=elem_p,
         is_nilpotent=nilpotent,
         p_group_p=p_group_p,
         is_extraspecial=extraspecial,
-        o_p=o_p,
-        frobenius=frob,
+        o_p=o_p_subgroups(group, nilpotent, normals),
+        frobenius=None if nilpotent else frobenius_decomposition(cd, normals),
     )
-
-
-def _power_index(group: PermGroup, i: int, t: int) -> int:
-    p = group.elements[i] ** t
-    return group.element_index(p)
 
 
 def socle_of_nilpotent(group: PermGroup) -> frozenset[int]:

@@ -119,13 +119,36 @@ def naive_normal_sets(group: PermGroup, cd: ClassData) -> set[frozenset[int]]:
     return out
 
 
-def naive_derived_elements(group: PermGroup) -> frozenset[int]:
-    """Closure of all pairwise commutators."""
-    comms = [Permutation(group.elements[group.commutator_index(i, j)].images)
-             for i in range(group.order) for j in range(group.order)]
-    images = naive_closure(comms)
-    return frozenset(group.element_index(Permutation(t, _check=False))
-                     for t in images)
+def naive_derived_series(group: PermGroup) -> list[frozenset[int]]:
+    """[G, G', ...], each term the closure of all pairwise commutators of
+    the one before, down to a term equal to its own derived subgroup."""
+    term = frozenset(range(group.order))
+    series = [term]
+    while True:
+        comms = [Permutation(group.elements[group.commutator_index(i, j)].images)
+                 for i in term for j in term]
+        nxt = frozenset(group.element_index(Permutation(t, _check=False))
+                        for t in naive_closure(comms))
+        if nxt == term:
+            return series
+        series.append(nxt)
+        term = nxt
+
+
+def naive_is_nilpotent(group: PermGroup) -> bool:
+    """Upper central series by element-level commutators with the
+    generators: Z_(i+1) = {x : [x, g] in Z_i for every generator g}."""
+    gen_idx = group.generator_indices()
+    z: frozenset[int] = frozenset({0})
+    while True:
+        if len(z) == group.order:
+            return True
+        nxt = frozenset(
+            i for i in range(group.order)
+            if all(group.commutator_index(i, g) in z for g in gen_idx))
+        if len(nxt) == len(z):
+            return False
+        z = nxt
 
 
 def cycle_type_of(perm: Permutation) -> tuple[int, ...]:
@@ -397,7 +420,7 @@ def unit_element_structure_failures(name: str) -> list[str]:
     if rep.flags.is_abelian or not rep.root_of_unity_elements:
         return []
     bad = []
-    deriv = derived_series(g)[1]
+    deriv = derived_series(table)[1]
     if not all_commute(g, deriv):
         bad.append(f"{name}: derived subgroup not abelian")
     if deriv & center(g) != {0}:

@@ -209,6 +209,30 @@ def test_group_file_parse_error(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_header_less_group_file(capsys, tmp_path):
+    path = tmp_path / "s4.txt"
+    path.write_text("# no degree header\n(1 2)\n(1 2 3 4)\n")
+    out = run_ok(capsys, ["table", "--group", str(path)])
+    assert out.splitlines()[0].startswith("group s4  order 24 ")
+
+
+def test_empty_group_file(capsys, tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text("")
+    err = run_err(capsys, ["table", "--group", str(path)])
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_file_named_like_an_entry_does_not_shadow_it(capsys, tmp_path,
+                                                      monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sym_4").write_text("(1 2 3)\n")
+    out = run_ok(capsys, ["invariants", "--group", "sym_4"])
+    assert out.splitlines()[0].startswith("group sym_4  order 24 ")
+    out = run_ok(capsys, ["invariants", "--group", "./sym_4"])
+    assert out.splitlines()[0].startswith("group sym_4  order 3 ")
+
+
 def test_group_file_order_bound(capsys, tmp_path):
     path = tmp_path / "s4.txt"
     path.write_text("degree 4\n(1 2)\n(1 2 3 4)\n")

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from charval import catalog
+from charval.chartab import character_table
 from charval.permcore import (
     NotNormal,
     OrderBoundExceeded,
@@ -107,7 +108,7 @@ def test_parse_group_file_identity_only():
 
 
 @pytest.mark.parametrize("text,line", [
-    ("(1 2)\n", 1),            # generator before header
+    ("(1 2)\ndegree 4\n", 2),  # header after a generator
     ("degree 0\n", 1),         # degree too small
     ("degree 4\n(1 2\n", 2),   # unclosed cycle
     ("degree 4\n(1 5)\n", 2),  # point out of range
@@ -123,6 +124,21 @@ def test_parse_errors_carry_line_numbers(text, line):
 def test_missing_header_is_an_error():
     with pytest.raises(ParseError):
         parse_group_file("# only a comment\n")
+
+
+def test_header_less_file_takes_the_largest_point_as_degree():
+    g = parse_group_file("# S4 without a header\n(1 2)\n(1 2 3 4)\n")
+    assert g.order == 24 and g.degree == 4
+    assert parse_group_file("(1 3)\n").degree == 3
+
+
+def test_header_less_file_reports_the_bad_line_and_column():
+    with pytest.raises(ParseError) as exc:
+        parse_group_file("(1 2)\n  (1 x)\n")
+    assert (exc.value.line, exc.value.column) == (2, 3)
+    with pytest.raises(ParseError) as exc:
+        parse_group_file("(1 2)\n(3 3)\n")
+    assert (exc.value.line, exc.value.column) == (2, 1)
 
 
 # -- enumeration -------------------------------------------------------------
@@ -224,23 +240,59 @@ def test_exponent_examples():
 
 def test_derived_series_matches_naive_commutators():
     for name in ("sym_4", "dihedral_8", "sg_21_1"):
-        _, g, _, _, _ = catalog.bundle(name)
-        assert derived_series(g)[1] == H.naive_derived_elements(g), name
+        _, g, _, table, _ = catalog.bundle(name)
+        assert derived_series(table)[1] == H.naive_derived_series(g)[1], name
 
 
 def test_derived_length_examples():
-    assert derived_length(catalog.build("trivial")) == 0
-    assert derived_length(catalog.build("cyclic_6")) == 1
-    assert derived_length(catalog.build("dihedral_8")) == 2
-    assert derived_length(catalog.build("sym_4")) == 3
-    assert derived_length(catalog.build("alt_5")) is None  # perfect group
+    def dl(name):
+        return derived_length(catalog.bundle(name)[3])
+
+    assert dl("trivial") == 0
+    assert dl("cyclic_6") == 1
+    assert dl("dihedral_8") == 2
+    assert dl("sym_4") == 3
+    assert dl("alt_5") is None  # perfect group
 
 
 def test_nilpotency_detection():
-    assert is_nilpotent(catalog.build("dihedral_8"))
-    assert is_nilpotent(catalog.build("cyclic_12"))
-    assert not is_nilpotent(catalog.build("sym_3"))
-    assert not is_nilpotent(catalog.build("dihedral_10"))
+    assert is_nilpotent(catalog.bundle("dihedral_8")[3])
+    assert is_nilpotent(catalog.bundle("cyclic_12")[3])
+    assert not is_nilpotent(catalog.bundle("sym_3")[3])
+    assert not is_nilpotent(catalog.bundle("dihedral_10")[3])
+
+
+def _entries_up_to_order(bound: int) -> list[str]:
+    return [name for name in catalog.names() if catalog.entry(name).order <= bound]
+
+
+@pytest.mark.parametrize("name", _entries_up_to_order(150))
+def test_derived_series_matches_pairwise_commutator_closure(name):
+    _, g, _, table, _ = catalog.bundle(name)
+    assert derived_series(table) == H.naive_derived_series(g)
+
+
+@pytest.mark.parametrize("name", _entries_up_to_order(150))
+def test_is_nilpotent_matches_element_commutators(name):
+    _, g, _, table, _ = catalog.bundle(name)
+    assert is_nilpotent(table) == H.naive_is_nilpotent(g)
+
+
+def test_derived_series_stays_at_class_level(monkeypatch):
+    # sym_6 > alt_6 = alt_6': a few dozen commutators, where closing
+    # subgroups element by element takes orders of magnitude more products
+    _, _, _, table, _ = catalog.bundle("sym_6")
+    calls = 0
+    mult_index = PermGroup.mult_index
+
+    def counting(self, i, j):
+        nonlocal calls
+        calls += 1
+        return mult_index(self, i, j)
+
+    monkeypatch.setattr(PermGroup, "mult_index", counting)
+    assert [len(t) for t in derived_series(table)] == [720, 360]
+    assert 0 < calls < 2000
 
 
 # -- normal subgroups and quotients ------------------------------------------
@@ -277,7 +329,7 @@ def test_quotient_by_klein_four_is_sym_3():
     q = quotient_group(g, v4)
     assert q.order == 6
     assert conjugacy_classes(q).n_classes == 3
-    assert derived_length(q) == 2
+    assert derived_length(character_table(q)) == 2
 
 
 def test_quotient_rejects_non_normal_subsets():
@@ -292,11 +344,12 @@ def test_quotient_rejects_non_normal_subsets():
 def test_quotient_derived_length_never_grows():
     for name in ("sym_4", "frob_3k_2_2", "sg_27_4"):
         _, g, _, table, _ = catalog.bundle(name)
-        dl_g = derived_length(g)
+        dl_g = derived_length(table)
         for n in normal_subgroups(table):
             if len(n) == g.order:
                 continue
-            assert derived_length(quotient_group(g, n)) <= dl_g, name
+            q = quotient_group(g, n)
+            assert derived_length(character_table(q)) <= dl_g, name
 
 
 def test_direct_product_multiplies_orders_and_classes():

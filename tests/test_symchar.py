@@ -94,6 +94,28 @@ def test_rows_match_dixon_tables():
         assert strip_rows == dixon_rows, name
 
 
+def test_alternating_rows_match_non_self_conjugate_pairs():
+    """Each pair {lam, lam'} of non-self-conjugate partitions restricts to
+    one irreducible row of alt_n, with the same values on split classes."""
+    for n, name in ((4, "alt_4"), (5, "alt_5"), (6, "alt_6")):
+        _, g, cd, table, _ = catalog.bundle(name)
+        types = [H.cycle_type_of(g.elements[r]) for r in cd.reps]
+        strip_rows = set()
+        for lam in partitions(n):
+            if is_self_conjugate(lam):
+                continue
+            row = tuple(mn_value(lam, rho) for rho in types)
+            assert row == tuple(mn_value(conjugate_partition(lam), rho)
+                                for rho in types), (name, lam)
+            strip_rows.add(row)
+        pairs = sum(1 for lam in partitions(n) if not is_self_conjugate(lam)) // 2
+        dixon_rows = {tuple(v.as_int() for v in row.values)
+                      for row in table.rows
+                      if all(v.is_integer() for v in row.values)}
+        assert len(strip_rows) == pairs, name
+        assert strip_rows <= dixon_rows, name
+
+
 def test_size_mismatch_and_validation():
     with pytest.raises(SizeMismatch):
         mn_value((3, 1), (2, 2, 1))
