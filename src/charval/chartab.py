@@ -2,14 +2,23 @@
 
 The table of a group with k classes is recovered from the common
 eigenvectors of the class-multiplication matrices over F_p, where p = 1
-(mod exponent) and p > 2*sqrt(|G|).  Central characters, degrees, and
-values are computed mod p, then every value is lifted exactly to a
-cyclotomic integer through root-of-unity multiplicities.  The finished
-table is then proven in integer arithmetic: with e the lcm of the value
-conductors, each value becomes the integer vector of its power-basis
-coordinates mod x^e - 1, each relation (inverse class equals conjugate,
-first and second orthogonality) is accumulated as one such vector, and
-one exact remainder by a cyclotomic polynomial decides it.  Failure
+(mod exponent) and p > 2*sqrt(|G|).  A class matrix is stored sparsely,
+as the (column, value) pairs of each row's nonzero residues.  The
+pending subspaces are kept in reduced echelon form from the moment they
+are made, starting from the identity; a class matrix that is one scalar
+on a subspace is recognised from the images of its basis, and the
+subspace is kept whole without a characteristic polynomial.  Central
+characters, degrees, and values are computed mod p, then the values of
+one row per Galois orbit are lifted exactly to cyclotomic integers
+through root-of-unity multiplicities; the conjugate row under
+zeta -> zeta^r has its central character and values permuted by the
+power map g -> g^r on classes.  The finished table is then proven in
+integer arithmetic: it must have one row per class, and with e the lcm
+of the value conductors, each value becomes the integer vector of its
+power-basis coordinates mod x^e - 1, each relation (inverse class
+equals conjugate, first orthogonality) is accumulated as one such
+vector, and one exact remainder by a cyclotomic polynomial decides it.
+For a square table first orthogonality implies the second.  Failure
 raises OrthogonalityFailure instead of returning a wrong table.
 """
 
@@ -28,18 +37,36 @@ class TooManyClasses(RuntimeError):
 
 
 class EigensplitFailure(RuntimeError):
-    """Common-eigenspace refinement broke an internal invariant."""
+    """Common-eigenspace refinement or the lift broke an internal invariant.
+
+    prime is the Dixon prime and seed the splitting seed, so the failure
+    can be reproduced.  indices is (i,) for the class whose matrix failed
+    to split the pending subspaces, (row,) for a row without a degree,
+    (row, class) for a failed lift, and (row, r) when the Galois
+    conjugate of a row under zeta -> zeta^r is not a row; rows are
+    numbered in eigenspace order, before the table is sorted.  The
+    helpers raise with what they know and character_table adds the rest.
+    """
+
+    def __init__(self, message: str, prime: int | None = None,
+                 seed: int | None = None, indices: tuple[int, ...] = ()):
+        super().__init__(f"{message} (prime={prime}, seed={seed}, indices={indices})")
+        self.message = message
+        self.prime = prime
+        self.seed = seed
+        self.indices = indices
 
 
 class OrthogonalityFailure(RuntimeError):
     """A finished table failed its exact self-verification.
 
-    relation names the violated check: "degrees", "integrality",
-    "conjugate", "first" or "second".  indices is the offending row pair
-    (first), class pair (second) or (row, class) pair (integrality,
-    conjugate); for degrees it is the row whose degree does not divide
-    the order, or empty when the squares miss the order.  order is |G|
-    and prime the table's Dixon prime, so the failure can be reproduced.
+    relation names the violated check: "square", "degrees",
+    "integrality", "conjugate" or "first".  indices is the offending row
+    pair (first) or (row, class) pair (integrality, conjugate); for
+    degrees it is the row whose degree does not divide the order, or
+    empty when the squares miss the order; for square (a row count other
+    than the class count) it is empty.  order is |G| and prime the
+    table's Dixon prime, so the failure can be reproduced.
     """
 
     def __init__(self, message: str, relation: str, indices: tuple[int, ...],
@@ -85,8 +112,10 @@ def class_mult_coeffs(classes: ClassData) -> list[list[list[int]]]:
     return [classes.product_rows(i) for i in range(classes.n_classes)]
 
 
-def _class_matrix(classes: ClassData, i: int, p: int) -> list[list[int]]:
-    return [[x % p for x in row] for row in classes.product_rows(i)]
+def _class_matrix(classes: ClassData, i: int, p: int) -> list[list[tuple[int, int]]]:
+    """Row j holds the pairs (t, a[i][j][t] mod p) with a nonzero residue."""
+    return [[(t, x % p) for t, x in enumerate(row) if x % p]
+            for row in classes.product_rows(i)]
 
 
 # --- polynomial arithmetic over F_p (ascending coefficient lists) ---
@@ -220,7 +249,7 @@ def _split_linear(g: list[int], p: int, rng: random.Random, out: list[int]) -> N
         if 0 < len(h) - 1 < d:
             cofactor, rem = _pdivmod(g, h, p)
             if rem:
-                raise EigensplitFailure("polynomial division was not exact")
+                raise EigensplitFailure("polynomial division was not exact", p)
             _split_linear(h, p, rng, out)
             _split_linear(cofactor, p, rng, out)
             return
@@ -228,15 +257,19 @@ def _split_linear(g: list[int], p: int, rng: random.Random, out: list[int]) -> N
 
 # --- F_p linear algebra ---
 
-def _mat_vec(mat: list[list[int]], vec: list[int], p: int) -> list[int]:
-    out = []
-    for row in mat:
-        s = 0
-        for a, b in zip(row, vec):
-            if a and b:
-                s += a * b
-        out.append(s % p)
-    return out
+def _mat_vec(mat: list[list[tuple[int, int]]], vec: list[int], p: int) -> list[int]:
+    return [sum([a * vec[t] for t, a in row]) % p for row in mat]
+
+
+def _combine(coefs: list[int], basis: list[list[int]], p: int) -> list[int]:
+    """sum(coefs[s] * basis[s]) mod p."""
+    out = [0] * len(basis[0])
+    for cs, bs in zip(coefs, basis):
+        if cs:
+            for c, x in enumerate(bs):
+                if x:
+                    out[c] += cs * x
+    return [x % p for x in out]
 
 
 def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
@@ -282,35 +315,31 @@ def _nullspace(mat: list[list[int]], p: int) -> list[list[int]]:
     return basis
 
 
-def _split_subspace(basis: list[list[int]], mat: list[list[int]], p: int,
-                    rng: random.Random) -> list[list[list[int]]]:
+def _split_subspace(space: tuple[list[list[int]], list[int]],
+                    mat: list[list[tuple[int, int]]], p: int,
+                    rng: random.Random) -> list[tuple[list[list[int]], list[int]]]:
     """Split an invariant subspace into eigenspaces of mat restricted to it.
 
-    basis: list of d independent vectors of length k.  Returns the list
-    of eigenspace bases, eigenvalues ascending.  The subspace is worked in
-    its reduced echelon basis; a change of basis changes the restriction
-    only up to similarity, so the eigenvalues and eigenspaces are the same.
+    space is (basis, pivots) in reduced echelon form, as _rref returns
+    it: basis[s] is 1 at pivots[s] and 0 at every other pivot, so the
+    coordinates of a vector of the subspace are its entries at the
+    pivots.  Returns the eigenspaces in the same form, eigenvalues
+    ascending.  When every basis vector is mapped to lam times itself,
+    mat is the scalar lam on the subspace (which proves invariance too)
+    and the subspace is returned whole.
     """
+    basis, piv = space
     d = len(basis)
-    basis, piv = _rref(basis, p)
-    if len(piv) != d:
-        raise EigensplitFailure("subspace basis is dependent")
-    # coords[t][s]: coefficient of basis[s] in the image of basis[t]; the
-    # reduced basis is the identity at the pivot columns, so it is the
-    # image's entry at piv[s]
+    images = [_mat_vec(mat, v, p) for v in basis]
+    lam = images[0][piv[0]]
+    if all(w == [lam * x % p for x in v] for v, w in zip(basis, images)):
+        return [space]
+    # coords[t][s]: coefficient of basis[s] in the image of basis[t]
     coords = []
-    for v in basis:
-        w = _mat_vec(mat, v, p)
+    for w in images:
         coef = [w[c] for c in piv]
-        # exact invariance check over all k coordinates
-        k = len(w)
-        for c in range(k):
-            acc = 0
-            for s in range(d):
-                if coef[s]:
-                    acc += coef[s] * basis[s][c]
-            if acc % p != w[c]:
-                raise EigensplitFailure("subspace not invariant under class matrix")
+        if _combine(coef, basis, p) != w:
+            raise EigensplitFailure("subspace not invariant under class matrix", p)
         coords.append(coef)
     # restriction matrix R[s][t] = coefficient of basis[s] in image of basis[t]
     rmat = [[coords[t][s] for t in range(d)] for s in range(d)]
@@ -322,21 +351,14 @@ def _split_subspace(basis: list[list[int]], mat: list[list[int]], p: int,
                    for i in range(d)]
         null = _nullspace(shifted, p)
         if not null:
-            raise EigensplitFailure("eigenvalue without eigenvector")
-        piece = []
-        for cvec in null:
-            vec = [0] * len(basis[0])
-            for s in range(d):
-                if cvec[s]:
-                    bs = basis[s]
-                    cs = cvec[s]
-                    for c in range(len(vec)):
-                        vec[c] = (vec[c] + cs * bs[c]) % p
-            piece.append(vec)
-        total += len(piece)
+            raise EigensplitFailure("eigenvalue without eigenvector", p)
+        piece = _rref([_combine(cvec, basis, p) for cvec in null], p)
+        if len(piece[1]) != len(null):
+            raise EigensplitFailure("subspace basis is dependent", p)
         pieces.append(piece)
+        total += len(null)
     if total != d:
-        raise EigensplitFailure("restriction is not semisimple")
+        raise EigensplitFailure("restriction is not semisimple", p)
     return pieces
 
 
@@ -346,7 +368,7 @@ def _sqrt_mod(n: int, p: int) -> int:
     if n == 0:
         return 0
     if pow(n, (p - 1) // 2, p) != 1:
-        raise EigensplitFailure("degree squared is not a quadratic residue")
+        raise EigensplitFailure("degree squared is not a quadratic residue", p)
     if p % 4 == 3:
         return pow(n, (p + 1) // 4, p)
     q = p - 1
@@ -458,65 +480,104 @@ def character_table(group: PermGroup, classes: ClassData | None = None,
     p = choose_dixon_prime(group, cd)
     rng = random.Random(seed)
 
-    subspaces: list[list[list[int]]] = [[[1 if i == j else 0 for j in range(k)]
-                                         for i in range(k)]]
+    def failure(message: str, *indices: int) -> EigensplitFailure:
+        return EigensplitFailure(message, p, seed, indices)
+
+    spaces = [([[int(i == j) for j in range(k)] for i in range(k)], list(range(k)))]
     for i in range(1, k):
-        if all(len(s) == 1 for s in subspaces):
+        if all(len(basis) == 1 for basis, _ in spaces):
             break
         mat = _class_matrix(cd, i, p)
-        refined: list[list[list[int]]] = []
-        for s in subspaces:
-            if len(s) == 1:
-                refined.append(s)
-            else:
-                refined.extend(_split_subspace(s, mat, p, rng))
-        subspaces = refined
-    if any(len(s) != 1 for s in subspaces):
-        raise EigensplitFailure("class matrices left a subspace unsplit")
+        refined = []
+        for space in spaces:
+            if len(space[0]) == 1:
+                refined.append(space)
+                continue
+            try:
+                refined.extend(_split_subspace(space, mat, p, rng))
+            except EigensplitFailure as exc:
+                raise failure(exc.message, i) from exc
+        spaces = refined
+    if any(len(basis) != 1 for basis, _ in spaces):
+        raise failure("class matrices left a subspace unsplit")
 
     omegas = []
-    for s in subspaces:
-        v = s[0]
+    for r, (basis, _) in enumerate(spaces):
+        v = basis[0]
         if v[0] == 0:
-            raise EigensplitFailure("eigenvector vanishes at the identity class")
+            raise failure("eigenvector vanishes at the identity class", r)
         inv0 = pow(v[0], p - 2, p)
-        omegas.append([x * inv0 % p for x in v])
+        omegas.append(tuple(x * inv0 % p for x in v))
+    row_of = {omega: r for r, omega in enumerate(omegas)}
 
     order = group.order
     inv_sizes = [pow(sz, p - 2, p) for sz in cd.sizes]
     e = math.lcm(*cd.element_orders)
     w = pow(_primitive_root(p), (p - 1) // e, p)
     w_inv = pow(w, p - 2, p)
+    galois = _galois_maps(cd, e)
 
-    rows = []
-    for omega in omegas:
+    rows: list[Character | None] = [None] * k
+    for r, omega in enumerate(omegas):
+        if rows[r] is not None:
+            continue
         s_val = 0
         for i in range(k):
             s_val += omega[i] * omega[cd.inverse_class[i]] % p * inv_sizes[i]
         s_val %= p
         if s_val == 0:
-            raise EigensplitFailure("degree denominator vanished mod p")
+            raise failure("degree denominator vanished mod p", r)
         d_sq = order % p * pow(s_val, p - 2, p) % p
-        root = _sqrt_mod(d_sq, p)
+        try:
+            root = _sqrt_mod(d_sq, p)
+        except EigensplitFailure as exc:
+            raise failure(exc.message, r) from exc
         d = min(root, p - root)
         if d == 0 or d * d > order:
-            raise EigensplitFailure("lifted degree out of range")
+            raise failure("lifted degree out of range", r)
         theta = [d * omega[i] % p * inv_sizes[i] % p for i in range(k)]
-        values = _lift_row(theta, d, cd, p, e, w_inv)
+        try:
+            values = _lift_row(theta, d, cd, p, e, w_inv)
+        except EigensplitFailure as exc:
+            raise failure(exc.message, r, *exc.indices) from exc
         degree_val = values[0]
         if not (degree_val.is_integer() and degree_val.as_int() == d):
-            raise EigensplitFailure("identity value disagrees with degree")
+            raise failure("identity value disagrees with degree", r)
         kernel = frozenset(i for i in range(k) if values[i] == d)
         # A value is a sum of d roots of unity, so |chi(g)| = d exactly when
         # all d agree, that is when chi(g)/d is itself a root of unity.
         center_z = frozenset(i for i in range(k)
                              if (values[i] * Fraction(1, d)).is_root_of_unity())
-        rows.append(Character(tuple(values), d, kernel, center_z))
+        rows[r] = Character(tuple(values), d, kernel, center_z)
+        # The conjugate under zeta -> zeta^u takes chi(g^u) at g.  That is an
+        # identity of algebraic integers, so it holds mod p for the central
+        # characters too.  g^u generates the same cyclic group as g, so the
+        # kernel and the center stay as they are.
+        for perm, u in galois.items():
+            c = row_of.get(tuple(omega[t] for t in perm))
+            if c is None:
+                raise failure("Galois conjugate of a row is not a row", r, u)
+            if rows[c] is None:
+                rows[c] = Character(tuple(values[t] for t in perm), d, kernel, center_z)
 
     rows.sort(key=lambda r: (r.degree, tuple(v.display() for v in r.values)))
     table = CharTable(group, cd, tuple(rows), p)
     _self_verify(table)
     return table
+
+
+def _galois_maps(cd: ClassData, e: int) -> dict[tuple[int, ...], int]:
+    """The permutations i -> class of rep(i)^r of the classes, for the
+    units r mod the exponent e, each with its least r; the identity
+    permutation is left out.  The Galois conjugate of a row by
+    zeta_e -> zeta_e^r takes at class i the row's value at perm[i]."""
+    k = cd.n_classes
+    maps: dict[tuple[int, ...], int] = {}
+    for r in range(2, e):
+        if math.gcd(r, e) == 1:
+            maps.setdefault(tuple(cd.power_class(i, r) for i in range(k)), r)
+    maps.pop(tuple(range(k)), None)
+    return maps
 
 
 def _lift_row(theta: list[int], d: int, cd: ClassData, p: int, e: int,
@@ -542,7 +603,8 @@ def _lift_row(theta: list[int], d: int, cd: ClassData, p: int, e: int,
             mu = acc % p * m_inv % p
             if 2 * mu >= p:
                 raise EigensplitFailure(
-                    f"multiplicity {mu} of root {j} at class {i} out of range mod {p}")
+                    f"multiplicity {mu} of root {j} at class {i} out of range mod {p}",
+                    p, None, (i,))
             if mu:
                 mus[j] = Fraction(mu)
         values[i] = Cyc.from_exponents(m, mus) if mus else Cyc.zero()
@@ -556,8 +618,9 @@ def _self_verify(table: CharTable) -> None:
     every value is read as the integer vector of its power-basis
     coordinates mod x^e - 1 (zeta_n^j -> x^(j*e/n), complex
     conjugation negates exponents).  Each relation (inverse class equals
-    conjugate, first and second orthogonality) is accumulated as one such
-    vector, minus its expected constant, and decided by _vanishes.
+    conjugate, first orthogonality) is accumulated as one such vector,
+    minus its expected constant, and decided by _vanishes.  The table
+    must be square, so that second orthogonality follows from the first.
     """
     cd = table.classes
     k = cd.n_classes
@@ -567,6 +630,10 @@ def _self_verify(table: CharTable) -> None:
     def fail(message: str, relation: str, *indices: int):
         raise OrthogonalityFailure(message, relation, indices, order, table.dixon_prime)
 
+    # With k rows, first orthogonality X D X* = |G| I makes X invertible
+    # and gives X* X = |G| D^-1, which is second orthogonality.
+    if len(rows) != k:
+        fail(f"{len(rows)} rows for {k} classes", "square")
     degs = [r.degree for r in rows]
     if sum(d * d for d in degs) != order:
         fail("degree squares do not sum to the order", "degrees")
@@ -612,17 +679,6 @@ def _self_verify(table: CharTable) -> None:
                 acc[0] -= order
             if not _vanishes(acc):
                 fail("first orthogonality failed", "first", a, b)
-    for i in range(k):
-        for j in range(i, k):
-            acc = [0] * e
-            for vec_row in vecs:
-                for x, c in vec_row[i]:
-                    for y, d in vec_row[j]:
-                        acc[x - y] += c * d
-            if i == j:
-                acc[0] -= order // cd.sizes[i]
-            if not _vanishes(acc):
-                fail("second orthogonality failed", "second", i, j)
 
 
 def _cyclotomic_remainder(acc: list[int]) -> tuple[int, list[int]]:

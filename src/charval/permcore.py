@@ -50,6 +50,7 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"line {line}, column {column}: {message}")
+        self.message = message
         self.line = line
         self.column = column
 
@@ -170,24 +171,26 @@ def perm_from_cycles(cycles, degree: int) -> Permutation:
 def parse_cycle_text(text: str, degree: int) -> Permutation:
     """Parse 1-based cycle notation like "(1 2 3)(4 5)"; "()" is the identity.
 
-    Raises ValueError (or RepeatedPoint / PointOutOfRange) on bad input;
-    positions are reported by parse_group_file, which tracks lines.
+    Raises ParseError on bad syntax, as line 1 of text with the column of
+    the bad token, and RepeatedPoint / PointOutOfRange on bad points;
+    parse_group_file maps the position onto the file.
     """
     cycles: list[list[int]] = []
-    i = 0
     s = text.strip()
+    lead = len(text) - len(text.lstrip())
+    i = 0
     while i < len(s):
         if s[i] != "(":
-            raise ValueError(f"expected '(' at column {i + 1}")
-        j = s.index(")", i + 1) if ")" in s[i + 1:] else -1
+            raise ParseError("expected '('", 1, lead + i + 1)
+        j = s.find(")", i + 1)
         if j < 0:
-            raise ValueError(f"unclosed cycle at column {i + 1}")
-        body = s[i + 1:j].replace(",", " ").split()
+            raise ParseError("unclosed cycle", 1, lead + i + 1)
         cyc = []
-        for tok in body:
-            if not tok.isdigit():
-                raise ValueError(f"bad point {tok!r}")
-            cyc.append(int(tok) - 1)
+        for tok in re.finditer(r"[^\s,]+", s[i + 1:j]):
+            if not tok.group().isdigit():
+                raise ParseError(f"bad point {tok.group()!r}", 1,
+                                 lead + i + 2 + tok.start())
+            cyc.append(int(tok.group()) - 1)
         if cyc:
             cycles.append(cyc)
         i = j + 1
@@ -222,10 +225,13 @@ def parse_group_file(text: str, bound: int = 2500) -> "PermGroup":
             raise ParseError("no 'degree N' header and no point to infer it from", 1, 1)
     gens: list[Permutation] = []
     for lineno, raw, line in lines:
+        start = raw.index(line[0])
         try:
             gens.append(parse_cycle_text(line, degree))
-        except (RepeatedPoint, PointOutOfRange, ValueError) as exc:
-            raise ParseError(str(exc), lineno, raw.index(line[0]) + 1) from exc
+        except ParseError as exc:
+            raise ParseError(exc.message, lineno, start + exc.column) from exc
+        except (RepeatedPoint, PointOutOfRange) as exc:
+            raise ParseError(str(exc), lineno, start + 1) from exc
     if not gens:
         gens = [Permutation.identity(degree)]
     return PermGroup.from_generators(gens, degree=degree, bound=bound)
@@ -675,17 +681,14 @@ def frobenius_decomposition(classes: ClassData,
 
 
 def _kernel_centralizer_condition(classes: ClassData, n_set: frozenset[int]) -> bool:
-    # C_G(n^x) = C_G(n)^x and N is normal, so one representative per
-    # nonidentity class of N decides the condition for all of N.
-    group = classes.group
-    outside = [g for g in range(group.order) if g not in n_set]
-    for n in classes.reps[1:]:
-        if n not in n_set:
-            continue
-        for g in outside:
-            if group.conjugate_index(n, g) == n:
-                return False
-    return True
+    # C_G(n) <= N for every nonidentity n in N needs |C_G(n)| = |G|/|C| to
+    # divide |N| for each class C of N other than {1}, and that suffices:
+    # every such C then has size a multiple of |G:N|, so |N| = 1 mod |G:N|
+    # and gcd(|N|, |G:N|) = 1, while |C_G(n) : C_N(n)| divides both |G:N|
+    # and |C_G(n)|, hence |N|, so it is 1.
+    order = classes.group.order
+    return all(len(n_set) % (order // classes.sizes[ci]) == 0
+               for ci in range(1, classes.n_classes) if classes.reps[ci] in n_set)
 
 
 def _find_complement(group: PermGroup, n_set: frozenset[int], h: int) -> frozenset[int] | None:

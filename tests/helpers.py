@@ -151,6 +151,13 @@ def naive_is_nilpotent(group: PermGroup) -> bool:
         z = nxt
 
 
+def naive_frobenius_kernel_condition(group: PermGroup, n_set) -> bool:
+    """No nonidentity element of N commutes with an element outside N."""
+    outside = [x for x in range(group.order) if x not in n_set]
+    return all(group.mult_index(n, x) != group.mult_index(x, n)
+               for n in n_set if n != 0 for x in outside)
+
+
 def cycle_type_of(perm: Permutation) -> tuple[int, ...]:
     """Cycle type as a partition of the degree, fixed points included."""
     lens = sorted((len(c) for c in perm.cycles()), reverse=True)

@@ -314,3 +314,93 @@ def test_split_linear_rejects_an_inexact_cofactor(monkeypatch):
     monkeypatch.setattr(chartab, "_pgcd", lambda a, b, p: [1, 1])
     with pytest.raises(EigensplitFailure):
         _split_linear([1, 0, 1], 5, random.Random(0), [])
+
+
+def test_self_verify_rejects_a_table_without_a_row():
+    _, g, cd, table, _ = catalog.bundle("sym_4")
+    short = CharTable(g, cd, table.rows[:-1], table.dixon_prime)
+    with pytest.raises(OrthogonalityFailure, match="^4 rows for 5 classes") as info:
+        _self_verify(short)
+    assert info.value.relation == "square" and info.value.indices == ()
+
+
+# --- the split and lift path: failures, Galois-conjugate rows, counts ---
+
+def test_eigensplit_failure_carries_prime_seed_and_class_matrix(monkeypatch):
+    monkeypatch.setattr(chartab, "_distinct_roots", lambda f, p, rng: [])
+    with pytest.raises(EigensplitFailure) as info:
+        character_table(catalog.build("sym_3"), seed=5)
+    err = info.value
+    assert (err.prime, err.seed, err.indices) == (7, 5, (1,))
+    assert str(err) == ("restriction is not semisimple "
+                        "(prime=7, seed=5, indices=(1,))")
+
+
+def _units(e: int) -> list[int]:
+    return [r for r in range(2, e) if math.gcd(r, e) == 1]
+
+
+@pytest.mark.parametrize("name", ["sym_3", "sg_21_1", "sg_147_4"])
+def test_galois_map_off_by_one_is_refused(monkeypatch, name):
+    # r + 1 is not a Galois automorphism: the permuted central character
+    # of some row is no row, and the build must stop, not guess
+    def shifted(cd, e):
+        return {tuple(cd.power_class(i, r + 1) for i in range(cd.n_classes)): r + 1
+                for r in _units(e)}
+
+    monkeypatch.setattr(chartab, "_galois_maps", shifted)
+    g = catalog.build(name)
+    with pytest.raises(EigensplitFailure, match="^Galois conjugate of a row "
+                       "is not a row") as info:
+        character_table(g, seed=3)
+    err, cd = info.value, conjugacy_classes(g)
+    assert err.prime == choose_dixon_prime(g, cd) and err.seed == 3
+    row, r = err.indices
+    assert 0 <= row < cd.n_classes
+    assert math.gcd(r - 1, math.lcm(*cd.element_orders)) == 1
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_rows_are_closed_under_galois_conjugation(name):
+    _, g, cd, table, _ = catalog.bundle(name)
+    k = cd.n_classes
+    rows = {r.values: r for r in table.rows}
+    for r in _units(math.lcm(*cd.element_orders)):
+        perm = [cd.power_class(i, r) for i in range(k)]
+        for row in table.rows:
+            image = rows.get(tuple(row.values[perm[i]] for i in range(k)))
+            assert image is not None, (name, r)
+            assert image.kernel == {i for i in range(k) if perm[i] in row.kernel}
+            assert image.center_z == {i for i in range(k) if perm[i] in row.center_z}
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_lifting_every_row_gives_the_same_table(monkeypatch, name):
+    ent, g, cd, table, _ = catalog.bundle(name)
+    monkeypatch.setattr(chartab, "_galois_maps", lambda cd, e: {})
+    lifted = character_table(g, cd, max_classes=ent.table_guard)
+    assert json.dumps(lifted.to_json_dict()) == json.dumps(table.to_json_dict())
+    assert [(r.kernel, r.center_z) for r in lifted.rows] == \
+        [(r.kernel, r.center_z) for r in table.rows]
+
+
+def _count_calls(monkeypatch, *names: str) -> dict[str, int]:
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _name=name, _fn=getattr(chartab, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(chartab, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("name,lifts,max_charpolys", [
+    ("sg_250_14", 33, 46), ("sg_81_3", 11, 16), ("sg_147_4", 10, 11),
+])
+def test_lifts_once_per_galois_orbit_and_splits_only_when_not_scalar(
+        monkeypatch, name, lifts, max_charpolys):
+    ent, g, cd, _, _ = catalog.bundle(name)
+    calls = _count_calls(monkeypatch, "_lift_row", "_charpoly")
+    character_table(g, cd, max_classes=ent.table_guard)
+    assert calls["_lift_row"] == lifts
+    assert 0 < calls["_charpoly"] <= max_charpolys

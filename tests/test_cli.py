@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
 
@@ -77,6 +78,23 @@ def test_table_human_render(capsys):
 def test_table_json_matches_golden(capsys):
     out = run_ok(capsys, ["table", "--group", "sym_4", "--json"])
     assert out == (GOLDEN / "sym_4_table.json").read_text()
+
+
+# sha256 of `charval table --group NAME --seed S --json`, recorded before
+# the eigensplit used sparse class matrices, echelon subspaces and
+# Galois-conjugate rows; the table must not depend on how it was found
+TABLE_DIGESTS = {
+    "sg_250_14": "336e1e7df1232d5e16ac4fc0cf0a742dd4f076977af15f140d655246ce094a08",
+    "sg_81_3": "84aab1ae571c828919adbf6d16cb5e789f247f11dca76ba362cb3c9a22604db7",
+    "sg_147_4": "84185bfcafedeff4941d249f6f3cbb3683611fcca0b7928c1ade2519468eaf69",
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", sorted(TABLE_DIGESTS))
+def test_table_json_matches_recorded_digest(capsys, name, seed):
+    out = run_ok(capsys, ["table", "--group", name, "--seed", str(seed), "--json"])
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS[name]
 
 
 def test_table_alias_resolves(capsys):

@@ -14,6 +14,7 @@ from charval.permcore import (
     Permutation,
     PointOutOfRange,
     RepeatedPoint,
+    _kernel_centralizer_condition,
     center,
     centralizer_size,
     conjugacy_classes,
@@ -135,7 +136,7 @@ def test_header_less_file_takes_the_largest_point_as_degree():
 def test_header_less_file_reports_the_bad_line_and_column():
     with pytest.raises(ParseError) as exc:
         parse_group_file("(1 2)\n  (1 x)\n")
-    assert (exc.value.line, exc.value.column) == (2, 3)
+    assert (exc.value.line, exc.value.column) == (2, 6)
     with pytest.raises(ParseError) as exc:
         parse_group_file("(1 2)\n(3 3)\n")
     assert (exc.value.line, exc.value.column) == (2, 1)
@@ -374,6 +375,38 @@ def test_frobenius_detection_with_brute_centralizers():
             assert centralizes <= kernel, name
     _, _, cd, table, _ = catalog.bundle("sym_4")
     assert frobenius_decomposition(cd, normal_subgroups(table)) is None
+
+
+def _non_nilpotent_core_entries() -> list[str]:
+    return [name for name in catalog.names("core")
+            if not is_nilpotent(catalog.bundle(name)[3])]
+
+
+@pytest.mark.parametrize("name", _non_nilpotent_core_entries())
+def test_kernel_condition_matches_element_centralizers(name):
+    _, g, cd, table, _ = catalog.bundle(name)
+    for n_set in normal_subgroups(table):
+        assert _kernel_centralizer_condition(cd, n_set) == \
+            H.naive_frobenius_kernel_condition(g, n_set), (name, len(n_set))
+
+
+def test_frobenius_decomposition_stays_at_class_level(monkeypatch):
+    # sg_250_14 = C5^3 : C2 is Frobenius with kernel C5^3; deciding the
+    # kernel condition element by element took 15 500 products
+    _, g, cd, table, _ = catalog.bundle("sg_250_14")
+    normals = normal_subgroups(table)
+    calls = 0
+    mult_index = PermGroup.mult_index
+
+    def counting(self, i, j):
+        nonlocal calls
+        calls += 1
+        return mult_index(self, i, j)
+
+    monkeypatch.setattr(PermGroup, "mult_index", counting)
+    kernel, complement = frobenius_decomposition(cd, normals)
+    assert (len(kernel), len(complement)) == (125, 2)
+    assert calls < 500
 
 
 def test_structure_flags_examples():
