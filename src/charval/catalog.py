@@ -19,11 +19,10 @@ from .chartab import CharTable, character_table
 from .cyclo import is_p_power
 from .invariants import InvariantReport, report
 from .permcore import (
-    ClassData, InvariantViolation, PermGroup, Permutation, center,
-    conjugacy_classes, derived_series, direct_product, is_cyclic_subset,
-    minimal_normal_subgroups, normal_subgroups, quotient_group,
-    socle_from_normals, socle_of_nilpotent, structure_flags,
-    subgroup_closure,
+    ClassData, InvariantViolation, PermGroup, Permutation, conjugacy_classes,
+    derived_series, direct_product, frobenius_kernel, is_abelian_quotient,
+    is_cyclic_quotient, mask_size, minimal_normal_masks, normal_masks,
+    quotient_group, socle, subset_mask,
 )
 
 
@@ -43,7 +42,6 @@ class CatalogEntry:
     tier: str = "core"  # core | large | optional
     builder: Callable[[], PermGroup] = None
     table_guard: int = 60       # guard for table construction
-    a5a6_free: bool = True      # no alternating composition factor A5/A6
     expected: dict = field(default_factory=dict)
 
 
@@ -262,16 +260,14 @@ def _central_product_32(second_factor: Callable[[], PermGroup]) -> PermGroup:
     other = second_factor()
     prod = direct_product(d8, other)
     z_parts = []
-    for factor, offset, deg in ((d8, 0, d8.degree), (other, d8.degree, other.degree)):
-        zs = [i for i in center(factor) if factor.element_order(i) == 2]
-        if len(zs) != 1:
+    for factor in (d8, other):
+        cd = conjugacy_classes(factor)
+        zs = [rep for rep, size in zip(cd.reps, cd.sizes) if size == 1]
+        if len(zs) != 2:
             raise ConstructionMismatch("factor center is not of order 2")
-        z_parts.append(factor.elements[zs[0]].images)
+        z_parts.append(factor.elements[zs[1]].images)
     diag = Permutation(z_parts[0] + tuple(x + d8.degree for x in z_parts[1]))
-    n = subgroup_closure(prod, [prod.element_index(diag)])
-    if len(n) != 2:
-        raise ConstructionMismatch("diagonal central subgroup has wrong size")
-    return quotient_group(prod, n)
+    return quotient_group(prod, {0, prod.element_index(diag)})
 
 
 def _builder_direct(*parts: Callable[[], PermGroup]) -> Callable[[], PermGroup]:
@@ -335,20 +331,17 @@ def _register_all() -> None:
                                 "rational": True, "row_cv_max": 4, "dl": 3,
                                 "degrees": (1, 1, 2, 3, 3)}))
     _add(CatalogEntry("sym_5", 120, "S5", builder=lambda: _symmetric(5),
-                      a5a6_free=False,
                       expected={"rational": True, "ncv": {"0", "-1", "-2"},
                                 "dl": None}))
     _add(CatalogEntry("sym_6", 720, "S6", builder=lambda: _symmetric(6),
-                      a5a6_free=False, expected={"rational": True, "dl": None}))
+                      expected={"rational": True, "dl": None}))
     _add(CatalogEntry("alt_4", 12, "A4", builder=lambda: _alternating(4),
                       expected={"degrees": (1, 1, 1, 3), "dl": 2,
                                 "frobenius": (4, 3)}))
     _add(CatalogEntry("alt_5", 60, "A5", builder=lambda: _alternating(5),
-                      a5a6_free=False,
                       expected={"degrees": (1, 3, 3, 4, 5), "rational": False,
                                 "has_row_with_cv_size": 5, "dl": None}))
     _add(CatalogEntry("alt_6", 360, "A6", builder=lambda: _alternating(6),
-                      a5a6_free=False,
                       expected={"degrees": (1, 5, 5, 8, 8, 9, 10),
                                 "rational": False, "dl": None}))
     # A7 is not one of the two excluded alternating factors
@@ -592,13 +585,14 @@ def check_expected(name: str, seed: int = 0) -> list[str]:
         if got != exp["involutions"]:
             fail("involutions", got)
     if "frobenius" in exp:
-        frob = rep.flags.frobenius
-        got = None if frob is None else (len(frob[0]), len(frob[1]))
+        kernel = rep.flags.frobenius
+        got = None if kernel is None else (len(kernel), g.order // len(kernel))
         if got != exp["frobenius"]:
             fail("frobenius", got)
     if "complement_cyclic" in exp:
-        frob = rep.flags.frobenius
-        got = frob is not None and is_cyclic_subset(g, frob[1])
+        # a Frobenius complement is isomorphic to G/K
+        kernel = rep.flags.frobenius
+        got = kernel is not None and is_cyclic_quotient(cd, subset_mask(cd, kernel))
         if got != exp["complement_cyclic"]:
             fail("complement_cyclic", got)
     if "derived_size" in exp:
@@ -606,57 +600,39 @@ def check_expected(name: str, seed: int = 0) -> list[str]:
         got = len(series[1]) if len(series) > 1 else 1
         if got != exp["derived_size"]:
             fail("derived_size", got)
-    normals = None
-    wants_normals = bool({"unique_minimal_normal", "normal_count",
-                          "quotient_d10_count",
-                          "exists_normal_with_2group_quotient",
-                          "exists_normal_with_frobenius_cyclic_quotient"}
-                         & exp.keys()) \
-        or ("socle" in exp and not rep.flags.is_nilpotent)
-    if wants_normals:
-        normals = normal_subgroups(table)
+    wants_normals = {"socle", "unique_minimal_normal", "normal_count",
+                     "quotient_d10_count", "exists_normal_with_2group_quotient",
+                     "exists_normal_with_frobenius_cyclic_quotient"} & exp.keys()
+    normals = normal_masks(table) if wants_normals else ()
     if "socle" in exp:
-        soc = socle_of_nilpotent(g) if rep.flags.is_nilpotent \
-            else socle_from_normals(g, normals)
-        if len(soc) != exp["socle"]:
-            fail("socle", len(soc))
+        soc = socle(table, normals)
+        if mask_size(cd, soc) != exp["socle"]:
+            fail("socle", mask_size(cd, soc))
         if "socle_elementary_p" in exp:
-            p = exp["socle_elementary_p"]
-            ok = all(g.element_order(i) in (1, p) for i in soc)
-            if not ok:
-                fail("socle_elementary_p", sorted({g.element_order(i) for i in soc}))
+            orders = {o for i, o in enumerate(cd.element_orders) if soc >> i & 1}
+            if not orders <= {1, exp["socle_elementary_p"]}:
+                fail("socle_elementary_p", sorted(orders))
     if "unique_minimal_normal" in exp:
-        minimals = minimal_normal_subgroups(normals)
-        if len(minimals) != 1 or len(minimals[0]) != exp["unique_minimal_normal"]:
-            fail("unique_minimal_normal", sorted(len(m) for m in minimals))
+        minimals = [mask_size(cd, m) for m in minimal_normal_masks(normals)]
+        if minimals != [exp["unique_minimal_normal"]]:
+            fail("unique_minimal_normal", sorted(minimals))
     if "normal_count" in exp and len(normals) != exp["normal_count"]:
         fail("normal_count", len(normals))
+    sizes = [mask_size(cd, n) for n in normals]
     if "quotient_d10_count" in exp:
-        got = 0
-        for n_set in normals:
-            if g.order // len(n_set) == 10:
-                q = quotient_group(g, n_set)
-                if not structure_flags(character_table(q)).is_abelian:
-                    got += 1
+        got = sum(1 for n, size in zip(normals, sizes)
+                  if g.order // size == 10 and not is_abelian_quotient(table, n))
         if got != exp["quotient_d10_count"]:
             fail("quotient_d10_count", got)
     if "exists_normal_with_2group_quotient" in exp:
-        got = any(len(n_set) < g.order and
-                  is_p_power(g.order // len(n_set), 2) for n_set in normals)
+        got = any(size < g.order and is_p_power(g.order // size, 2) for size in sizes)
         if got != exp["exists_normal_with_2group_quotient"]:
             fail("exists_normal_with_2group_quotient", got)
     if "exists_normal_with_frobenius_cyclic_quotient" in exp:
-        got = False
-        for n_set in normals:
-            if len(n_set) == g.order:
-                continue
-            qt = table if len(n_set) == 1 else \
-                character_table(quotient_group(g, n_set))
-            flags_q = structure_flags(qt)
-            if flags_q.frobenius is not None and \
-                    is_cyclic_subset(qt.group, flags_q.frobenius[1]):
-                got = True
-                break
+        # the complement of a Frobenius G/N with kernel K/N is isomorphic to G/K
+        kernels = (frobenius_kernel(table, normals, n)
+                   for n, size in zip(normals, sizes) if size < g.order)
+        got = any(k is not None and is_cyclic_quotient(cd, k) for k in kernels)
         if got != exp["exists_normal_with_frobenius_cyclic_quotient"]:
             fail("exists_normal_with_frobenius_cyclic_quotient", got)
     return bad

@@ -102,16 +102,6 @@ def choose_dixon_prime(group: PermGroup, classes: ClassData | None = None) -> in
     raise PrimeSearchExhausted(f"no prime = 1 mod {e} below {_PRIME_CAP}")
 
 
-def class_mult_coeffs(classes: ClassData) -> list[list[list[int]]]:
-    """Structure constants a[i][j][k] of the class algebra.
-
-    a[i][j][k] counts pairs (x, y) with x in C_i, y in C_j and xy equal
-    to one fixed representative of C_k; the count is independent of the
-    representative.
-    """
-    return [classes.product_rows(i) for i in range(classes.n_classes)]
-
-
 def _class_matrix(classes: ClassData, i: int, p: int) -> list[list[tuple[int, int]]]:
     """Row j holds the pairs (t, a[i][j][t] mod p) with a nonzero residue."""
     return [[(t, x % p) for t, x in enumerate(row) if x % p]

@@ -67,8 +67,8 @@ class InvariantReport:
                 "is_extraspecial": f.is_extraspecial,
                 "o_p": {str(p): len(s) for p, s in sorted(f.o_p.items())},
                 "frobenius": None if f.frobenius is None else {
-                    "kernel_size": len(f.frobenius[0]),
-                    "complement_size": len(f.frobenius[1]),
+                    "kernel_size": len(f.frobenius),
+                    "complement_size": self.order // len(f.frobenius),
                 },
             },
         }

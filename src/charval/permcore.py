@@ -2,33 +2,49 @@
 
 Groups here are small (order bounded, default 2500), so the element list
 is materialized by breadth-first closure over the generators, and
-classes and quotients are answered by exact enumeration.  Normal
-subgroups, the derived series and the upper central series are read off
-a proven character table as class masks: each normal subgroup is an
-intersection of kernels of irreducible characters, and each centre
-Z(G/N) an intersection of the rows' Z(chi).  Element order is canonical:
-BFS from the identity with the generator list in the given order, which
-makes every downstream computation deterministic.
+classes are answered by exact enumeration.  Every structural question
+is read off the group's proven character table as class masks (bit i
+set for class i): each normal subgroup N is an intersection of kernels
+of irreducible characters, the rows of G/N are the rows with N in their
+kernel, and each centre Z(G/N) is an intersection of the rows' Z(chi).
+Normal subgroups, the derived and upper central series, the socle,
+chief factors, and the extraspecial, abelian, cyclic and Frobenius
+shapes of every quotient G/N come from G's one table.  Element order is
+canonical: BFS from the identity with the generator list in the given
+order, which makes every downstream computation deterministic.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 from typing import TYPE_CHECKING
 
-from .cyclo import is_p_power, is_prime, prime_factors
+from .cyclo import is_p_power, prime_factors
 
 if TYPE_CHECKING:
-    from .chartab import CharTable
+    from .chartab import Character, CharTable
 
 
-class RepeatedPoint(ValueError):
+class BadPoint(ValueError):
+    """A bad point in cycle notation, at (cycle, offset) position and, when
+    parsed from text, at 1-based column."""
+
+    def __init__(self, message: str, position: tuple[int, int]):
+        super().__init__(message)
+        self.position = position
+        self.column: int | None = None
+
+
+class RepeatedPoint(BadPoint):
     """A point occurs twice in cycle notation."""
 
 
-class PointOutOfRange(ValueError):
+class PointOutOfRange(BadPoint):
     """A point in cycle notation is outside 1..degree."""
 
 
@@ -155,13 +171,13 @@ def perm_from_cycles(cycles, degree: int) -> Permutation:
     """
     images = list(range(degree))
     seen: set[int] = set()
-    for cyc in cycles:
+    for c, cyc in enumerate(cycles):
         cyc = list(cyc)
-        for p in cyc:
+        for j, p in enumerate(cyc):
             if not 0 <= p < degree:
-                raise PointOutOfRange(f"point {p + 1} outside 1..{degree}")
+                raise PointOutOfRange(f"point {p + 1} outside 1..{degree}", (c, j))
             if p in seen:
-                raise RepeatedPoint(f"point {p + 1} repeated")
+                raise RepeatedPoint(f"point {p + 1} repeated", (c, j))
             seen.add(p)
         for i, p in enumerate(cyc):
             images[p] = cyc[(i + 1) % len(cyc)]
@@ -172,10 +188,11 @@ def parse_cycle_text(text: str, degree: int) -> Permutation:
     """Parse 1-based cycle notation like "(1 2 3)(4 5)"; "()" is the identity.
 
     Raises ParseError on bad syntax, as line 1 of text with the column of
-    the bad token, and RepeatedPoint / PointOutOfRange on bad points;
-    parse_group_file maps the position onto the file.
+    the bad token, and RepeatedPoint / PointOutOfRange with the column of
+    the bad point; parse_group_file maps the column onto the file.
     """
     cycles: list[list[int]] = []
+    columns: list[list[int]] = []
     s = text.strip()
     lead = len(text) - len(text.lstrip())
     i = 0
@@ -185,18 +202,25 @@ def parse_cycle_text(text: str, degree: int) -> Permutation:
         j = s.find(")", i + 1)
         if j < 0:
             raise ParseError("unclosed cycle", 1, lead + i + 1)
-        cyc = []
+        cyc, cols = [], []
         for tok in re.finditer(r"[^\s,]+", s[i + 1:j]):
+            column = lead + i + 2 + tok.start()
             if not tok.group().isdigit():
-                raise ParseError(f"bad point {tok.group()!r}", 1,
-                                 lead + i + 2 + tok.start())
+                raise ParseError(f"bad point {tok.group()!r}", 1, column)
             cyc.append(int(tok.group()) - 1)
+            cols.append(column)
         if cyc:
             cycles.append(cyc)
+            columns.append(cols)
         i = j + 1
         while i < len(s) and s[i] == " ":
             i += 1
-    return perm_from_cycles(cycles, degree)
+    try:
+        return perm_from_cycles(cycles, degree)
+    except BadPoint as exc:
+        c, j = exc.position
+        exc.column = columns[c][j]
+        raise
 
 
 def parse_group_file(text: str, bound: int = 2500) -> "PermGroup":
@@ -230,8 +254,8 @@ def parse_group_file(text: str, bound: int = 2500) -> "PermGroup":
             gens.append(parse_cycle_text(line, degree))
         except ParseError as exc:
             raise ParseError(exc.message, lineno, start + exc.column) from exc
-        except (RepeatedPoint, PointOutOfRange) as exc:
-            raise ParseError(str(exc), lineno, start + 1) from exc
+        except BadPoint as exc:
+            raise ParseError(str(exc), lineno, start + exc.column) from exc
     if not gens:
         gens = [Permutation.identity(degree)]
     return PermGroup.from_generators(gens, degree=degree, bound=bound)
@@ -426,41 +450,6 @@ def conjugacy_classes(group: PermGroup) -> ClassData:
     return ClassData(group)
 
 
-def centralizer_size(group: PermGroup, i: int) -> int:
-    """Order of the centralizer of elements[i], by brute-force scan."""
-    target = group.elements[i].images
-    count = 0
-    for e in group.elements:
-        ei = e.images
-        if all(ei[target[x]] == target[ei[x]] for x in range(group.degree)):
-            count += 1
-    return count
-
-
-def center(group: PermGroup) -> frozenset[int]:
-    gen_idx = group.generator_indices()
-    out = set()
-    for i in range(group.order):
-        if all(group.conjugate_index(i, g) == i for g in gen_idx):
-            out.add(i)
-    return frozenset(out)
-
-
-def subgroup_closure(group: PermGroup, seeds) -> frozenset[int]:
-    """Closure of element indices under multiplication (subgroup generated)."""
-    gens = sorted({s for s in seeds if s != 0})
-    members = {0, *gens}
-    frontier = [0, *gens]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            for y in (group.mult_index(x, g), group.mult_index(g, x)):
-                if y not in members:
-                    members.add(y)
-                    frontier.append(y)
-    return frozenset(members)
-
-
 def _class_mask(indices) -> int:
     return sum(1 << i for i in indices)
 
@@ -471,14 +460,45 @@ def _members(classes: ClassData, mask: int) -> frozenset[int]:
                      for x in cls)
 
 
+def mask_size(classes: ClassData, mask: int) -> int:
+    """Number of elements in the classes whose bits are set in mask."""
+    return sum(size for i, size in enumerate(classes.sizes) if mask >> i & 1)
+
+
+def subset_mask(classes: ClassData, subset) -> int:
+    """Class mask of a subset of elements that is a union of classes."""
+    return _class_mask(i for i, rep in enumerate(classes.reps) if rep in subset)
+
+
+def _rows_over(table: CharTable, below: int) -> list[Character]:
+    """The rows of G/N: the rows with N in ker chi, N the union of the
+    classes in below."""
+    return [row for row in table.rows if below & ~_class_mask(row.kernel) == 0]
+
+
+def _meet(table: CharTable, masks) -> int:
+    """Intersection of class masks; G for none."""
+    return reduce(and_, masks, (1 << table.classes.n_classes) - 1)
+
+
+def _normal_closure(table: CharTable, seeds: int) -> int:
+    """Classes of the normal closure of the classes in seeds: the
+    intersection of the irreducible kernels that contain them."""
+    kernels = (_class_mask(row.kernel) for row in table.rows)
+    return _meet(table, (k for k in kernels if seeds & ~k == 0))
+
+
 def _center_mask(table: CharTable, below: int = 1) -> int:
     """Classes of the preimage of Z(G/N), N the union of the classes in
-    below: the intersection of Z(chi) over the rows with N in ker chi."""
-    out = (1 << table.classes.n_classes) - 1
-    for row in table.rows:
-        if below & ~_class_mask(row.kernel) == 0:
-            out &= _class_mask(row.center_z)
-    return out
+    below: the intersection of Z(chi) over the rows of G/N."""
+    return _meet(table, (_class_mask(row.center_z) for row in _rows_over(table, below)))
+
+
+def _derived_mask(table: CharTable, below: int = 1) -> int:
+    """Classes of the preimage of (G/N)': the intersection of the kernels
+    of the linear rows of G/N."""
+    return _meet(table, (_class_mask(row.kernel) for row in _rows_over(table, below)
+                         if row.degree == 1))
 
 
 def derived_series(table: CharTable) -> list[frozenset[int]]:
@@ -488,13 +508,11 @@ def derived_series(table: CharTable) -> list[frozenset[int]]:
     commutators [x, t], x over the class representatives of a set that
     normally generates H and t over a set that generates H: for normal N,
     the t with [x, t] in N form a subgroup, and the preimage of Z(H/N) is
-    normal in G.  A normal closure is the intersection of the irreducible
-    kernels containing the seed classes.  The classes of the commutators
-    found serve as both sets for the next term, since a union of classes
-    generates a normal subgroup.
+    normal in G.  The classes of the commutators found serve as both sets
+    for the next term, since a union of classes generates a normal
+    subgroup.
     """
     group, cd = table.group, table.classes
-    kernels = [_class_mask(row.kernel) for row in table.rows]
     term = (1 << cd.n_classes) - 1
     series = [_members(cd, term)]
     xs = ts = group.generator_indices()
@@ -503,10 +521,7 @@ def derived_series(table: CharTable) -> list[frozenset[int]]:
         for x in xs:
             for t in ts:
                 comms |= 1 << cd.elt_class[group.commutator_index(x, t)]
-        nxt = term
-        for ker in kernels:
-            if comms & ~ker == 0:
-                nxt &= ker
+        nxt = _normal_closure(table, comms)
         if nxt == term:
             return series
         term = nxt
@@ -539,30 +554,25 @@ def is_nilpotent(table: CharTable) -> bool:
     return True
 
 
-def exponent(group: PermGroup) -> int:
-    return math.lcm(*(group.element_order(i) for i in range(group.order)))
-
-
-def is_cyclic_subset(group: PermGroup, subset) -> bool:
-    subset = list(subset)
-    return max(group.element_order(i) for i in subset) == len(subset)
-
-
-def normal_subgroups(table: CharTable) -> tuple[frozenset[int], ...]:
-    """All normal subgroups, as element-index sets sorted by (size, elements).
+def normal_masks(table: CharTable) -> tuple[int, ...]:
+    """All normal subgroups, as class masks sorted by (size, elements).
 
     Every normal subgroup N is the intersection of the kernels of the
     irreducible characters of G/N, lifted to G (Isaacs, Character Theory
     of Finite Groups, Ch. 2), so the closure of {G} under intersection
     with each row's kernel is exactly the set of normal subgroups.
     """
-    masks = {(1 << table.classes.n_classes) - 1}
+    cd = table.classes
+    masks = {(1 << cd.n_classes) - 1}
     for row in table.rows:
         kernel = _class_mask(row.kernel)
         masks |= {m & kernel for m in masks}
-    subs = [_members(table.classes, m) for m in masks]
-    subs.sort(key=lambda s: (len(s), sorted(s)))
-    return tuple(subs)
+    return tuple(sorted(masks, key=lambda m: (mask_size(cd, m), sorted(_members(cd, m)))))
+
+
+def normal_subgroups(table: CharTable) -> tuple[frozenset[int], ...]:
+    """All normal subgroups, as element-index sets in normal_masks order."""
+    return tuple(_members(table.classes, m) for m in normal_masks(table))
 
 
 def quotient_group(group: PermGroup, subset) -> PermGroup:
@@ -625,9 +635,149 @@ def direct_product(left: PermGroup, right: PermGroup, bound: int | None = None) 
     return product
 
 
+# --- structure of G and its quotients, read off G's table -----------------
+#
+# A normal subgroup N enters as its class mask `below`.  The rows of G/N
+# are the rows of G with N in their kernel, so every question about G/N
+# is answered from G's own table, with no table for the quotient.
+
+
+def is_extraspecial(table: CharTable, below: int = 1) -> bool:
+    """Whether G/N is extraspecial, N the union of the classes in below.
+
+    G/N must be a p-group whose centre is its derived subgroup, of order
+    p; that makes G/N nonabelian.  It also makes G/N over its centre
+    elementary abelian, the remaining condition: with every commutator
+    central of order p, [x^p, y] = [x, y]^p = 1, so every p-th power is
+    central.
+    """
+    cd = table.classes
+    n = mask_size(cd, below)
+    primes = prime_factors(table.group.order // n)
+    if len(primes) != 1:
+        return False
+    z = _center_mask(table, below)
+    return mask_size(cd, z) == primes[0] * n and _derived_mask(table, below) == z
+
+
+def is_abelian_quotient(table: CharTable, below: int) -> bool:
+    """Whether G/N is abelian: every row of G/N is linear."""
+    return all(row.degree == 1 for row in _rows_over(table, below))
+
+
+def is_cyclic_quotient(classes: ClassData, mask: int) -> bool:
+    """Whether G/K is cyclic, K the union of the classes in mask.
+
+    Some g must have order h = |G:K| modulo K, that is, g^(h/q) lies
+    outside K for every prime q dividing h.
+    """
+    h = classes.group.order // mask_size(classes, mask)
+    return any(all(not mask >> classes.power_class(i, h // q) & 1
+                   for q in prime_factors(h))
+               for i in range(classes.n_classes))
+
+
+def is_abelian_section(classes: ClassData, mask: int, below: int = 1) -> bool:
+    """Whether K/N is abelian, K >= N normal with class masks mask, below.
+
+    Class representatives of K are tested against all of K: x^g commutes
+    with y modulo N iff x commutes with y^(g^-1), which lies in K too.
+    """
+    group = classes.group
+    members = _members(classes, mask)
+    for i, rep in enumerate(classes.reps):
+        if not mask >> i & 1:
+            continue
+        for y in members:
+            ry, yr = group.mult_index(rep, y), group.mult_index(y, rep)
+            # (yr)^-1 ry = [rep, y]
+            if ry != yr and not below >> classes.elt_class[
+                    group.mult_index(group.inverse_index(yr), ry)] & 1:
+                return False
+    return True
+
+
+def _kernel_centralizer_condition(classes: ClassData, fused, kernel: int,
+                                  below: int = 1) -> bool:
+    # K/N is a Frobenius kernel of G/N iff C(n) <= K/N for every n != 1 in
+    # K/N; fused[i] is the preimage size of the class of G/N that class i
+    # maps to.  In a group G, C_G(n) <= N for every n != 1 in a normal N
+    # needs |C_G(n)| = |G|/|C| to divide |N| for each class C != {1} of N,
+    # and that suffices: every such C then has size a multiple of |G:N|,
+    # so |N| = 1 mod |G:N| and gcd(|N|, |G:N|) = 1, while |C_G(n) : C_N(n)|
+    # divides both |G:N| and |C_G(n)|, hence |N|, so it is 1.
+    # Schur-Zassenhaus then gives a complement H, and an h != 1 in H
+    # centralizing some n != 1 in N would lie in C_G(n) <= N, so H acts
+    # fixed-point-freely and G is Frobenius.
+    order = classes.group.order
+    quotient_kernel = mask_size(classes, kernel) // mask_size(classes, below)
+    return all(quotient_kernel % (order // fused[i]) == 0
+               for i in range(classes.n_classes)
+               if kernel >> i & 1 and not below >> i & 1)
+
+
+def frobenius_kernel(table: CharTable, normals: tuple[int, ...],
+                     below: int = 1) -> int | None:
+    """Class mask of K if G/N is Frobenius with kernel K/N, else None.
+
+    normals are the masks of normal_masks(table) and below is N's.  A
+    complement exists (see _kernel_centralizer_condition); it has order
+    |G:K| and is isomorphic to G/K.  The Frobenius kernel is unique.
+    """
+    cd = table.classes
+    fused = cd.sizes
+    if below != 1:
+        # classes of G fuse in G/N iff their columns agree on its rows,
+        # since the columns of an irreducible table are distinct
+        rows = _rows_over(table, below)
+        keys = [tuple(row.values[i] for row in rows) for i in range(cd.n_classes)]
+        totals: Counter = Counter()
+        for key, size in zip(keys, cd.sizes):
+            totals[key] += size
+        fused = [totals[key] for key in keys]
+    return next((k for k in normals[1:-1] if k != below and below & ~k == 0
+                 and _kernel_centralizer_condition(cd, fused, k, below)), None)
+
+
+def minimal_normal_masks(normals: tuple[int, ...], below: int = 1) -> list[int]:
+    """The K with K/N minimal normal in G/N: among the masks of
+    normal_masks, those minimal above below, N's mask."""
+    above = [m for m in normals if m != below and below & ~m == 0]
+    return [m for m in above if not any(o != m and o & ~m == 0 for o in above)]
+
+
+def socle(table: CharTable, normals: tuple[int, ...]) -> int:
+    """Class mask of the socle, the product of the minimal normal
+    subgroups: the normal closure of their union."""
+    return _normal_closure(table, reduce(or_, minimal_normal_masks(normals), 1))
+
+
+def a5a6_free(table: CharTable) -> bool:
+    """Whether no composition factor of G is A5 or A6.
+
+    A nonabelian chief factor is T^k for a nonabelian simple T, and the
+    only simple groups of order 60 and 360 are A5 and A6, so below order
+    20160 the chief factors showing A5 or A6 are exactly those of order
+    60, 360 or 3600 (A5^2); no abelian one has such an order.  Chief
+    factors are the covering pairs of the normal-subgroup lattice.
+    Raises ValueError from order 20160 on, where the rule is unproven.
+    """
+    if table.group.order >= 20160:
+        raise ValueError(f"composition factors undecided at order {table.group.order}")
+    cd, normals = table.classes, normal_masks(table)
+    return not any(mask_size(cd, high) // mask_size(cd, low) in (60, 360, 3600)
+                   for low in normals for high in minimal_normal_masks(normals, low))
+
+
 @dataclass(frozen=True)
 class StructureFlags:
-    """Structural facts read off the subgroup/class data."""
+    """Structural facts read off the group's proven table.
+
+    o_p maps each prime p dividing |G| to O_p(G), the largest normal
+    p-subgroup, as element indices.  frobenius is the Frobenius kernel K
+    as element indices, or None when G is not a Frobenius group; the
+    complement has order |G:K| and is isomorphic to G/K.
+    """
 
     is_abelian: bool
     elementary_abelian_p: int | None
@@ -635,100 +785,30 @@ class StructureFlags:
     p_group_p: int | None
     is_extraspecial: bool
     o_p: dict[int, frozenset[int]]
-    frobenius: tuple[frozenset[int], frozenset[int]] | None
+    frobenius: frozenset[int] | None
 
 
-def o_p_subgroups(group: PermGroup, nilpotent: bool,
-                  normals: tuple[frozenset[int], ...] | None) -> dict[int, frozenset[int]]:
-    out: dict[int, frozenset[int]] = {}
-    for p in prime_factors(group.order):
+def _o_p_masks(classes: ClassData, nilpotent: bool,
+               normals: tuple[int, ...] | None) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for p in prime_factors(classes.group.order):
         if nilpotent:
-            members = frozenset(
-                i for i in range(group.order)
-                if is_p_power(group.element_order(i), p))
-            out[p] = members
+            out[p] = _class_mask(i for i, o in enumerate(classes.element_orders)
+                                 if is_p_power(o, p))
             continue
-        p_normals = [n for n in normals if is_p_power(len(n), p)]
-        best = max(p_normals, key=len, default=frozenset({0}))
-        if any(not n <= best for n in p_normals):
+        p_normals = [m for m in normals if is_p_power(mask_size(classes, m), p)]
+        best = max(p_normals, key=lambda m: mask_size(classes, m), default=1)
+        if any(m & ~best for m in p_normals):
             raise InvariantViolation("normal p-subgroups not nested under the largest")
         out[p] = best
     return out
-
-
-def frobenius_decomposition(classes: ClassData,
-                            normals: tuple[frozenset[int], ...],
-                            ) -> tuple[frozenset[int], frozenset[int]] | None:
-    """(kernel, complement) if G is Frobenius with that kernel, else None.
-
-    A proper nontrivial normal subgroup N is a Frobenius kernel iff
-    C_G(n) <= N for every nonidentity n in N; the complement is then a
-    subgroup of order |G|/|N| meeting N trivially.  Complements are
-    2-generated, so closure over 1- and 2-element subsets of the
-    candidate pool finds one.
-    """
-    group = classes.group
-    for n_set in sorted(normals, key=len, reverse=True):
-        if len(n_set) in (1, group.order):
-            continue
-        if not _kernel_centralizer_condition(classes, n_set):
-            continue
-        h = group.order // len(n_set)
-        comp = _find_complement(group, n_set, h)
-        if comp is not None:
-            return n_set, comp
-    return None
-
-
-def _kernel_centralizer_condition(classes: ClassData, n_set: frozenset[int]) -> bool:
-    # C_G(n) <= N for every nonidentity n in N needs |C_G(n)| = |G|/|C| to
-    # divide |N| for each class C of N other than {1}, and that suffices:
-    # every such C then has size a multiple of |G:N|, so |N| = 1 mod |G:N|
-    # and gcd(|N|, |G:N|) = 1, while |C_G(n) : C_N(n)| divides both |G:N|
-    # and |C_G(n)|, hence |N|, so it is 1.
-    order = classes.group.order
-    return all(len(n_set) % (order // classes.sizes[ci]) == 0
-               for ci in range(1, classes.n_classes) if classes.reps[ci] in n_set)
-
-
-def _find_complement(group: PermGroup, n_set: frozenset[int], h: int) -> frozenset[int] | None:
-    pool = [i for i in range(1, group.order)
-            if i not in n_set and h % group.element_order(i) == 0]
-
-    def try_closure(seeds: list[int]) -> frozenset[int] | None:
-        members = {0}
-        frontier = list(seeds)
-        for s in seeds:
-            members.add(s)
-        while frontier:
-            x = frontier.pop()
-            for g in seeds:
-                for y in (group.mult_index(x, g), group.mult_index(g, x)):
-                    if y not in members:
-                        if len(members) >= h or (y in n_set and y != 0):
-                            return None
-                        members.add(y)
-                        frontier.append(y)
-        return frozenset(members) if len(members) == h else None
-
-    for a in pool:
-        if group.element_order(a) == h:
-            got = try_closure([a])
-            if got is not None:
-                return got
-    for ai, a in enumerate(pool):
-        for b in pool[ai + 1:]:
-            got = try_closure([a, b])
-            if got is not None:
-                return got
-    return None
 
 
 def structure_flags(table: CharTable) -> StructureFlags:
     """Compute the structural flag set of the table's group.
 
     Nilpotent groups need no normal subgroups: O_p is the set of
-    p-power-order elements and no nilpotent group is Frobenius.
+    p-power-order classes and no nilpotent group is Frobenius.
     Non-nilpotent groups read their normal subgroups off the table's
     kernels.
     """
@@ -737,60 +817,18 @@ def structure_flags(table: CharTable) -> StructureFlags:
     factors = prime_factors(group.order)
     p_group_p = factors[0] if len(factors) == 1 else None
     elem_p = None
-    if abelian and p_group_p is not None:
-        if all(group.element_order(i) == p_group_p for i in range(1, group.order)):
-            elem_p = p_group_p
+    if abelian and p_group_p is not None \
+            and all(o == p_group_p for o in cd.element_orders[1:]):
+        elem_p = p_group_p
     nilpotent = abelian or is_nilpotent(table)
-    extraspecial = False
-    if p_group_p is not None and not abelian:
-        z = _center_mask(table)
-        center_elements = _members(cd, z)
-        if len(center_elements) == p_group_p:
-            series = derived_series(table)
-            if len(series) > 1 and series[1] == center_elements:
-                # G/Z is elementary abelian when every p-th power is central
-                extraspecial = all(z >> cd.power_class(i, p_group_p) & 1
-                                   for i in range(cd.n_classes))
-    normals = None if nilpotent else normal_subgroups(table)
+    normals = None if nilpotent else normal_masks(table)
+    kernel = None if nilpotent else frobenius_kernel(table, normals)
     return StructureFlags(
         is_abelian=abelian,
         elementary_abelian_p=elem_p,
         is_nilpotent=nilpotent,
         p_group_p=p_group_p,
-        is_extraspecial=extraspecial,
-        o_p=o_p_subgroups(group, nilpotent, normals),
-        frobenius=None if nilpotent else frobenius_decomposition(cd, normals),
+        is_extraspecial=is_extraspecial(table),
+        o_p={p: _members(cd, m) for p, m in _o_p_masks(cd, nilpotent, normals).items()},
+        frobenius=None if kernel is None else _members(cd, kernel),
     )
-
-
-def socle_of_nilpotent(group: PermGroup) -> frozenset[int]:
-    """Product of the minimal normal subgroups of a nilpotent group.
-
-    Minimal normals of a nilpotent group are central of prime order, so
-    the socle is generated by the prime-order elements of the center.
-    """
-    z = center(group)
-    seeds = {i for i in z if i and is_prime(group.element_order(i))}
-    if not seeds:
-        return frozenset({0})
-    return subgroup_closure(group, seeds)
-
-
-def minimal_normal_subgroups(normals: tuple[frozenset[int], ...]) -> list[frozenset[int]]:
-    nontrivial = [n for n in normals if len(n) > 1]
-    out = []
-    for n in nontrivial:
-        if not any(m < n for m in nontrivial):
-            out.append(n)
-    return out
-
-
-def socle_from_normals(group: PermGroup,
-                       normals: tuple[frozenset[int], ...]) -> frozenset[int]:
-    minimals = minimal_normal_subgroups(normals)
-    seeds: set[int] = set()
-    for m in minimals:
-        seeds |= m
-    if not seeds:
-        return frozenset({0})
-    return subgroup_closure(group, seeds)

@@ -12,12 +12,15 @@ import re
 from dataclasses import dataclass
 
 from . import catalog
-from .chartab import CharTable, character_table, codegree
+from .chartab import CharTable, codegree
 from .cyclo import is_p_power, prime_factors
 from .invariants import InvariantReport
 from .permcore import (
-    PermGroup, normal_subgroups, quotient_group, structure_flags,
+    ClassData, a5a6_free, frobenius_kernel, is_abelian_section,
+    is_extraspecial, mask_size, normal_masks, subset_mask,
 )
+# unused here, but perfbench patches and restores verify.structure_flags
+from .permcore import structure_flags  # noqa: F401
 
 CLAIMS = ("four_values_solvable", "cdc3_solvable", "cdc2_shape",
           "nilpotent_cdc3", "nonnilpotent_cdc3", "two_degrees")
@@ -52,18 +55,12 @@ def _vacuous(group: str, claim: str, details: str) -> Verdict:
     return Verdict(group, claim, False, None, details)
 
 
-def _commuting_subset(group: PermGroup, elems) -> bool:
-    items = sorted(elems)
-    for a_pos, a in enumerate(items):
-        for b in items[a_pos + 1:]:
-            if group.mult_index(a, b) != group.mult_index(b, a):
-                return False
-    return True
-
-
-def _elementary_abelian_subset(group: PermGroup, elems, p: int) -> bool:
-    return all(group.element_order(x) in (1, p) for x in elems) \
-        and _commuting_subset(group, elems)
+def _elementary_abelian_section(classes: ClassData, mask: int, p: int,
+                                below: int = 1) -> bool:
+    """Whether K/N is elementary abelian of exponent p (or trivial)."""
+    return all(below >> classes.power_class(i, p) & 1
+               for i in range(classes.n_classes) if mask >> i & 1) \
+        and is_abelian_section(classes, mask, below)
 
 
 def check_four_values_solvable(table: CharTable, rep: InvariantReport,
@@ -81,20 +78,17 @@ def check_four_values_solvable(table: CharTable, rep: InvariantReport,
     return _met(label, claim, solvable, f"{note}; dl={rep.dl}")
 
 
-def check_cdc3_solvable(table: CharTable, rep: InvariantReport, label: str,
-                        a5a6_free: bool | None = None) -> Verdict:
-    """cdc of size at most 3 forces solvability, barring two alternating
-    composition factors excluded by a metadata flag."""
+def check_cdc3_solvable(table: CharTable, rep: InvariantReport,
+                        label: str) -> Verdict:
+    """cdc of size at most 3 forces solvability, barring the alternating
+    composition factors A5 and A6, which the table's chief factors rule
+    out or show (solvable groups have only cyclic composition factors)."""
     claim = "cdc3_solvable"
-    if a5a6_free is None:
-        # solvable groups have only cyclic composition factors
-        a5a6_free = True if rep.dl is not None else None
-    if a5a6_free is None:
-        return _vacuous(label, claim, "composition-factor flag undetermined")
-    if not (a5a6_free and len(rep.cdc) <= 3):
+    free = rep.dl is not None or a5a6_free(table)
+    if not (free and len(rep.cdc) <= 3):
         return _vacuous(
             label, claim,
-            f"|cdc|={len(rep.cdc)}, excluded-factor-free={a5a6_free}")
+            f"|cdc|={len(rep.cdc)}, excluded-factor-free={free}")
     return _met(label, claim, rep.dl is not None,
                 f"|cdc|={len(rep.cdc)}; dl={rep.dl}")
 
@@ -106,13 +100,11 @@ def cdc2_shape(table: CharTable, rep: InvariantReport) -> str | None:
     3-kernel, order-2 complement, and degrees {1,2}; "s4" for the
     symmetric-group-on-4-points fingerprint; None otherwise.
     """
-    g = table.group
-    frob = rep.flags.frobenius
-    if frob is not None:
-        kernel, complement = frob
-        if len(complement) == 2 and rep.cd == (1, 2) \
-                and _elementary_abelian_subset(g, kernel, 3):
-            return "frobenius_3"
+    g, cd = table.group, table.classes
+    kernel = rep.flags.frobenius
+    if kernel is not None and 2 * len(kernel) == g.order and rep.cd == (1, 2) \
+            and _elementary_abelian_section(cd, subset_mask(cd, kernel), 3):
+        return "frobenius_3"
     if g.order == 24 and rep.dl == 3 \
             and tuple(sorted(table.classes.sizes)) == (1, 3, 6, 6, 8) \
             and table.degrees == (1, 1, 2, 3, 3):
@@ -159,62 +151,66 @@ def check_nilpotent_cdc3(table: CharTable, rep: InvariantReport,
     if flags.is_extraspecial:
         return _met(label, claim, True,
                     "all three predicates true; group itself extraspecial")
-    for n in normal_subgroups(table):
-        if len(n) in (1, g.order):
-            continue
-        if structure_flags(character_table(quotient_group(g, n))).is_extraspecial:
+    for n in normal_masks(table)[1:-1]:
+        if is_extraspecial(table, n):
             return _met(label, claim, True,
                         "all three predicates true; extraspecial factor "
-                        f"group of order {g.order // len(n)}")
+                        f"group of order {g.order // mask_size(table.classes, n)}")
     return _met(label, claim, False, "no extraspecial factor group found")
 
 
 def check_nonnilpotent_cdc3(table: CharTable, rep: InvariantReport,
                             label: str) -> Verdict:
     """Non-nilpotent, |cdc|=3, derived length 2: the group is an abelian
-    index-2 subgroup (elementary 3-part times its 2-core) with a flip."""
+    index-2 subgroup (elementary 3-part times its 2-core) with a flip.
+
+    The direct 2-part is checked on G's own table: O_2 is central when its
+    classes are singletons, and the Frobenius shape of G/O_2 is read off
+    the rows whose kernels contain O_2.
+    """
     claim = "nonnilpotent_cdc3"
     flags = rep.flags
     if flags.is_nilpotent:
         return _vacuous(label, claim, "nilpotent")
     if not (len(rep.cdc) == 3 and rep.dl == 2):
         return _vacuous(label, claim, f"|cdc|={len(rep.cdc)}, dl={rep.dl}")
-    g = table.group
-    o2 = flags.o_p.get(2, frozenset({0}))
-    if not _commuting_subset(g, o2):
+    g, cd = table.group, table.classes
+    o2_members = flags.o_p.get(2, frozenset({0}))
+    o2 = subset_mask(cd, o2_members)
+    if not is_abelian_section(cd, o2):
         return _met(label, claim, False, "2-core is nonabelian")
+    normals = normal_masks(table)
     half = None
-    for n in normal_subgroups(table):
-        if 2 * len(n) != g.order or not _commuting_subset(g, n):
+    for n in normals:
+        if 2 * mask_size(cd, n) != g.order:
             continue
-        odd = [x for x in n if g.element_order(x) % 2 == 1]
-        two = {x for x in n if is_p_power(g.element_order(x), 2)}
-        if all(g.element_order(x) in (1, 3) for x in odd) and two == set(o2):
+        orders = [(i, o) for i, o in enumerate(cd.element_orders) if n >> i & 1]
+        two = sum(1 << i for i, o in orders if is_p_power(o, 2))
+        if all(o in (1, 3) for _, o in orders if o % 2 == 1) and two == o2 \
+                and is_abelian_section(cd, n):
             half = n
             break
     if half is None:
         return _met(label, claim, False,
                     "no abelian index-2 subgroup with elementary 3-part "
                     "and matching 2-core")
+    # O_2 is normal, so a conjugate of t centralizes it iff t does
     sylow2_abelian = any(
-        is_p_power(g.element_order(t), 2)
-        and all(g.mult_index(t, x) == g.mult_index(x, t) for x in o2)
-        for t in range(g.order) if t not in half)
+        is_p_power(cd.element_orders[i], 2) and not half >> i & 1
+        and all(g.mult_index(t, x) == g.mult_index(x, t) for x in o2_members)
+        for i, t in enumerate(cd.reps))
     if not sylow2_abelian:
         # no corpus group reaches this branch; the claimed shape of the
         # Sylow 2-subgroup is left unasserted
         return _met(label, claim, True,
                     "decomposition holds; Sylow 2-subgroup nonabelian")
-    central = all(g.mult_index(t, x) == g.mult_index(x, t)
-                  for t in o2 for x in g.generator_indices())
-    elementary2 = all(g.element_order(x) in (1, 2) for x in o2)
-    qtable = table if len(o2) == 1 else \
-        character_table(quotient_group(g, frozenset(o2)))
-    qflags = structure_flags(qtable)
-    frob_shape = (qflags.frobenius is not None
-                  and len(qflags.frobenius[1]) == 2
-                  and _elementary_abelian_subset(qtable.group,
-                                                 qflags.frobenius[0], 3))
+    o2_classes = [i for i in range(cd.n_classes) if o2 >> i & 1]
+    central = all(cd.sizes[i] == 1 for i in o2_classes)
+    elementary2 = all(cd.element_orders[i] in (1, 2) for i in o2_classes)
+    # G/O_2 is Frobenius with kernel K/O_2 and a complement of order 2
+    kernel = frobenius_kernel(table, normals, o2)
+    frob_shape = (kernel is not None and 2 * mask_size(cd, kernel) == g.order
+                  and _elementary_abelian_section(cd, kernel, 3, o2))
     concl = central and elementary2 and frob_shape
     return _met(label, claim, concl,
                 "decomposition holds; abelian Sylow 2-subgroup, direct "
@@ -229,18 +225,18 @@ def check_two_degrees(table: CharTable, rep: InvariantReport,
     claim = "two_degrees"
     if len(rep.cd) != 2:
         return _vacuous(label, claim, f"|cd|={len(rep.cd)}")
-    g = table.group
+    g, cd = table.group, table.classes
     m = rep.cd[1]
     primes = prime_factors(m)
     if len(primes) == 1 and rep.flags.is_nilpotent:
         p = primes[0]
-        if all(_commuting_subset(g, members)
+        if all(is_abelian_section(cd, subset_mask(cd, members))
                for q, members in rep.flags.o_p.items() if q != p):
             return _met(label, claim, True,
                         f"m={m}=prime power; nilpotent with abelian "
                         "coprime part")
-    for n in normal_subgroups(table):
-        if len(n) * m == g.order and _commuting_subset(g, n):
+    for n in normal_masks(table):
+        if mask_size(cd, n) * m == g.order and is_abelian_section(cd, n):
             return _met(label, claim, True,
                         f"abelian normal subgroup of index {m}")
     return _met(label, claim, False, f"no abelian normal subgroup of index {m}")
@@ -251,7 +247,7 @@ def check_group(name: str, seed: int = 0) -> list[Verdict]:
     ent, g, cd, table, rep = catalog.bundle(name, seed)
     return [
         check_four_values_solvable(table, rep, ent.name),
-        check_cdc3_solvable(table, rep, ent.name, ent.a5a6_free),
+        check_cdc3_solvable(table, rep, ent.name),
         check_cdc2_shape(table, rep, ent.name),
         check_nilpotent_cdc3(table, rep, ent.name),
         check_nonnilpotent_cdc3(table, rep, ent.name),

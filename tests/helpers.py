@@ -14,15 +14,12 @@ import math
 
 from charval import catalog
 from charval.chartab import CharTable, character_table
-from charval.cyclo import Cyc
+from charval.cyclo import Cyc, is_prime
 from charval.permcore import (
     ClassData,
     PermGroup,
     Permutation,
-    center,
-    centralizer_size,
     derived_series,
-    is_cyclic_subset,
     normal_subgroups,
     quotient_group,
 )
@@ -62,6 +59,134 @@ def exactness_failures(label: str, group: PermGroup, cd: ClassData,
 
 # ---------------------------------------------------------------------------
 # brute-force oracles
+
+
+def centralizer_size(group: PermGroup, i: int) -> int:
+    """Order of the centralizer of elements[i], by brute-force scan."""
+    target = group.elements[i].images
+    count = 0
+    for e in group.elements:
+        ei = e.images
+        if all(ei[target[x]] == target[ei[x]] for x in range(group.degree)):
+            count += 1
+    return count
+
+
+def class_mult_coeffs(classes: ClassData) -> list[list[list[int]]]:
+    """Structure constants a[i][j][k] of the class algebra.
+
+    a[i][j][k] counts pairs (x, y) with x in C_i, y in C_j and xy equal
+    to one fixed representative of C_k; the count is independent of the
+    representative.
+    """
+    return [classes.product_rows(i) for i in range(classes.n_classes)]
+
+
+def exponent(group: PermGroup) -> int:
+    return math.lcm(*(group.element_order(i) for i in range(group.order)))
+
+
+def center(group: PermGroup) -> frozenset[int]:
+    gen_idx = group.generator_indices()
+    out = set()
+    for i in range(group.order):
+        if all(group.conjugate_index(i, g) == i for g in gen_idx):
+            out.add(i)
+    return frozenset(out)
+
+
+def subgroup_closure(group: PermGroup, seeds) -> frozenset[int]:
+    """Closure of element indices under multiplication (subgroup generated)."""
+    gens = sorted({s for s in seeds if s != 0})
+    members = {0, *gens}
+    frontier = [0, *gens]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            for y in (group.mult_index(x, g), group.mult_index(g, x)):
+                if y not in members:
+                    members.add(y)
+                    frontier.append(y)
+    return frozenset(members)
+
+
+def is_cyclic_subset(group: PermGroup, subset) -> bool:
+    subset = list(subset)
+    return max(group.element_order(i) for i in subset) == len(subset)
+
+
+def find_complement(group: PermGroup, n_set: frozenset[int],
+                    h: int) -> frozenset[int] | None:
+    """A subgroup of order h meeting n_set trivially, closed from one or
+    two generators (Frobenius complements are 2-generated)."""
+    pool = [i for i in range(1, group.order)
+            if i not in n_set and h % group.element_order(i) == 0]
+
+    def try_closure(seeds: list[int]) -> frozenset[int] | None:
+        members = {0}
+        frontier = list(seeds)
+        for s in seeds:
+            members.add(s)
+        while frontier:
+            x = frontier.pop()
+            for g in seeds:
+                for y in (group.mult_index(x, g), group.mult_index(g, x)):
+                    if y not in members:
+                        if len(members) >= h or (y in n_set and y != 0):
+                            return None
+                        members.add(y)
+                        frontier.append(y)
+        return frozenset(members) if len(members) == h else None
+
+    for a in pool:
+        if group.element_order(a) == h:
+            got = try_closure([a])
+            if got is not None:
+                return got
+    for ai, a in enumerate(pool):
+        for b in pool[ai + 1:]:
+            got = try_closure([a, b])
+            if got is not None:
+                return got
+    return None
+
+
+def socle_of_nilpotent(group: PermGroup) -> frozenset[int]:
+    """Product of the minimal normal subgroups of a nilpotent group.
+
+    Minimal normals of a nilpotent group are central of prime order, so
+    the socle is generated by the prime-order elements of the center.
+    """
+    z = center(group)
+    seeds = {i for i in z if i and is_prime(group.element_order(i))}
+    if not seeds:
+        return frozenset({0})
+    return subgroup_closure(group, seeds)
+
+
+def minimal_normal_subgroups(normals: tuple[frozenset[int], ...]) -> list[frozenset[int]]:
+    nontrivial = [n for n in normals if len(n) > 1]
+    out = []
+    for n in nontrivial:
+        if not any(m < n for m in nontrivial):
+            out.append(n)
+    return out
+
+
+def socle_from_normals(group: PermGroup,
+                       normals: tuple[frozenset[int], ...]) -> frozenset[int]:
+    minimals = minimal_normal_subgroups(normals)
+    seeds: set[int] = set()
+    for m in minimals:
+        seeds |= m
+    if not seeds:
+        return frozenset({0})
+    return subgroup_closure(group, seeds)
+
+
+# The catalog entries with an A5 or A6 composition factor, as they were
+# set by hand before the flag was read off the table.
+A5A6_ENTRIES = frozenset({"alt_5", "sym_5", "alt_6", "sym_6"})
 
 
 def naive_closure(perms: list[Permutation]) -> set[tuple[int, ...]]:

@@ -1,10 +1,14 @@
 """Named group constructions and their frozen expectation blocks."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from charval import catalog
 from charval.catalog import CatalogEntry, ConstructionMismatch, UnknownName
-from charval.permcore import conjugacy_classes
+from charval.chartab import character_table
+from charval.permcore import a5a6_free, conjugacy_classes, parse_group_file
+from tests import helpers as H
 
 
 def test_tier_listings():
@@ -57,10 +61,16 @@ def test_builders_are_deterministic():
 
 
 def test_composition_factor_flags():
-    for name in ("alt_5", "sym_5", "alt_6", "sym_6"):
-        assert not catalog.entry(name).a5a6_free, name
-    for name in ("alt_7", "sym_7", "sym_4", "sg_21_1"):
-        assert catalog.entry(name).a5a6_free, name
+    # the chief factors of every entry give the flags once set by hand
+    for name in catalog.names():
+        assert a5a6_free(catalog.bundle(name)[3]) == \
+            (name not in H.A5A6_ENTRIES), name
+    # A5 wr C2: its one nonabelian chief factor is A5 x A5, of order 3600
+    wreath = parse_group_file("degree 10\n(1 2 3)\n(1 2 3 4 5)\n"
+                              "(1 6)(2 7)(3 8)(4 9)(5 10)\n", bound=7200)
+    assert not a5a6_free(character_table(wreath))
+    with pytest.raises(ValueError):
+        a5a6_free(SimpleNamespace(group=SimpleNamespace(order=20160)))
 
 
 def test_direct_product_entries_multiply_class_counts():

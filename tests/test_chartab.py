@@ -25,7 +25,6 @@ from charval.chartab import (
     _vanishes,
     character_table,
     choose_dixon_prime,
-    class_mult_coeffs,
     codegree,
 )
 from charval.cyclo import Cyc, zeta
@@ -48,7 +47,7 @@ def test_dixon_prime_choices(name, prime):
 
 def test_class_mult_coeffs_identity_and_counting():
     _, g, cd, _, _ = catalog.bundle("sym_3")
-    a = class_mult_coeffs(cd)
+    a = H.class_mult_coeffs(cd)
     k = cd.n_classes
     for j in range(k):
         for m in range(k):

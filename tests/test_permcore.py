@@ -15,26 +15,27 @@ from charval.permcore import (
     PointOutOfRange,
     RepeatedPoint,
     _kernel_centralizer_condition,
-    center,
-    centralizer_size,
     conjugacy_classes,
     derived_length,
     derived_series,
     direct_product,
-    exponent,
-    frobenius_decomposition,
-    is_cyclic_subset,
+    frobenius_kernel,
+    is_abelian_quotient,
+    is_abelian_section,
+    is_cyclic_quotient,
+    is_extraspecial,
     is_nilpotent,
-    minimal_normal_subgroups,
+    mask_size,
+    minimal_normal_masks,
+    normal_masks,
     normal_subgroups,
     parse_cycle_text,
     parse_group_file,
     perm_from_cycles,
     quotient_group,
-    socle_from_normals,
-    socle_of_nilpotent,
+    socle,
     structure_flags,
-    subgroup_closure,
+    subset_mask,
 )
 from tests import helpers as H
 
@@ -139,7 +140,19 @@ def test_header_less_file_reports_the_bad_line_and_column():
     assert (exc.value.line, exc.value.column) == (2, 6)
     with pytest.raises(ParseError) as exc:
         parse_group_file("(1 2)\n(3 3)\n")
-    assert (exc.value.line, exc.value.column) == (2, 1)
+    assert (exc.value.line, exc.value.column) == (2, 4)
+    with pytest.raises(ParseError) as exc:
+        parse_group_file("degree 4\n(1 2)\n (2 5)\n")
+    assert (exc.value.line, exc.value.column) == (3, 5)
+
+
+def test_cycle_text_errors_keep_their_types_and_carry_the_column():
+    with pytest.raises(RepeatedPoint) as exc:
+        parse_cycle_text("(1 2)(2 3)", 4)
+    assert exc.value.column == 7
+    with pytest.raises(PointOutOfRange) as exc:
+        parse_cycle_text("  (1 9)", 4)
+    assert exc.value.column == 6
 
 
 # -- enumeration -------------------------------------------------------------
@@ -194,8 +207,8 @@ def test_class_size_invariants(name):
 def test_centralizer_matches_orbit_stabilizer():
     _, g, cd, _, _ = catalog.bundle("sym_4")
     for i, cls in enumerate(cd.classes):
-        assert centralizer_size(g, cd.reps[i]) * cd.sizes[i] == g.order
-        assert centralizer_size(g, cd.reps[i]) == \
+        assert H.centralizer_size(g, cd.reps[i]) * cd.sizes[i] == g.order
+        assert H.centralizer_size(g, cd.reps[i]) == \
             sum(1 for x in range(g.order)
                 if g.mult_index(x, cd.reps[i]) == g.mult_index(cd.reps[i], x))
 
@@ -221,22 +234,22 @@ def test_center_examples():
     for name, size in (("sym_4", 1), ("dihedral_8", 2), ("q8", 2),
                        ("cyclic_12", 12), ("sg_27_3", 3)):
         _, g, _, _, _ = catalog.bundle(name)
-        assert len(center(g)) == size, name
+        assert len(H.center(g)) == size, name
 
 
 def test_subgroup_closure_and_cyclicity():
     _, g, cd, _, _ = catalog.bundle("sym_4")
     four_cycle = next(cd.reps[i] for i in range(cd.n_classes)
                       if cd.element_orders[i] == 4)
-    sub = subgroup_closure(g, [four_cycle])
-    assert len(sub) == 4 and is_cyclic_subset(g, sub)
-    assert not is_cyclic_subset(g, subgroup_closure(g, range(g.order)))
+    sub = H.subgroup_closure(g, [four_cycle])
+    assert len(sub) == 4 and H.is_cyclic_subset(g, sub)
+    assert not H.is_cyclic_subset(g, H.subgroup_closure(g, range(g.order)))
 
 
 def test_exponent_examples():
-    assert exponent(catalog.build("sym_4")) == 12
-    assert exponent(catalog.build("q8")) == 4
-    assert exponent(catalog.build("elab_3_2")) == 3
+    assert H.exponent(catalog.build("sym_4")) == 12
+    assert H.exponent(catalog.build("q8")) == 4
+    assert H.exponent(catalog.build("elab_3_2")) == 3
 
 
 def test_derived_series_matches_naive_commutators():
@@ -339,7 +352,7 @@ def test_quotient_rejects_non_normal_subsets():
                          if g.element_order(i) == 2
                          and len(g.elements[i].cycles()) == 1)
     with pytest.raises(NotNormal):
-        quotient_group(g, subgroup_closure(g, [transposition]))
+        quotient_group(g, H.subgroup_closure(g, [transposition]))
 
 
 def test_quotient_derived_length_never_grows():
@@ -363,18 +376,19 @@ def test_direct_product_multiplies_orders_and_classes():
 def test_frobenius_detection_with_brute_centralizers():
     for name, ksize in (("sg_21_1", 7), ("dihedral_10", 5), ("gamma_8", 8)):
         _, g, cd, table, _ = catalog.bundle(name)
-        frob = frobenius_decomposition(cd, normal_subgroups(table))
-        assert frob is not None, name
-        kernel, comp = frob
-        assert len(kernel) == ksize and len(comp) == g.order // ksize
+        kernel = frobenius_kernel(table, normal_masks(table))
+        assert kernel is not None, name
+        kernel = H.class_union(cd, _bits(kernel))
+        assert len(kernel) == ksize
+        assert len(H.find_complement(g, kernel, g.order // ksize)) == g.order // ksize
         for n in kernel:
             if n == 0:
                 continue
             centralizes = {x for x in range(g.order)
                            if g.conjugate_index(n, x) == n}
             assert centralizes <= kernel, name
-    _, _, cd, table, _ = catalog.bundle("sym_4")
-    assert frobenius_decomposition(cd, normal_subgroups(table)) is None
+    table = catalog.bundle("sym_4")[3]
+    assert frobenius_kernel(table, normal_masks(table)) is None
 
 
 def _non_nilpotent_core_entries() -> list[str]:
@@ -386,7 +400,7 @@ def _non_nilpotent_core_entries() -> list[str]:
 def test_kernel_condition_matches_element_centralizers(name):
     _, g, cd, table, _ = catalog.bundle(name)
     for n_set in normal_subgroups(table):
-        assert _kernel_centralizer_condition(cd, n_set) == \
+        assert _kernel_centralizer_condition(cd, cd.sizes, subset_mask(cd, n_set)) == \
             H.naive_frobenius_kernel_condition(g, n_set), (name, len(n_set))
 
 
@@ -394,7 +408,7 @@ def test_frobenius_decomposition_stays_at_class_level(monkeypatch):
     # sg_250_14 = C5^3 : C2 is Frobenius with kernel C5^3; deciding the
     # kernel condition element by element took 15 500 products
     _, g, cd, table, _ = catalog.bundle("sg_250_14")
-    normals = normal_subgroups(table)
+    normals = normal_masks(table)
     calls = 0
     mult_index = PermGroup.mult_index
 
@@ -404,9 +418,59 @@ def test_frobenius_decomposition_stays_at_class_level(monkeypatch):
         return mult_index(self, i, j)
 
     monkeypatch.setattr(PermGroup, "mult_index", counting)
-    kernel, complement = frobenius_decomposition(cd, normals)
-    assert (len(kernel), len(complement)) == (125, 2)
+    kernel = frobenius_kernel(table, normals)
+    assert mask_size(cd, kernel) == 125
     assert calls < 500
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_quotient_facts_match_quotient_tables(name):
+    # every fact about G/N read off G's table as class masks agrees with
+    # the quotient's own table, and the Frobenius complements the class
+    # criterion promises exist, found by an element-level search
+    ent, g, cd, table, rep = catalog.bundle(name)
+    if rep.flags.frobenius is not None:
+        h = g.order // len(rep.flags.frobenius)
+        assert len(H.find_complement(g, rep.flags.frobenius, h)) == h
+    normals = normal_masks(table)
+    for n_set, n in list(zip(normal_subgroups(table), normals))[1:-1]:
+        q = quotient_group(g, n_set)
+        qt = character_table(q, max_classes=ent.table_guard)
+        qflags = structure_flags(qt)
+        where = (name, len(n_set))
+        assert is_extraspecial(table, n) == qflags.is_extraspecial, where
+        assert is_abelian_quotient(table, n) == qflags.is_abelian, where
+        assert is_abelian_section(cd, normals[-1], n) == qflags.is_abelian, where
+        assert is_abelian_section(cd, n) == H.all_commute(g, n_set), where
+        assert is_cyclic_quotient(cd, n) == H.is_cyclic_subset(q, range(q.order)), where
+        kernel = frobenius_kernel(table, normals, n)
+        if qflags.frobenius is None:
+            assert kernel is None, where
+            continue
+        q_kernel = qflags.frobenius
+        h = q.order // len(q_kernel)
+        assert mask_size(cd, kernel) == len(q_kernel) * len(n_set), where
+        complement = H.find_complement(q, q_kernel, h)
+        assert len(complement) == h, where
+        assert is_cyclic_quotient(cd, kernel) == H.is_cyclic_subset(q, complement), where
+
+
+@pytest.mark.parametrize("name", [n for n in catalog.names()
+                                  if catalog.entry(n).tier != "large"])
+def test_socle_matches_element_closure(name):
+    # the large tier is left out: closing A7 element by element takes 20 s
+    _, g, cd, table, rep = catalog.bundle(name)
+    normals = normal_subgroups(table)
+    old = H.socle_of_nilpotent(g) if rep.flags.is_nilpotent \
+        else H.socle_from_normals(g, normals)
+    masks = normal_masks(table)
+    assert H.class_union(cd, _bits(socle(table, masks))) == old
+    assert [H.class_union(cd, _bits(m)) for m in minimal_normal_masks(masks)] == \
+        H.minimal_normal_subgroups(normals)
+
+
+def _bits(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def test_structure_flags_examples():
@@ -423,18 +487,17 @@ def test_structure_flags_examples():
 
 def test_socle_computations():
     for name, size in (("dihedral_8", 2), ("q8", 2), ("sg_27_3", 3),
-                       ("cyclic_12", 6), ("elab_2_3", 8)):
-        g = catalog.build(name)
-        assert len(socle_of_nilpotent(g)) == size, name
-    _, g, _, table, _ = catalog.bundle("sym_4")
-    normals = normal_subgroups(table)
-    minimals = minimal_normal_subgroups(normals)
-    assert [len(m) for m in minimals] == [4]  # unique minimal normal
-    assert len(socle_from_normals(g, normals)) == 4
+                       ("cyclic_12", 6), ("elab_2_3", 8), ("sym_4", 4),
+                       ("alt_7", 2520), ("sym_7", 2520)):
+        _, _, cd, table, _ = catalog.bundle(name)
+        assert mask_size(cd, socle(table, normal_masks(table))) == size, name
+    _, _, cd, table, _ = catalog.bundle("sym_4")
+    minimals = minimal_normal_masks(normal_masks(table))
+    assert [mask_size(cd, m) for m in minimals] == [4]  # unique minimal normal
 
 
 def test_socle_of_simple_group_is_itself():
-    _, g, _, table, _ = catalog.bundle("alt_5")
-    normals = normal_subgroups(table)
+    _, _, cd, table, _ = catalog.bundle("alt_5")
+    normals = normal_masks(table)
     assert len(normals) == 2
-    assert len(socle_from_normals(g, normals)) == 60
+    assert mask_size(cd, socle(table, normals)) == 60

@@ -2,7 +2,7 @@
 
 import pytest
 
-from charval import catalog, verify
+from charval import catalog, chartab, invariants, permcore, verify
 from charval.verify import CLAIMS, Verdict
 
 
@@ -111,3 +111,40 @@ def test_verify_names_subset_and_scan_toggle():
     verdicts = verify.verify_names(["sym_3", "q8"], include_scans=False)
     assert {v.group for v in verdicts} == {"sym_3", "q8"}
     assert len(verdicts) == 2 * len(CLAIMS)
+
+
+def _counting(calls: dict, key: str, fn):
+    def wrapper(*args, **kwargs):
+        calls[key] = calls.get(key, 0) + 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_checkers_build_no_table_for_a_quotient(monkeypatch):
+    # every question about a quotient G/N is read off G's own table
+    names = catalog.names()
+    for name in names:
+        catalog.bundle(name)
+    calls: dict[str, int] = {}
+    for module in (chartab, permcore, invariants, catalog, verify):
+        for attr in ("character_table", "quotient_group", "structure_flags"):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr,
+                                    _counting(calls, attr, getattr(module, attr)))
+    assert not verify.any_fail(verify.verify_names(names))
+    for name in names:
+        assert catalog.check_expected(name) == [], name
+    assert calls == {}
+
+
+def test_core_verify_stays_at_class_level(monkeypatch):
+    # with the bundles warm, the core checkers made 10 127 products when
+    # they built quotient tables and compared elements pairwise; class
+    # representatives against whole subgroups make 6 200
+    for name in catalog.names("core"):
+        catalog.bundle(name)
+    calls: dict[str, int] = {}
+    monkeypatch.setattr(permcore.PermGroup, "mult_index",
+                        _counting(calls, "mult_index", permcore.PermGroup.mult_index))
+    verify.verify_names()
+    assert 0 < calls["mult_index"] < 6500
