@@ -12,21 +12,27 @@ characters, degrees, and values are computed mod p, then the values of
 one row per Galois orbit are lifted exactly to cyclotomic integers
 through root-of-unity multiplicities; the conjugate row under
 zeta -> zeta^r has its central character and values permuted by the
-power map g -> g^r on classes.  The finished table is then proven in
+power map g -> g^r on classes.  The lift also gives each row's kernel
+and centre: at each class the root multiplicities must sum to the
+degree, the class lies in the centre when one root has them all, and in
+the kernel when that root is 1.  The finished table is then proven in
 integer arithmetic: it must have one row per class, and with e the lcm
 of the value conductors, each value becomes the integer vector of its
 power-basis coordinates mod x^e - 1, each relation (inverse class
 equals conjugate, first orthogonality) is accumulated as one such
 vector, and one exact remainder by a cyclotomic polynomial decides it.
-For a square table first orthogonality implies the second.  Failure
-raises OrthogonalityFailure instead of returning a wrong table.
+The power maps carry relations to relations, so a row, or a pair of
+rows, whose vectors are the power-map image of one already checked is
+not checked again.  For a square table first orthogonality implies the
+second.  Failure raises OrthogonalityFailure instead of returning a
+wrong table.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
+from collections.abc import Iterable
 
 from .cyclo import Cyc, cyclotomic_polynomial, is_prime, prime_factors
 from .permcore import ClassData, PermGroup, conjugacy_classes
@@ -265,7 +271,10 @@ def _combine(coefs: list[int], basis: list[list[int]], p: int) -> list[int]:
 def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form mod p: (nonzero reduced rows, pivot columns).
 
-    Reduced row r is 1 at pivot column r and 0 at every other pivot column.
+    Entries must lie in [0, p).  Reduced row r is 1 at pivot column r and
+    0 at every other pivot column.  The rows below the pivot row are zero
+    left of column c, so the pivot row is too, and each elimination step
+    touches only the columns where the pivot row is nonzero.
     """
     m = [row[:] for row in rows]
     n_rows = len(m)
@@ -278,12 +287,17 @@ def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        m[r] = [x * inv % p for x in m[r]]
+        row = m[r]
+        inv = pow(row[c], p - 2, p)
+        entries = [(t, x * inv % p) for t, x in enumerate(row[c:], c) if x]
+        for t, y in entries:
+            row[t] = y
         for rr in range(n_rows):
-            if rr != r and m[rr][c]:
-                f = m[rr][c]
-                m[rr] = [(x - f * y) % p for x, y in zip(m[rr], m[r])]
+            other = m[rr]
+            f = other[c]
+            if f and rr != r:
+                for t, y in entries:
+                    other[t] = (other[t] - f * y) % p
         pivots.append(c)
     return m[:len(pivots)], pivots
 
@@ -527,17 +541,12 @@ def character_table(group: PermGroup, classes: ClassData | None = None,
             raise failure("lifted degree out of range", r)
         theta = [d * omega[i] % p * inv_sizes[i] % p for i in range(k)]
         try:
-            values = _lift_row(theta, d, cd, p, e, w_inv)
+            values, kernel, center_z = _lift_row(theta, d, cd, p, e, w_inv)
         except EigensplitFailure as exc:
             raise failure(exc.message, r, *exc.indices) from exc
         degree_val = values[0]
         if not (degree_val.is_integer() and degree_val.as_int() == d):
             raise failure("identity value disagrees with degree", r)
-        kernel = frozenset(i for i in range(k) if values[i] == d)
-        # A value is a sum of d roots of unity, so |chi(g)| = d exactly when
-        # all d agree, that is when chi(g)/d is itself a root of unity.
-        center_z = frozenset(i for i in range(k)
-                             if (values[i] * Fraction(1, d)).is_root_of_unity())
         rows[r] = Character(tuple(values), d, kernel, center_z)
         # The conjugate under zeta -> zeta^u takes chi(g^u) at g.  That is an
         # identity of algebraic integers, so it holds mod p for the central
@@ -552,7 +561,7 @@ def character_table(group: PermGroup, classes: ClassData | None = None,
 
     rows.sort(key=lambda r: (r.degree, tuple(v.display() for v in r.values)))
     table = CharTable(group, cd, tuple(rows), p)
-    _self_verify(table)
+    _self_verify(table, galois)
     return table
 
 
@@ -571,37 +580,64 @@ def _galois_maps(cd: ClassData, e: int) -> dict[tuple[int, ...], int]:
 
 
 def _lift_row(theta: list[int], d: int, cd: ClassData, p: int, e: int,
-              w_inv: int) -> list[Cyc]:
+              w_inv: int) -> tuple[list[Cyc], frozenset[int], frozenset[int]]:
+    """Lift one row: (values, kernel, center_z), classes as indices.
+
+    At class i of order m the multiplicity of zeta_m^j among the d
+    eigenvalues is read mod p, as an integer below p/2.  The
+    multiplicities must sum to d, so the value is a sum of d roots of
+    unity; its modulus is d exactly when one root has multiplicity d
+    (class i lies in the centre), and it is d itself when that root is 1
+    (class i lies in the kernel).
+    """
     k = cd.n_classes
     values: list[Cyc] = [Cyc.zero()] * k
+    kernel: list[int] = []
+    center: list[int] = []
     for i in range(k):
         m = cd.element_orders[i]
-        if m == 1:
-            values[i] = Cyc.from_rational(Fraction(theta[i]))
-            continue
         theta_pow = [theta[cd.power_class(i, t)] for t in range(m)]
-        m_inv = pow(m, p - 2, p)
-        wm_inv = pow(w_inv, e // m, p)
-        mus: dict[int, Fraction] = {}
-        for j in range(m):
-            wj = pow(wm_inv, j, p)
-            acc = 0
-            term = 1
-            for t in range(m):
-                acc += theta_pow[t] * term
-                term = term * wj % p
-            mu = acc % p * m_inv % p
+        mus = _multiplicities(theta_pow, p, pow(w_inv, e // m, p))
+        for j, mu in enumerate(mus):
             if 2 * mu >= p:
                 raise EigensplitFailure(
                     f"multiplicity {mu} of root {j} at class {i} out of range mod {p}",
                     p, None, (i,))
-            if mu:
-                mus[j] = Fraction(mu)
-        values[i] = Cyc.from_exponents(m, mus) if mus else Cyc.zero()
-    return values
+        if sum(mus) != d:
+            raise EigensplitFailure(
+                f"multiplicities at class {i} sum to {sum(mus)}, not {d}",
+                p, None, (i,))
+        if d in mus:
+            center.append(i)
+            if mus[0] == d:
+                kernel.append(i)
+        values[i] = Cyc.from_exponents(m, {j: mu for j, mu in enumerate(mus) if mu})
+    return values, frozenset(kernel), frozenset(center)
 
 
-def _self_verify(table: CharTable) -> None:
+def _multiplicities(theta_pow: list[int], p: int, wm_inv: int) -> list[int]:
+    """mu[j] = (1/m) sum_t theta_pow[t] * wm_inv^(j*t) mod p, m = len(theta_pow).
+
+    theta_pow[t] is the central-character image of g^t and wm_inv a
+    primitive m-th root of unity mod p, inverted; mu[j] is then the
+    multiplicity of the j-th power of the root as an eigenvalue of g,
+    read as a residue in [0, p).
+    """
+    m = len(theta_pow)
+    m_inv = pow(m, p - 2, p)
+    mus = []
+    for j in range(m):
+        wj = pow(wm_inv, j, p)
+        acc = 0
+        term = 1
+        for t in range(m):
+            acc += theta_pow[t] * term
+            term = term * wj % p
+        mus.append(acc % p * m_inv % p)
+    return mus
+
+
+def _self_verify(table: CharTable, galois: Iterable[tuple[int, ...]]) -> None:
     """Prove the table exactly or raise OrthogonalityFailure.
 
     With e the lcm of the value conductors (a divisor of the exponent),
@@ -611,11 +647,23 @@ def _self_verify(table: CharTable) -> None:
     conjugate, first orthogonality) is accumulated as one such vector,
     minus its expected constant, and decided by _vanishes.  The table
     must be square, so that second orthogonality follows from the first.
+
+    galois holds class permutations, the power maps of _galois_maps.  A
+    permutation pi that keeps class sizes and commutes with inversion
+    carries each relation to another: the conjugate relation of the row
+    a o pi at class i is that of a at pi(i), and <a o pi, b o pi> =
+    <a, b>.  So where a o pi is row c, c's relations follow from a's.
+    Rows and pairs are walked in order, each one checked unless it is
+    the image of a row or pair already checked; the image is looked up
+    by its coordinate vectors, so a corrupted row is nobody's image and
+    is checked itself.  The first failing relation is thus the one the
+    full check would report.
     """
     cd = table.classes
     k = cd.n_classes
     order = table.group.order
     rows = table.rows
+    sizes, inverse = cd.sizes, cd.inverse_class
 
     def fail(message: str, relation: str, *indices: int):
         raise OrthogonalityFailure(message, relation, indices, order, table.dixon_prime)
@@ -643,24 +691,38 @@ def _self_verify(table: CharTable) -> None:
             vec_row.append(tuple((j * step, c.numerator)
                                  for j, c in enumerate(v.coeffs) if c))
         vecs.append(vec_row)
+    perms = [perm for perm in galois
+             if sorted(perm) == list(range(k))
+             and all(sizes[perm[i]] == sizes[i] and perm[inverse[i]] == inverse[perm[i]]
+                     for i in range(k))]
+    row_of = {tuple(vec_row): r for r, vec_row in enumerate(vecs)}
+    images = [[row_of.get(tuple(vec_row[t] for t in perm)) for perm in perms]
+              for vec_row in vecs]
     # Conjugation sends x^y to x^(e - y); acc[x - y] with -e < x - y < e
     # is, by Python's negative indexing, exactly the slot (x - y) mod e.
-    for r in range(len(rows)):
+    implied_rows: set[int] = set()
+    for r in range(k):
+        if r in implied_rows:
+            continue
         for i in range(k):
             acc = [0] * e
-            for x, c in vecs[r][cd.inverse_class[i]]:
+            for x, c in vecs[r][inverse[i]]:
                 acc[x] += c
             for y, d in vecs[r][i]:
                 acc[-y] -= d
             if not _vanishes(acc):
                 fail("inverse classes are not conjugates", "conjugate", r, i)
-    for a in range(len(rows)):
+        implied_rows.update(c for c in images[r] if c is not None)
+    implied_pairs: set[tuple[int, int]] = set()
+    for a in range(k):
         va = vecs[a]
-        for b in range(a, len(rows)):
+        for b in range(a, k):
+            if (a, b) in implied_pairs:
+                continue
             vb = vecs[b]
             acc = [0] * e
             for i in range(k):
-                size = cd.sizes[i]
+                size = sizes[i]
                 for x, c in va[i]:
                     sc = size * c
                     for y, d in vb[i]:
@@ -669,6 +731,11 @@ def _self_verify(table: CharTable) -> None:
                 acc[0] -= order
             if not _vanishes(acc):
                 fail("first orthogonality failed", "first", a, b)
+            # distinct rows with one image are equal rows, whose relation
+            # expects 0 where the image's own expects |G|
+            for ia, ib in zip(images[a], images[b]):
+                if ia is not None and ib is not None and (ia == ib) == (a == b):
+                    implied_pairs.add((min(ia, ib), max(ia, ib)))
 
 
 def _cyclotomic_remainder(acc: list[int]) -> tuple[int, list[int]]:

@@ -680,20 +680,26 @@ def is_cyclic_quotient(classes: ClassData, mask: int) -> bool:
 def is_abelian_section(classes: ClassData, mask: int, below: int = 1) -> bool:
     """Whether K/N is abelian, K >= N normal with class masks mask, below.
 
-    Class representatives of K are tested against all of K: x^g commutes
-    with y modulo N iff x commutes with y^(g^-1), which lies in K too.
+    The representative of class i of K is tested against the classes
+    j >= i of K: x^g commutes with y modulo N iff x commutes with
+    y^(g^-1), and commuting is symmetric, so every pair of classes is
+    covered from the side of its smaller index.
     """
     group = classes.group
-    members = _members(classes, mask)
     for i, rep in enumerate(classes.reps):
         if not mask >> i & 1:
             continue
-        for y in members:
-            ry, yr = group.mult_index(rep, y), group.mult_index(y, rep)
-            # (yr)^-1 ry = [rep, y]
-            if ry != yr and not below >> classes.elt_class[
-                    group.mult_index(group.inverse_index(yr), ry)] & 1:
-                return False
+        for j in range(i, classes.n_classes):
+            if not mask >> j & 1:
+                continue
+            for y in classes.classes[j]:
+                ry, yr = group.mult_index(rep, y), group.mult_index(y, rep)
+                if ry == yr:
+                    continue
+                # (yr)^-1 ry = [rep, y], which is not 1; below == 1 is N = 1
+                if below == 1 or not below >> classes.elt_class[
+                        group.mult_index(group.inverse_index(yr), ry)] & 1:
+                    return False
     return True
 
 

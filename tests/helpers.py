@@ -11,9 +11,16 @@ them, so they live here rather than in any single test module.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from charval import catalog
-from charval.chartab import CharTable, character_table
+from charval.chartab import (
+    Character,
+    CharTable,
+    OrthogonalityFailure,
+    _vanishes,
+    character_table,
+)
 from charval.cyclo import Cyc, is_prime
 from charval.permcore import (
     ClassData,
@@ -55,6 +62,97 @@ def exactness_failures(label: str, group: PermGroup, cd: ClassData,
             if inner != expect:
                 bad.append(f"{label}: column orthogonality fails at ({i},{j})")
     return bad
+
+
+# ---------------------------------------------------------------------------
+# the library's earlier, unreduced definitions, kept as oracles
+
+
+def full_self_verify(table: CharTable) -> None:
+    """The table proof without power-map reduction: the conjugate relation
+    at every (row, class) and first orthogonality at every pair of rows,
+    in order, raising OrthogonalityFailure at the first that fails."""
+    cd = table.classes
+    k = cd.n_classes
+    order = table.group.order
+    rows = table.rows
+
+    def fail(message: str, relation: str, *indices: int):
+        raise OrthogonalityFailure(message, relation, indices, order, table.dixon_prime)
+
+    if len(rows) != k:
+        fail(f"{len(rows)} rows for {k} classes", "square")
+    degs = [r.degree for r in rows]
+    if sum(d * d for d in degs) != order:
+        fail("degree squares do not sum to the order", "degrees")
+    for r, d in enumerate(degs):
+        if order % d:
+            fail("degree does not divide the order", "degrees", r)
+    e = math.lcm(*(v.n for r in rows for v in r.values))
+    vecs = []
+    for r, row in enumerate(rows):
+        vec_row = []
+        for i, v in enumerate(row.values):
+            if any(c.denominator != 1 for c in v.coeffs):
+                fail("value is not an algebraic integer", "integrality", r, i)
+            step = e // v.n
+            vec_row.append(tuple((j * step, c.numerator)
+                                 for j, c in enumerate(v.coeffs) if c))
+        vecs.append(vec_row)
+    for r in range(len(rows)):
+        for i in range(k):
+            acc = [0] * e
+            for x, c in vecs[r][cd.inverse_class[i]]:
+                acc[x] += c
+            for y, d in vecs[r][i]:
+                acc[-y] -= d
+            if not _vanishes(acc):
+                fail("inverse classes are not conjugates", "conjugate", r, i)
+    for a in range(len(rows)):
+        for b in range(a, len(rows)):
+            acc = [0] * e
+            for i in range(k):
+                for x, c in vecs[a][i]:
+                    for y, d in vecs[b][i]:
+                        acc[x - y] += cd.sizes[i] * c * d
+            if a == b:
+                acc[0] -= order
+            if not _vanishes(acc):
+                fail("first orthogonality failed", "first", a, b)
+
+
+def cyc_kernel(row: Character) -> frozenset[int]:
+    """Classes where the value equals the degree, compared as Cyc."""
+    return frozenset(i for i, v in enumerate(row.values) if v == row.degree)
+
+
+def cyc_center(row: Character) -> frozenset[int]:
+    """Classes where value / degree is a root of unity, in Cyc arithmetic."""
+    return frozenset(i for i, v in enumerate(row.values)
+                     if (v * Fraction(1, row.degree)).is_root_of_unity())
+
+
+def dense_rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan mod p that rewrites every entry of each updated row."""
+    m = [row[:] for row in rows]
+    n_rows = len(m)
+    pivots: list[int] = []
+    for c in range(len(m[0])):
+        r = len(pivots)
+        if r == n_rows:
+            break
+        piv = next((rr for rr in range(r, n_rows) if m[rr][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][c], p - 2, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for rr in range(n_rows):
+            if rr != r and m[rr][c]:
+                f = m[rr][c]
+                m[rr] = [(x - f * y) % p for x, y in zip(m[rr], m[r])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from charval.chartab import (
     OrthogonalityFailure,
     TooManyClasses,
     _cyclotomic_remainder,
+    _galois_maps,
     _nullspace,
     _pdivmod,
     _pmul,
@@ -178,6 +179,16 @@ def test_abelian_tables_are_fourier_matrices():
 
 # --- negative controls: the self-check must reject corrupted tables ---
 
+def _power_maps(cd):
+    return _galois_maps(cd, math.lcm(*cd.element_orders))
+
+
+def _oracle_failure(table: CharTable) -> OrthogonalityFailure:
+    with pytest.raises(OrthogonalityFailure) as info:
+        H.full_self_verify(table)
+    return info.value
+
+
 def _with_values(table: CharTable, changes: dict) -> CharTable:
     """Copy of table with values[r][i] replaced for each (r, i) in changes."""
     rows = list(table.rows)
@@ -224,12 +235,43 @@ def test_self_verify_rejects_corrupted_tables(name, fault):
     changes, relation = fault(table, cd)
     bad = _with_values(table, changes)
     with pytest.raises(OrthogonalityFailure) as info:
-        _self_verify(bad)
+        _self_verify(bad, _power_maps(cd))
     err = info.value
     assert err.relation == relation
     assert err.order == g.order and err.prime == table.dixon_prime
     assert f"relation={relation}, indices={err.indices}" in str(err)
+    assert str(err) == str(_oracle_failure(bad))
     assert H.exactness_failures(name, g, cd, bad)
+
+
+def _galois_images(table, cd) -> list[int]:
+    """Rows equal to a power-map image of an earlier row."""
+    rows = [r.values for r in table.rows]
+    return [c for c, vals in enumerate(rows)
+            if any(tuple(rows[a][t] for t in perm) == vals
+                   for perm in _power_maps(cd) for a in range(c))]
+
+
+@pytest.mark.parametrize("fault", ["plus_one", "negate", "duplicate"])
+@pytest.mark.parametrize("name", ["sg_147_4", "sg_81_3", "sg_250_14"])
+def test_self_verify_checks_a_corrupted_galois_image(name, fault):
+    # the reduced proof skips the relations of a row that is the image of
+    # an earlier one; once corrupted, the row is nobody's image
+    _, g, cd, table, _ = catalog.bundle(name)
+    images = _galois_images(table, cd)
+    assert images
+    r = images[-1]
+    values = table.rows[r].values
+    i = max(i for i, v in enumerate(values) if v)
+    if fault == "duplicate":
+        changes = {(r, t): v for t, v in enumerate(table.rows[r - 1].values)}
+    else:
+        changes = {(r, i): values[i] + 1 if fault == "plus_one" else -values[i]}
+    bad = _with_values(table, changes)
+    with pytest.raises(OrthogonalityFailure) as info:
+        _self_verify(bad, _power_maps(cd))
+    assert str(info.value) == str(_oracle_failure(bad))
+    assert r in info.value.indices
 
 
 def test_self_verify_failure_names_the_row_and_class():
@@ -238,7 +280,7 @@ def test_self_verify_failure_names_the_row_and_class():
     with pytest.raises(OrthogonalityFailure, match=r"^value is not an algebraic "
                        r"integer \(relation=integrality, indices=\((\d+), (\d+)\), "
                        r"order=21, prime=43\)$") as info:
-        _self_verify(_with_values(table, changes))
+        _self_verify(_with_values(table, changes), _power_maps(cd))
     assert info.value.indices == next(iter(changes))
 
 
@@ -249,7 +291,7 @@ def test_self_verify_degree_failure_keeps_the_old_message():
                     + table.rows[1:], table.dixon_prime)
     with pytest.raises(OrthogonalityFailure,
                        match="^degree squares do not sum to the order") as info:
-        _self_verify(bad)
+        _self_verify(bad, _power_maps(cd))
     assert info.value.relation == "degrees"
 
 
@@ -292,6 +334,19 @@ def test_rref_and_nullspace_agree_with_brute_force(seed):
     assert len(_span(basis, p, n)) == len(kernel)
 
 
+@pytest.mark.parametrize("seed", range(60))
+def test_rref_matches_the_dense_oracle(seed):
+    rng = random.Random(seed)
+    p = rng.choice([7, 11])
+    density = rng.uniform(0.05, 0.6)
+    n_rows, n = rng.randint(1, 16), rng.randint(1, 16)
+    mat = [[rng.randrange(1, p) if rng.random() < density else 0 for _ in range(n)]
+           for _ in range(n_rows)]
+    before = [row[:] for row in mat]
+    assert _rref(mat, p) == H.dense_rref(mat, p)
+    assert mat == before
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_pdivmod_is_division_with_remainder(seed):
     p = 7
@@ -319,7 +374,7 @@ def test_self_verify_rejects_a_table_without_a_row():
     _, g, cd, table, _ = catalog.bundle("sym_4")
     short = CharTable(g, cd, table.rows[:-1], table.dixon_prime)
     with pytest.raises(OrthogonalityFailure, match="^4 rows for 5 classes") as info:
-        _self_verify(short)
+        _self_verify(short, _power_maps(cd))
     assert info.value.relation == "square" and info.value.indices == ()
 
 
@@ -383,6 +438,33 @@ def test_lifting_every_row_gives_the_same_table(monkeypatch, name):
         [(r.kernel, r.center_z) for r in table.rows]
 
 
+@pytest.mark.parametrize("name", catalog.names())
+def test_kernels_and_centres_match_the_cyc_definitions(name):
+    for seed in (0, 1):
+        _, _, _, table, _ = catalog.bundle(name, seed=seed)
+        for row in table.rows:
+            assert row.kernel == H.cyc_kernel(row), (name, seed)
+            assert row.center_z == H.cyc_center(row), (name, seed)
+
+
+def test_lift_rejects_multiplicities_that_miss_the_degree(monkeypatch):
+    # one more at the first root of class 1 keeps every multiplicity in
+    # range, but the eigenvalues no longer number d
+    seen = []
+
+    def bumped(theta_pow, p, wm_inv, _fn=chartab._multiplicities):
+        mus = _fn(theta_pow, p, wm_inv)
+        seen.append(theta_pow)
+        if len(seen) == 2:  # class 1 of the first row lifted
+            mus[0] += 1
+        return mus
+
+    monkeypatch.setattr(chartab, "_multiplicities", bumped)
+    with pytest.raises(EigensplitFailure, match=r"^multiplicities at class 1 sum "
+                       r"to 3, not 2 \(prime=7, seed=4, indices=\(0, 1\)\)$"):
+        character_table(catalog.build("sym_3"), seed=4)
+
+
 def _count_calls(monkeypatch, *names: str) -> dict[str, int]:
     calls = dict.fromkeys(names, 0)
     for name in names:
@@ -403,3 +485,30 @@ def test_lifts_once_per_galois_orbit_and_splits_only_when_not_scalar(
     character_table(g, cd, max_classes=ent.table_guard)
     assert calls["_lift_row"] == lifts
     assert 0 < calls["_charpoly"] <= max_charpolys
+
+
+def test_self_verify_checks_one_relation_per_power_map_orbit(monkeypatch):
+    # the full check decides 64 * 64 conjugate relations and 64 * 65 / 2
+    # row pairs on sg_250_14, 6176 in all; one per orbit is 3169
+    _, g, cd, table, _ = catalog.bundle("sg_250_14")
+    calls = _count_calls(monkeypatch, "_vanishes")
+    _self_verify(table, _power_maps(cd))
+    assert 0 < calls["_vanishes"] <= 3300
+
+
+@pytest.mark.parametrize("name,swap,source", [("sym_4", (1, 3), 2),
+                                              ("cyclic_6", (3, 4), 1)])
+def test_self_verify_uses_no_map_that_moves_sizes_or_inverses(name, swap, source):
+    # swapping the classes of sizes 3 and 8 of sym_4, or classes 3 and 4
+    # of cyclic_6 (whose inverses are 2 and 5), carries no relation to
+    # another; a last row made the image of a source row under it must be
+    # checked itself
+    _, g, cd, table, _ = catalog.bundle(name)
+    k = cd.n_classes
+    perm = list(range(k))
+    perm[swap[0]], perm[swap[1]] = swap[1], swap[0]
+    values = table.rows[source].values
+    bad = _with_values(table, {(k - 1, i): values[perm[i]] for i in range(k)})
+    with pytest.raises(OrthogonalityFailure) as info:
+        _self_verify(bad, [tuple(perm)])
+    assert str(info.value) == str(_oracle_failure(bad))

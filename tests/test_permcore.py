@@ -501,3 +501,29 @@ def test_socle_of_simple_group_is_itself():
     normals = normal_masks(table)
     assert len(normals) == 2
     assert mask_size(cd, socle(table, normals)) == 60
+
+
+def _sl_2_3() -> PermGroup:
+    """SL(2, 3) acting on the eight nonzero vectors of F_3^2."""
+    vectors = [(a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)]
+
+    def acting(m):
+        images = [vectors.index(((m[0] * a + m[1] * b) % 3, (m[2] * a + m[3] * b) % 3))
+                  for a, b in vectors]
+        return Permutation(tuple(images))
+
+    return PermGroup.from_generators([acting((1, 1, 0, 1)), acting((0, 2, 1, 0))])
+
+
+def test_abelian_section_tests_pairs_within_one_class():
+    # Q8 in SL(2, 3) is the centre and one class of six elements of order
+    # 4, so only pairs from that one class show Q8 is not abelian
+    g = _sl_2_3()
+    cd = conjugacy_classes(g)
+    assert g.order == 24
+    q8 = subset_mask(cd, [x for x in range(g.order) if 4 % g.element_order(x) == 0])
+    centre = subset_mask(cd, [x for x in range(g.order) if g.element_order(x) <= 2])
+    assert _bits(q8) == _bits(centre) + [next(i for i in _bits(q8) if cd.sizes[i] == 6)]
+    assert not is_abelian_section(cd, q8)
+    assert not H.all_commute(g, H.class_union(cd, _bits(q8)))
+    assert is_abelian_section(cd, q8, centre)
