@@ -581,7 +581,7 @@ def check_expected(name: str, seed: int = 0) -> list[str]:
     if "extraspecial" in exp and rep.flags.is_extraspecial != exp["extraspecial"]:
         fail("extraspecial", rep.flags.is_extraspecial)
     if "involutions" in exp:
-        got = sum(1 for i in range(g.order) if g.element_order(i) == 2)
+        got = sum(size for size, o in zip(cd.sizes, cd.element_orders) if o == 2)
         if got != exp["involutions"]:
             fail("involutions", got)
     if "frobenius" in exp:

@@ -700,11 +700,16 @@ def _self_verify(table: CharTable, galois: Iterable[tuple[int, ...]]) -> None:
               for vec_row in vecs]
     # Conjugation sends x^y to x^(e - y); acc[x - y] with -e < x - y < e
     # is, by Python's negative indexing, exactly the slot (x - y) mod e.
+    # The relation at (r, inverse(i)) is the complex conjugate of the one
+    # at (r, i), so only i <= inverse(i) is decided; a failure at i is met
+    # first at its twin, just as the full check would meet it.
     implied_rows: set[int] = set()
     for r in range(k):
         if r in implied_rows:
             continue
         for i in range(k):
+            if inverse[i] < i:
+                continue
             acc = [0] * e
             for x, c in vecs[r][inverse[i]]:
                 acc[x] += c

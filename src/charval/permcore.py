@@ -12,6 +12,12 @@ chief factors, and the extraspecial, abelian, cyclic and Frobenius
 shapes of every quotient G/N come from G's one table.  Element order is
 canonical: BFS from the identity with the generator list in the given
 order, which makes every downstream computation deterministic.
+
+The enumeration keeps the products it computes: right[s][y] is the index
+of y*g_s for every element y and generator g_s.  Any product by a fixed
+element is then read off these tables by replaying the BFS tree
+(PermGroup.left_mult), so conjugacy classes, inverses, class products
+and quotients take integer lookups, not permutation compositions.
 """
 
 from __future__ import annotations
@@ -266,18 +272,27 @@ class PermGroup:
 
     elements[0] is the identity; the rest follow BFS order over the
     generators, which is the canonical element order used everywhere.
+    Products follow mult_index's convention: x*y applies x, then y.
+
+    The BFS keeps the product of every element by every generator:
+    right[s][y] is the index of y*g_s.  Elements were discovered in index
+    order, so element j was first reached as right[s][pos] == j at the
+    moment j was the next new index.  Replaying that walk from right
+    alone rebuilds the BFS tree, and with it any product a*j as
+    (a*pos)*g_s = right[s][a*pos] (left_mult).  No per-element parent or
+    generator list is stored.
     """
 
-    __slots__ = ("degree", "generators", "elements", "order", "_index", "_inv", "_orders")
+    __slots__ = ("degree", "generators", "elements", "order", "_index", "_right", "_inv")
 
-    def __init__(self, degree, generators, elements, index):
+    def __init__(self, degree, generators, elements, index, right):
         self.degree = degree
         self.generators = generators
         self.elements = elements
         self.order = len(elements)
         self._index = index
+        self._right = right
         self._inv = None
-        self._orders = None
 
     @classmethod
     def from_generators(cls, generators, degree: int | None = None, bound: int = 2500) -> "PermGroup":
@@ -299,20 +314,22 @@ class PermGroup:
         ident = Permutation.identity(degree)
         elements = [ident]
         index = {ident.images: 0}
-        gen_images = [g.images for g in gens]
-        pos = 0
-        while pos < len(elements):
-            cur = elements[pos].images
-            pos += 1
-            for gi in gen_images:
-                nxt = tuple(gi[x] for x in cur)
-                if nxt not in index:
+        right: list[list[int]] = [[] for _ in gens]
+        pairs = [(g.images, row.append) for g, row in zip(gens, right)]
+        get = index.get
+        for perm in elements:
+            cur = perm.images
+            for gi, append in pairs:
+                nxt = tuple([gi[x] for x in cur])
+                j = get(nxt)
+                if j is None:
                     if len(elements) >= bound:
                         raise OrderBoundExceeded(
                             f"group order exceeds bound {bound}")
-                    index[nxt] = len(elements)
+                    j = index[nxt] = len(elements)
                     elements.append(Permutation(nxt, _check=False))
-        return cls(degree, tuple(gens), tuple(elements), index)
+                append(j)
+        return cls(degree, tuple(gens), tuple(elements), index, tuple(right))
 
     def element_index(self, perm: Permutation) -> int:
         try:
@@ -325,18 +342,44 @@ class PermGroup:
         b = self.elements[j].images
         return self._index[tuple(b[x] for x in a)]
 
-    def inverse_index(self, i: int) -> int:
+    def _replay(self, table: list[int], lefts) -> list[int]:
+        """Extend table along the BFS tree: for each element j first
+        reached as pos*g_s, append lefts[s][table[pos]]."""
+        append, nxt = table.append, 1
+        pairs = list(zip(self._right, lefts))
+        for pos, t in enumerate(table):
+            for row, left in pairs:
+                if row[pos] == nxt:
+                    append(left[t])
+                    nxt += 1
+        return table
+
+    def left_mult(self, a: int) -> list[int]:
+        """The index of a*y for every element y, by table lookup only:
+        a*(pos*g_s) = (a*pos)*g_s."""
+        return self._replay([a], self._right)
+
+    def _generator_inverse(self, s: int) -> int:
+        # walk the powers of g_s until the next one is the identity
+        row, x = self._right[s], 0
+        while row[x]:
+            x = row[x]
+        return x
+
+    def _inverses(self) -> list[int]:
+        """The index of y^-1 for every element y, computed once."""
         if self._inv is None:
-            inv = []
-            for e in self.elements:
-                inv.append(self._index[e.inverse().images])
-            self._inv = inv
-        return self._inv[i]
+            # (pos*g_s)^-1 = g_s^-1 * pos^-1
+            lefts = [self.left_mult(self._generator_inverse(s))
+                     for s in range(len(self._right))]
+            self._inv = self._replay([0], lefts)
+        return self._inv
+
+    def inverse_index(self, i: int) -> int:
+        return self._inverses()[i]
 
     def element_order(self, i: int) -> int:
-        if self._orders is None:
-            self._orders = [e.order() for e in self.elements]
-        return self._orders[i]
+        return self.elements[i].order()
 
     def generator_indices(self) -> tuple[int, ...]:
         return tuple(self._index[g.images] for g in self.generators)
@@ -363,14 +406,15 @@ class ClassData:
     """
 
     __slots__ = ("group", "classes", "reps", "sizes", "element_orders",
-                 "elt_class", "inverse_class", "_power_cache")
+                 "elt_class", "inverse_class", "_powers")
 
     def __init__(self, group: PermGroup):
         self.group = group
         n = group.order
         assigned = [-1] * n
         raw: list[list[int]] = []
-        gen_idx = group.generator_indices()
+        # x^g = g^-1 x g = ((x^-1 g)^-1) g, by lookups in right and inv
+        right, inv = group._right, group._inverses()
         for seed in range(n):
             if assigned[seed] != -1:
                 continue
@@ -380,20 +424,19 @@ class ClassData:
             frontier = [seed]
             while frontier:
                 x = frontier.pop()
-                for g in gen_idx:
-                    y = group.conjugate_index(x, g)
+                for row in right:
+                    y = row[inv[row[inv[x]]]]
                     if assigned[y] == -1:
                         assigned[y] = cls_id
                         orbit.append(y)
                         frontier.append(y)
             raw.append(sorted(orbit))
-        order_key = lambda cls: (group.element_order(cls[0]), len(cls),
-                                 group.elements[cls[0]].images)
-        raw.sort(key=order_key)
-        self.classes = tuple(tuple(c) for c in raw)
+        keyed = sorted((group.element_order(c[0]), len(c), group.elements[c[0]].images, c)
+                       for c in raw)
+        self.classes = tuple(tuple(c) for *_, c in keyed)
         self.reps = tuple(c[0] for c in self.classes)
         self.sizes = tuple(len(c) for c in self.classes)
-        self.element_orders = tuple(group.element_order(r) for r in self.reps)
+        self.element_orders = tuple(o for o, *_ in keyed)
         elt_class = [0] * n
         for ci, cls in enumerate(self.classes):
             for x in cls:
@@ -401,23 +444,30 @@ class ClassData:
         self.elt_class = tuple(elt_class)
         self.inverse_class = tuple(
             self.elt_class[group.inverse_index(r)] for r in self.reps)
-        self._power_cache: dict[tuple[int, int], int] = {}
+        self._powers: dict[int, tuple[int, ...]] = {}
 
     @property
     def n_classes(self) -> int:
         return len(self.classes)
 
     def power_class(self, i: int, t: int) -> int:
-        """Class index of rep(i)**t."""
-        m = self.element_orders[i]
-        t %= m
-        key = (i, t)
-        hit = self._power_cache.get(key)
-        if hit is None:
-            p = self.group.elements[self.reps[i]] ** t
-            hit = self.elt_class[self.group.element_index(p)]
-            self._power_cache[key] = hit
-        return hit
+        """Class index of rep(i)**t.
+
+        The first call for class i reads the classes of all the powers
+        rep(i)**u, u below the representative's order, by repeated
+        multiplication.
+        """
+        powers = self._powers.get(i)
+        if powers is None:
+            group = self.group
+            rep = group.elements[self.reps[i]]
+            out, p = [0], rep
+            for u in range(1, self.element_orders[i]):
+                if u > 1:
+                    p = p * rep
+                out.append(self.elt_class[group.element_index(p)])
+            powers = self._powers[i] = tuple(out)
+        return powers[t % len(powers)]
 
     def product_rows(self, i: int) -> list[list[int]]:
         """rows[j][t] = a[i][j][t], the class-algebra structure constants.
@@ -426,13 +476,12 @@ class ClassData:
         to one fixed element of C_t; it is #{y in C_j : rep_i * y in C_t}
         scaled by |C_i| / |C_t|.
         """
-        group = self.group
         k = self.n_classes
         rows = [[0] * k for _ in range(k)]
-        rep = self.reps[i]
         elt_class = self.elt_class
-        for y in range(group.order):
-            rows[elt_class[y]][elt_class[group.mult_index(rep, y)]] += 1
+        for cy, cz in zip(elt_class, map(elt_class.__getitem__,
+                                         self.group.left_mult(self.reps[i]))):
+            rows[cy][cz] += 1
         size_i = self.sizes[i]
         for row in rows:
             for t in range(k):
@@ -582,6 +631,11 @@ def quotient_group(group: PermGroup, subset) -> PermGroup:
     Right multiplication x -> xg on right cosets makes the projection a
     homomorphism under the "apply left factor first" composition.
 
+    The cosets are read off the BFS tree: when element j is first reached
+    as pos*g_s and lies in no coset yet, its coset is the image of pos's
+    coset under right[s].  Every generator must then map each coset onto
+    one coset, which holds exactly when N is a subgroup.
+
     Raises NotNormal if the subset is not a normal subgroup.
     """
     n_set = frozenset(subset)
@@ -589,30 +643,40 @@ def quotient_group(group: PermGroup, subset) -> PermGroup:
         raise NotNormal("subset does not contain the identity")
     if group.order % len(n_set):
         raise NotNormal("subset size does not divide the group order")
-    gen_idx = group.generator_indices()
-    for g in gen_idx:
+    right, inv = group._right, group._inverses()
+    for row in right:
         for x in n_set:
-            if group.conjugate_index(x, g) not in n_set:
+            if row[inv[row[inv[x]]]] not in n_set:
                 raise NotNormal("subset is not closed under conjugation")
     coset_of = [-1] * group.order
-    coset_reps: list[int] = []
-    for i in range(group.order):
-        if coset_of[i] != -1:
-            continue
-        cid = len(coset_reps)
-        for n in n_set:
-            m = group.mult_index(n, i)
-            if coset_of[m] != -1:
-                raise NotNormal("subset is not a subgroup (cosets overlap)")
-            coset_of[m] = cid
-        coset_reps.append(i)
-    n_cosets = len(coset_reps)
-    if n_cosets * len(n_set) != group.order:
-        raise NotNormal("subset is not a subgroup")
+    cosets = [sorted(n_set)]
+    for x in cosets[0]:
+        coset_of[x] = 0
+    nxt = 1
+    for pos in range(group.order):
+        for row in right:
+            if row[pos] != nxt:
+                continue
+            nxt += 1
+            j = row[pos]
+            if coset_of[j] != -1:
+                continue
+            coset = [row[x] for x in cosets[coset_of[pos]]]
+            for y in coset:
+                if coset_of[y] != -1:
+                    raise NotNormal("subset is not a subgroup (cosets overlap)")
+                coset_of[y] = len(cosets)
+            if coset_of[j] != len(cosets):
+                raise NotNormal("subset is not a subgroup")
+            cosets.append(coset)
     q_gens = []
-    for g in gen_idx:
-        images = tuple(coset_of[group.mult_index(rep, g)] for rep in coset_reps)
+    for row in right:
+        images = tuple(coset_of[row[coset[0]]] for coset in cosets)
+        if any(coset_of[row[x]] != image for coset, image in zip(cosets, images)
+               for x in coset):
+            raise NotNormal("subset is not a subgroup")
         q_gens.append(Permutation(images, _check=False))
+    n_cosets = len(cosets)
     quotient = PermGroup.from_generators(q_gens, degree=n_cosets, bound=group.order + 1)
     if quotient.order != group.order // len(n_set):
         raise NotNormal("coset action order mismatch")

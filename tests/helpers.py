@@ -155,6 +155,61 @@ def dense_rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int
     return m[:len(pivots)], pivots
 
 
+def naive_inverses(group: PermGroup) -> list[int]:
+    """The index of every element's inverse, by Permutation.inverse."""
+    return [group.element_index(e.inverse()) for e in group.elements]
+
+
+def naive_class_data(group: PermGroup) -> dict:
+    """Classes, reps, sizes, elt_class and inverse_class as ClassData
+    defined them before the generator tables: orbits closed under
+    conjugation by each generator with mult_index, inverses by
+    Permutation.inverse, classes sorted by (order, size, image tuple)."""
+    inverses = naive_inverses(group)
+    gens = group.generator_indices()
+    assigned = [-1] * group.order
+    raw = []
+    for seed in range(group.order):
+        if assigned[seed] != -1:
+            continue
+        assigned[seed] = len(raw)
+        orbit, frontier = [seed], [seed]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = group.mult_index(group.mult_index(inverses[g], x), g)
+                if assigned[y] == -1:
+                    assigned[y] = len(raw)
+                    orbit.append(y)
+                    frontier.append(y)
+        raw.append(sorted(orbit))
+    raw.sort(key=lambda c: (group.elements[c[0]].order(), len(c),
+                            group.elements[c[0]].images))
+    elt_class = [0] * group.order
+    for i, cls in enumerate(raw):
+        for x in cls:
+            elt_class[x] = i
+    return {
+        "classes": tuple(tuple(c) for c in raw),
+        "reps": tuple(c[0] for c in raw),
+        "sizes": tuple(len(c) for c in raw),
+        "elt_class": tuple(elt_class),
+        "inverse_class": tuple(elt_class[inverses[c[0]]] for c in raw),
+    }
+
+
+def naive_product_rows(classes: ClassData, i: int) -> list[list[int]]:
+    """product_rows(i) counted with mult_index: #{y in C_j : rep_i y in C_t}
+    scaled by |C_i| / |C_t|."""
+    group, k = classes.group, classes.n_classes
+    counts = [[0] * k for _ in range(k)]
+    for y in range(group.order):
+        t = classes.elt_class[group.mult_index(classes.reps[i], y)]
+        counts[classes.elt_class[y]][t] += 1
+    return [[c * classes.sizes[i] // classes.sizes[t] for t, c in enumerate(row)]
+            for row in counts]
+
+
 # ---------------------------------------------------------------------------
 # brute-force oracles
 

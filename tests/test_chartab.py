@@ -496,6 +496,16 @@ def test_self_verify_checks_one_relation_per_power_map_orbit(monkeypatch):
     assert 0 < calls["_vanishes"] <= 3300
 
 
+def test_self_verify_decides_one_of_each_conjugate_twin(monkeypatch):
+    # the conjugate relations at classes i and inverse(i) are complex
+    # conjugates; 32 of the 33 classes of sg_81_3 are not self-inverse, so
+    # deciding both took 502 calls
+    _, g, cd, table, _ = catalog.bundle("sg_81_3")
+    calls = _count_calls(monkeypatch, "_vanishes")
+    _self_verify(table, _power_maps(cd))
+    assert 0 < calls["_vanishes"] <= 326
+
+
 @pytest.mark.parametrize("name,swap,source", [("sym_4", (1, 3), 2),
                                               ("cyclic_6", (3, 4), 1)])
 def test_self_verify_uses_no_map_that_moves_sizes_or_inverses(name, swap, source):

@@ -1,5 +1,7 @@
 """Permutation groups: enumeration, classes, quotients, structure."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -227,6 +229,130 @@ def test_inverse_class_is_an_involution():
         assert cd.inverse_class[cd.inverse_class[i]] == i
 
 
+# -- products by a generator, read off the enumeration ----------------------
+
+
+def _assert_matches_element_level_oracle(g: PermGroup, cd) -> None:
+    oracle = H.naive_class_data(g)
+    assert {key: getattr(cd, key) for key in oracle} == oracle
+    assert [g.inverse_index(x) for x in range(g.order)] == H.naive_inverses(g)
+    for i in range(cd.n_classes):
+        assert cd.product_rows(i) == H.naive_product_rows(cd, i), i
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_classes_and_products_match_the_element_level_oracle(name):
+    _, g, cd, _, _ = catalog.bundle(name)
+    _assert_matches_element_level_oracle(g, cd)
+
+
+@pytest.mark.parametrize("name", [n for n in catalog.names()
+                                  if catalog.entry(n).order <= 200])
+def test_left_mult_is_mult_index(name):
+    g = catalog.build(name)
+    for a in range(g.order):
+        assert g.left_mult(a) == [g.mult_index(a, y) for y in range(g.order)], a
+
+
+def _cycles(*texts: str, degree: int) -> list[Permutation]:
+    return [parse_cycle_text(t, degree) for t in texts]
+
+
+def _sym_4_over_klein_four() -> PermGroup:
+    _, sym_4, _, table, _ = catalog.bundle("sym_4")
+    return quotient_group(sym_4, next(n for n in normal_subgroups(table) if len(n) == 4))
+
+
+_EDGE_GROUPS = {
+    "trivial_degree_1": lambda: PermGroup.from_generators([Permutation((0,))], degree=1),
+    "identity_only": lambda: PermGroup.from_generators([Permutation.identity(4)]),
+    "identity_among": lambda: PermGroup.from_generators(
+        [Permutation.identity(4), *_cycles("(1 2 3 4)", "(1 2)", degree=4)]),
+    "repeated": lambda: PermGroup.from_generators(
+        _cycles("(1 2)", "(1 2 3 4 5)", "(1 2)", "(1 2 3 4 5)", degree=5)),
+    "three_generators": lambda: catalog.build("sg_81_3"),
+    "quotient": _sym_4_over_klein_four,
+}
+
+
+@pytest.mark.parametrize("name", list(_EDGE_GROUPS))
+def test_tables_hold_on_edge_case_generator_lists(name):
+    g = _EDGE_GROUPS[name]()
+    for a in range(g.order):
+        assert g.left_mult(a) == [g.mult_index(a, y) for y in range(g.order)], a
+    _assert_matches_element_level_oracle(g, conjugacy_classes(g))
+
+
+def test_classes_and_products_make_no_element_products(monkeypatch):
+    # the generator products come from the enumeration; after it, classes,
+    # inverses and every class product are integer lookups
+    g = parse_group_file("degree 7\n(1 2)\n(1 2 3 4 5 6 7)\n", bound=5040)
+    calls = {"mult_index": 0, "mul": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(PermGroup, "mult_index",
+                        counting("mult_index", PermGroup.mult_index))
+    monkeypatch.setattr(Permutation, "__mul__", counting("mul", Permutation.__mul__))
+    cd = conjugacy_classes(g)
+    rows = [cd.product_rows(i) for i in range(cd.n_classes)]
+    assert (cd.n_classes, len(rows)) == (15, 15)
+    assert calls == {"mult_index": 0, "mul": 0}
+
+
+def test_power_class_multiplies_once_per_new_power(monkeypatch):
+    # the first call for a class reads all m powers of its representative
+    # with m - 2 products, 1286 over the core entries; one binary power
+    # per (class, exponent) took 6361 products in a cold `verify --all`
+    # pass, which now makes these 1286 and no other
+    calls = 0
+    mul = Permutation.__mul__
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    expected = 0
+    for name in catalog.names("core"):
+        g = catalog.build(name)
+        cd = conjugacy_classes(g)
+        monkeypatch.setattr(Permutation, "__mul__", counting)
+        got = [[cd.power_class(i, t) for t in range(-m, 2 * m)]
+               for i, m in enumerate(cd.element_orders)]
+        monkeypatch.setattr(Permutation, "__mul__", mul)
+        expected += sum(max(m - 2, 0) for m in cd.element_orders)
+        assert got == [[cd.elt_class[g.element_index(g.elements[rep] ** t)]
+                        for t in range(-m, 2 * m)]
+                       for rep, m in zip(cd.reps, cd.element_orders)], name
+    assert calls == expected == 1286
+
+
+def test_kept_generator_products_cost_no_memory_peak():
+    # tracemalloc peak of parse + classes + table on sym_7, CPython 3.11.7:
+    # 1682.9 KiB before the generator products were kept, 1315.8 KiB with
+    # them.  The bound is the second figure plus 32 KiB; storing a BFS
+    # parent and generator per element adds about 187 KiB and fails it.
+    import gc
+    import tracemalloc
+
+    text = "degree 7\n(1 2)\n(1 2 3 4 5 6 7)\n"
+    character_table(parse_group_file(text, bound=5040))   # warm module caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        g = parse_group_file(text, bound=5040)
+        character_table(g, conjugacy_classes(g))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (1315.8 + 32) * 1024
+
+
 # -- subgroup machinery ------------------------------------------------------
 
 
@@ -353,6 +479,21 @@ def test_quotient_rejects_non_normal_subsets():
                          and len(g.elements[i].cycles()) == 1)
     with pytest.raises(NotNormal):
         quotient_group(g, H.subgroup_closure(g, [transposition]))
+
+
+def test_quotient_rejects_every_subset_of_c6_that_is_no_subgroup():
+    # element i of cyclic_6 is g^i, and every subset is closed under
+    # conjugation; {0, 1} is no subgroup, yet its translates {0, 1},
+    # {2, 3}, {4, 5} do not overlap
+    g = catalog.build("cyclic_6")
+    for size in (1, 2, 3, 6):
+        for rest in itertools.combinations(range(1, 6), size - 1):
+            n_set = {0, *rest}
+            if n_set == H.subgroup_closure(g, n_set):
+                assert quotient_group(g, n_set).order == 6 // size
+            else:
+                with pytest.raises(NotNormal):
+                    quotient_group(g, n_set)
 
 
 def test_quotient_derived_length_never_grows():
