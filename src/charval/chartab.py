@@ -35,7 +35,7 @@ import random
 from collections.abc import Iterable
 
 from .cyclo import Cyc, cyclotomic_polynomial, is_prime, prime_factors
-from .permcore import ClassData, PermGroup, conjugacy_classes
+from .permcore import ClassData, PermGroup, conjugacy_classes, mask_size
 
 
 class TooManyClasses(RuntimeError):
@@ -406,12 +406,13 @@ def _primitive_root(p: int) -> int:
 
 
 class Character:
-    """One irreducible character: exact values indexed by class."""
+    """One irreducible character: exact values indexed by class, and the
+    class masks (bit i set for class i) of ker chi and Z(chi)."""
 
     __slots__ = ("values", "degree", "kernel", "center_z")
 
     def __init__(self, values: tuple[Cyc, ...], degree: int,
-                 kernel: frozenset[int], center_z: frozenset[int]):
+                 kernel: int, center_z: int):
         self.values = values
         self.degree = degree
         self.kernel = kernel
@@ -580,8 +581,8 @@ def _galois_maps(cd: ClassData, e: int) -> dict[tuple[int, ...], int]:
 
 
 def _lift_row(theta: list[int], d: int, cd: ClassData, p: int, e: int,
-              w_inv: int) -> tuple[list[Cyc], frozenset[int], frozenset[int]]:
-    """Lift one row: (values, kernel, center_z), classes as indices.
+              w_inv: int) -> tuple[list[Cyc], int, int]:
+    """Lift one row: (values, kernel, center_z), the last two class masks.
 
     At class i of order m the multiplicity of zeta_m^j among the d
     eigenvalues is read mod p, as an integer below p/2.  The
@@ -592,8 +593,7 @@ def _lift_row(theta: list[int], d: int, cd: ClassData, p: int, e: int,
     """
     k = cd.n_classes
     values: list[Cyc] = [Cyc.zero()] * k
-    kernel: list[int] = []
-    center: list[int] = []
+    kernel = center = 0
     for i in range(k):
         m = cd.element_orders[i]
         theta_pow = [theta[cd.power_class(i, t)] for t in range(m)]
@@ -608,11 +608,11 @@ def _lift_row(theta: list[int], d: int, cd: ClassData, p: int, e: int,
                 f"multiplicities at class {i} sum to {sum(mus)}, not {d}",
                 p, None, (i,))
         if d in mus:
-            center.append(i)
+            center |= 1 << i
             if mus[0] == d:
-                kernel.append(i)
+                kernel |= 1 << i
         values[i] = Cyc.from_exponents(m, {j: mu for j, mu in enumerate(mus) if mu})
-    return values, frozenset(kernel), frozenset(center)
+    return values, kernel, center
 
 
 def _multiplicities(theta_pow: list[int], p: int, wm_inv: int) -> list[int]:
@@ -783,8 +783,7 @@ def _vanishes(acc: list[int]) -> bool:
 def codegree(table: CharTable, row: int) -> int:
     """|G : ker chi| / chi(1) as an exact integer."""
     r = table.rows[row]
-    cd = table.classes
-    ker_size = sum(cd.sizes[i] for i in r.kernel)
+    ker_size = mask_size(table.classes, r.kernel)
     if table.group.order % ker_size:
         raise NonIntegralCodegree("kernel size does not divide the order")
     index = table.group.order // ker_size

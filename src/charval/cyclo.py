@@ -421,8 +421,9 @@ class Cyc:
                 parts.append(f"{c}*z({self.n})^{e}")
         return " + ".join(parts)
 
-    _TERM_RE = re.compile(r"^(-?\d+(?:/\d+)?)\*z\((\d+)\)(?:\^(\d+))?$")
-    _RAT_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+    # a denominator needs a nonzero digit, or Fraction raises ZeroDivisionError
+    _TERM_RE = re.compile(r"^(-?\d+(?:/\d*[1-9]\d*)?)\*z\((\d+)\)(?:\^(\d+))?$")
+    _RAT_RE = re.compile(r"^-?\d+(?:/\d*[1-9]\d*)?$")
 
     @staticmethod
     def parse(text: str) -> "Cyc":

@@ -12,23 +12,25 @@ from __future__ import annotations
 
 from .chartab import CharTable, codegree
 from .cyclo import Cyc
-from .permcore import StructureFlags, derived_length, structure_flags
+from .permcore import (
+    ClassData, StructureFlags, derived_length, mask_size, structure_flags,
+)
 
 
 class InvariantReport:
     """Invariants of one group's character table."""
 
-    __slots__ = ("order", "class_count", "cv", "cd", "cdc", "ncv",
+    __slots__ = ("order", "classes", "cv", "cd", "cdc", "ncv",
                  "per_char_cv_sizes", "cod", "b", "dl", "is_rational_group",
                  "root_of_unity_elements", "flags")
 
-    def __init__(self, order: int, class_count: int, cv: tuple[Cyc, ...],
+    def __init__(self, order: int, classes: ClassData, cv: tuple[Cyc, ...],
                  cd: tuple[int, ...], cdc: tuple[Cyc, ...], ncv: tuple[Cyc, ...],
                  per_char_cv_sizes: tuple[int, ...], cod: tuple[int, ...],
                  b: int, dl: int | None, is_rational_group: bool,
                  root_of_unity_elements: tuple[int, ...], flags: StructureFlags):
         self.order = order
-        self.class_count = class_count
+        self.classes = classes
         self.cv = cv
         self.cd = cd
         self.cdc = cdc
@@ -41,11 +43,15 @@ class InvariantReport:
         self.root_of_unity_elements = root_of_unity_elements
         self.flags = flags
 
+    @property
+    def class_count(self) -> int:
+        return self.classes.n_classes
+
     def cv_displays(self) -> list[str]:
         return [v.display() for v in self.cv]
 
     def to_json_dict(self) -> dict:
-        f = self.flags
+        f, cd = self.flags, self.classes
         return {
             "order": self.order,
             "class_count": self.class_count,
@@ -65,10 +71,10 @@ class InvariantReport:
                 "is_nilpotent": f.is_nilpotent,
                 "p_group_p": f.p_group_p,
                 "is_extraspecial": f.is_extraspecial,
-                "o_p": {str(p): len(s) for p, s in sorted(f.o_p.items())},
+                "o_p": {str(p): mask_size(cd, m) for p, m in sorted(f.o_p.items())},
                 "frobenius": None if f.frobenius is None else {
-                    "kernel_size": len(f.frobenius),
-                    "complement_size": self.order // len(f.frobenius),
+                    "kernel_size": mask_size(cd, f.frobenius),
+                    "complement_size": self.order // mask_size(cd, f.frobenius),
                 },
             },
         }
@@ -113,7 +119,7 @@ def report(table: CharTable) -> InvariantReport:
     flags = structure_flags(table)
     return InvariantReport(
         order=group.order,
-        class_count=table.classes.n_classes,
+        classes=table.classes,
         cv=sorted_values(cv_set),
         cd=tuple(sorted(cd_set)),
         cdc=sorted_values(cdc_set),

@@ -499,10 +499,6 @@ def conjugacy_classes(group: PermGroup) -> ClassData:
     return ClassData(group)
 
 
-def _class_mask(indices) -> int:
-    return sum(1 << i for i in indices)
-
-
 def _members(classes: ClassData, mask: int) -> frozenset[int]:
     """The elements of the classes whose bits are set in mask."""
     return frozenset(x for i, cls in enumerate(classes.classes) if mask >> i & 1
@@ -514,15 +510,10 @@ def mask_size(classes: ClassData, mask: int) -> int:
     return sum(size for i, size in enumerate(classes.sizes) if mask >> i & 1)
 
 
-def subset_mask(classes: ClassData, subset) -> int:
-    """Class mask of a subset of elements that is a union of classes."""
-    return _class_mask(i for i, rep in enumerate(classes.reps) if rep in subset)
-
-
 def _rows_over(table: CharTable, below: int) -> list[Character]:
     """The rows of G/N: the rows with N in ker chi, N the union of the
     classes in below."""
-    return [row for row in table.rows if below & ~_class_mask(row.kernel) == 0]
+    return [row for row in table.rows if below & ~row.kernel == 0]
 
 
 def _meet(table: CharTable, masks) -> int:
@@ -533,25 +524,25 @@ def _meet(table: CharTable, masks) -> int:
 def _normal_closure(table: CharTable, seeds: int) -> int:
     """Classes of the normal closure of the classes in seeds: the
     intersection of the irreducible kernels that contain them."""
-    kernels = (_class_mask(row.kernel) for row in table.rows)
-    return _meet(table, (k for k in kernels if seeds & ~k == 0))
+    return _meet(table, (row.kernel for row in table.rows if seeds & ~row.kernel == 0))
 
 
 def _center_mask(table: CharTable, below: int = 1) -> int:
     """Classes of the preimage of Z(G/N), N the union of the classes in
     below: the intersection of Z(chi) over the rows of G/N."""
-    return _meet(table, (_class_mask(row.center_z) for row in _rows_over(table, below)))
+    return _meet(table, (row.center_z for row in _rows_over(table, below)))
 
 
 def _derived_mask(table: CharTable, below: int = 1) -> int:
     """Classes of the preimage of (G/N)': the intersection of the kernels
     of the linear rows of G/N."""
-    return _meet(table, (_class_mask(row.kernel) for row in _rows_over(table, below)
+    return _meet(table, (row.kernel for row in _rows_over(table, below)
                          if row.degree == 1))
 
 
-def derived_series(table: CharTable) -> list[frozenset[int]]:
-    """[G, G', G'', ...] down to stabilization (last term perfect or trivial).
+def derived_series(table: CharTable) -> list[int]:
+    """[G, G', G'', ...] as class masks, down to stabilization (last term
+    perfect or trivial).
 
     Every term H is normal in G, so H' is the normal closure of the
     commutators [x, t], x over the class representatives of a set that
@@ -563,7 +554,7 @@ def derived_series(table: CharTable) -> list[frozenset[int]]:
     """
     group, cd = table.group, table.classes
     term = (1 << cd.n_classes) - 1
-    series = [_members(cd, term)]
+    series = [term]
     xs = ts = group.generator_indices()
     while True:
         comms = 1
@@ -574,7 +565,7 @@ def derived_series(table: CharTable) -> list[frozenset[int]]:
         if nxt == term:
             return series
         term = nxt
-        series.append(_members(cd, term))
+        series.append(term)
         if term == 1:
             return series
         found = [i for i in range(1, cd.n_classes) if comms >> i & 1]
@@ -585,7 +576,7 @@ def derived_series(table: CharTable) -> list[frozenset[int]]:
 def derived_length(table: CharTable) -> int | None:
     """Number of strict steps to the trivial subgroup; None if nonsolvable."""
     series = derived_series(table)
-    return len(series) - 1 if len(series[-1]) == 1 else None
+    return len(series) - 1 if series[-1] == 1 else None
 
 
 def is_nilpotent(table: CharTable) -> bool:
@@ -609,14 +600,16 @@ def normal_masks(table: CharTable) -> tuple[int, ...]:
     Every normal subgroup N is the intersection of the kernels of the
     irreducible characters of G/N, lifted to G (Isaacs, Character Theory
     of Finite Groups, Ch. 2), so the closure of {G} under intersection
-    with each row's kernel is exactly the set of normal subgroups.
+    with each row's kernel is exactly the set of normal subgroups.  The
+    least element where two unions of classes differ is a class's least
+    element, its representative, so the representatives give that order.
     """
     cd = table.classes
     masks = {(1 << cd.n_classes) - 1}
     for row in table.rows:
-        kernel = _class_mask(row.kernel)
-        masks |= {m & kernel for m in masks}
-    return tuple(sorted(masks, key=lambda m: (mask_size(cd, m), sorted(_members(cd, m)))))
+        masks |= {m & row.kernel for m in masks}
+    return tuple(sorted(masks, key=lambda m: (
+        mask_size(cd, m), sorted(rep for i, rep in enumerate(cd.reps) if m >> i & 1))))
 
 
 def normal_subgroups(table: CharTable) -> tuple[frozenset[int], ...]:
@@ -844,8 +837,8 @@ class StructureFlags:
     """Structural facts read off the group's proven table.
 
     o_p maps each prime p dividing |G| to O_p(G), the largest normal
-    p-subgroup, as element indices.  frobenius is the Frobenius kernel K
-    as element indices, or None when G is not a Frobenius group; the
+    p-subgroup, as a class mask.  frobenius is the class mask of the
+    Frobenius kernel K, or None when G is not a Frobenius group; the
     complement has order |G:K| and is isomorphic to G/K.
     """
 
@@ -854,24 +847,20 @@ class StructureFlags:
     is_nilpotent: bool
     p_group_p: int | None
     is_extraspecial: bool
-    o_p: dict[int, frozenset[int]]
-    frobenius: frozenset[int] | None
+    o_p: dict[int, int]
+    frobenius: int | None
 
 
-def _o_p_masks(classes: ClassData, nilpotent: bool,
-               normals: tuple[int, ...] | None) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for p in prime_factors(classes.group.order):
-        if nilpotent:
-            out[p] = _class_mask(i for i, o in enumerate(classes.element_orders)
-                                 if is_p_power(o, p))
-            continue
-        p_normals = [m for m in normals if is_p_power(mask_size(classes, m), p)]
-        best = max(p_normals, key=lambda m: mask_size(classes, m), default=1)
-        if any(m & ~best for m in p_normals):
-            raise InvariantViolation("normal p-subgroups not nested under the largest")
-        out[p] = best
-    return out
+def _o_p_mask(classes: ClassData, p: int, normals: tuple[int, ...] | None) -> int:
+    """O_p(G) as a class mask; normals is None for nilpotent G."""
+    if normals is None:
+        return sum(1 << i for i, o in enumerate(classes.element_orders)
+                   if is_p_power(o, p))
+    p_normals = [m for m in normals if is_p_power(mask_size(classes, m), p)]
+    best = max(p_normals, key=lambda m: mask_size(classes, m), default=1)
+    if any(m & ~best for m in p_normals):
+        raise InvariantViolation("normal p-subgroups not nested under the largest")
+    return best
 
 
 def structure_flags(table: CharTable) -> StructureFlags:
@@ -892,13 +881,12 @@ def structure_flags(table: CharTable) -> StructureFlags:
         elem_p = p_group_p
     nilpotent = abelian or is_nilpotent(table)
     normals = None if nilpotent else normal_masks(table)
-    kernel = None if nilpotent else frobenius_kernel(table, normals)
     return StructureFlags(
         is_abelian=abelian,
         elementary_abelian_p=elem_p,
         is_nilpotent=nilpotent,
         p_group_p=p_group_p,
         is_extraspecial=is_extraspecial(table),
-        o_p={p: _members(cd, m) for p, m in _o_p_masks(cd, nilpotent, normals).items()},
-        frobenius=None if kernel is None else _members(cd, kernel),
+        o_p={p: _o_p_mask(cd, p, normals) for p in factors},
+        frobenius=None if nilpotent else frobenius_kernel(table, normals),
     )

@@ -17,7 +17,7 @@ from .cyclo import is_p_power, prime_factors
 from .invariants import InvariantReport
 from .permcore import (
     ClassData, a5a6_free, frobenius_kernel, is_abelian_section,
-    is_extraspecial, mask_size, normal_masks, subset_mask,
+    is_extraspecial, mask_size, normal_masks,
 )
 # unused here, but perfbench patches and restores verify.structure_flags
 from .permcore import structure_flags  # noqa: F401
@@ -102,8 +102,8 @@ def cdc2_shape(table: CharTable, rep: InvariantReport) -> str | None:
     """
     g, cd = table.group, table.classes
     kernel = rep.flags.frobenius
-    if kernel is not None and 2 * len(kernel) == g.order and rep.cd == (1, 2) \
-            and _elementary_abelian_section(cd, subset_mask(cd, kernel), 3):
+    if kernel is not None and 2 * mask_size(cd, kernel) == g.order \
+            and rep.cd == (1, 2) and _elementary_abelian_section(cd, kernel, 3):
         return "frobenius_3"
     if g.order == 24 and rep.dl == 3 \
             and tuple(sorted(table.classes.sizes)) == (1, 3, 6, 6, 8) \
@@ -175,8 +175,7 @@ def check_nonnilpotent_cdc3(table: CharTable, rep: InvariantReport,
     if not (len(rep.cdc) == 3 and rep.dl == 2):
         return _vacuous(label, claim, f"|cdc|={len(rep.cdc)}, dl={rep.dl}")
     g, cd = table.group, table.classes
-    o2_members = flags.o_p.get(2, frozenset({0}))
-    o2 = subset_mask(cd, o2_members)
+    o2 = flags.o_p.get(2, 1)
     if not is_abelian_section(cd, o2):
         return _met(label, claim, False, "2-core is nonabelian")
     normals = normal_masks(table)
@@ -197,7 +196,8 @@ def check_nonnilpotent_cdc3(table: CharTable, rep: InvariantReport,
     # O_2 is normal, so a conjugate of t centralizes it iff t does
     sylow2_abelian = any(
         is_p_power(cd.element_orders[i], 2) and not half >> i & 1
-        and all(g.mult_index(t, x) == g.mult_index(x, t) for x in o2_members)
+        and all(g.mult_index(t, x) == g.mult_index(x, t)
+                for j, cls in enumerate(cd.classes) if o2 >> j & 1 for x in cls)
         for i, t in enumerate(cd.reps))
     if not sylow2_abelian:
         # no corpus group reaches this branch; the claimed shape of the
@@ -230,8 +230,7 @@ def check_two_degrees(table: CharTable, rep: InvariantReport,
     primes = prime_factors(m)
     if len(primes) == 1 and rep.flags.is_nilpotent:
         p = primes[0]
-        if all(is_abelian_section(cd, subset_mask(cd, members))
-               for q, members in rep.flags.o_p.items() if q != p):
+        if all(is_abelian_section(cd, m) for q, m in rep.flags.o_p.items() if q != p):
             return _met(label, claim, True,
                         f"m={m}=prime power; nilpotent with abelian "
                         "coprime part")

@@ -121,15 +121,16 @@ def full_self_verify(table: CharTable) -> None:
                 fail("first orthogonality failed", "first", a, b)
 
 
-def cyc_kernel(row: Character) -> frozenset[int]:
-    """Classes where the value equals the degree, compared as Cyc."""
-    return frozenset(i for i, v in enumerate(row.values) if v == row.degree)
+def cyc_kernel(row: Character) -> int:
+    """Mask of the classes where the value equals the degree, compared as Cyc."""
+    return mask_of(i for i, v in enumerate(row.values) if v == row.degree)
 
 
-def cyc_center(row: Character) -> frozenset[int]:
-    """Classes where value / degree is a root of unity, in Cyc arithmetic."""
-    return frozenset(i for i, v in enumerate(row.values)
-                     if (v * Fraction(1, row.degree)).is_root_of_unity())
+def cyc_center(row: Character) -> int:
+    """Mask of the classes where value / degree is a root of unity, in Cyc
+    arithmetic."""
+    return mask_of(i for i, v in enumerate(row.values)
+                   if (v * Fraction(1, row.degree)).is_root_of_unity())
 
 
 def dense_rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
@@ -458,11 +459,29 @@ def ext_square_value(n: int, rho) -> int:
     return (f1 - 1) * (f1 - 2) // 2 - f2
 
 
-def class_union(cd: ClassData, class_indices) -> frozenset[int]:
-    out: set[int] = set()
-    for ci in class_indices:
-        out.update(cd.classes[ci])
-    return frozenset(out)
+def mask_of(class_indices) -> int:
+    """Class mask with bit i set for each class index i."""
+    return sum(1 << i for i in set(class_indices))
+
+
+def class_union(cd: ClassData, mask: int) -> frozenset[int]:
+    """The elements of the classes whose bits are set in mask."""
+    return frozenset(x for i, cls in enumerate(cd.classes) if mask >> i & 1 for x in cls)
+
+
+def subset_mask(cd: ClassData, subset) -> int:
+    """Class mask of a set of elements that is a union of classes."""
+    subset = frozenset(subset)
+    mask = mask_of(cd.elt_class[x] for x in subset)
+    assert class_union(cd, mask) == subset, "not a union of classes"
+    return mask
+
+
+def sorted_by_elements(cd: ClassData, masks) -> list[int]:
+    """Class masks sorted by (size, sorted element list), the order
+    normal_subgroups had when it closed element sets."""
+    return sorted(masks, key=lambda m: (len(class_union(cd, m)),
+                                        sorted(class_union(cd, m))))
 
 
 def row_value_set(table: CharTable, r: int) -> set[Cyc]:
@@ -705,7 +724,7 @@ def unit_element_structure_failures(name: str) -> list[str]:
     if rep.flags.is_abelian or not rep.root_of_unity_elements:
         return []
     bad = []
-    deriv = derived_series(table)[1]
+    deriv = class_union(cd, derived_series(table)[1])
     if not all_commute(g, deriv):
         bad.append(f"{name}: derived subgroup not abelian")
     if deriv & center(g) != {0}:

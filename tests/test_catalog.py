@@ -46,6 +46,16 @@ def test_unknown_names_raise():
         catalog.bundle("sg_999_1")
 
 
+def test_unknown_name_message_is_plain():
+    # a KeyError's str() is the repr of its argument, quotes included
+    with pytest.raises(UnknownName) as exc:
+        catalog.entry("monster")
+    assert str(exc.value) == "no catalog entry named 'monster'"
+    with pytest.raises(UnknownName) as exc:
+        catalog._gamma(6)
+    assert str(exc.value) == "no field table for gamma(6)"
+
+
 def test_declared_orders_are_enforced(monkeypatch):
     bogus = CatalogEntry(name="bogus_c6", order=7, source="test",
                          builder=lambda: catalog.build("cyclic_6"))

@@ -424,8 +424,10 @@ def test_rows_are_closed_under_galois_conjugation(name):
         for row in table.rows:
             image = rows.get(tuple(row.values[perm[i]] for i in range(k)))
             assert image is not None, (name, r)
-            assert image.kernel == {i for i in range(k) if perm[i] in row.kernel}
-            assert image.center_z == {i for i in range(k) if perm[i] in row.center_z}
+            assert image.kernel == H.mask_of(i for i in range(k)
+                                             if row.kernel >> perm[i] & 1)
+            assert image.center_z == H.mask_of(i for i in range(k)
+                                               if row.center_z >> perm[i] & 1)
 
 
 @pytest.mark.parametrize("name", catalog.names())

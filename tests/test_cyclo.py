@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charval.cyclo import (
@@ -204,6 +204,40 @@ def test_parse_rejects_malformed_text():
     for bad in ("z5", "1*z(5)^", "2 +", "1*w(5)", ""):
         with pytest.raises(ValueError):
             Cyc.parse(bad)
+
+
+def test_parse_rejects_zero_denominators():
+    for bad in ("7/0", "0/0", "1/0*z(3)", "1 + 1/00*z(5)^2", "-3/000"):
+        with pytest.raises(ValueError):
+            Cyc.parse(bad)
+    assert Cyc.parse("7/10") == Cyc.from_rational(Fraction(7, 10))
+
+
+@st.composite
+def cyc_like_text(draw):
+    """Terms of the display grammar, some malformed: zero denominators,
+    conductors 0 to 40, exponents out of range, stray separators.
+    Conductors stay small because parsing conductor n costs about n^2."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        coeff = str(draw(st.integers(-3, 3)))
+        if draw(st.booleans()):
+            coeff += f"/{draw(st.integers(0, 4))}"
+        shape = draw(st.sampled_from(["", "*z({n})", "*z({n})^{e}"]))
+        terms.append(coeff + shape.format(n=draw(st.integers(0, 40)),
+                                          e=draw(st.integers(0, 40))))
+    return draw(st.sampled_from([" + ", " + ", "+", " ", " - "])).join(terms)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.one_of(st.text(max_size=40), cyc_like_text(),
+                 cyc_values().map(Cyc.display)))
+def test_parse_returns_a_value_or_raises_value_error(text):
+    try:
+        value = Cyc.parse(text)
+    except ValueError:
+        return
+    assert Cyc.parse(value.display()) == value
 
 
 @given(cyc_values())

@@ -8,6 +8,7 @@ import pytest
 from charval import catalog
 from charval.cyclo import Cyc
 from charval.invariants import per_char_values, report, sorted_values
+from tests import helpers as H
 
 CORE = catalog.names("core")
 
@@ -116,8 +117,8 @@ def test_modulus_sets_match_the_abs_squared_definitions(name):
     one = Cyc.one()
     for row in table.rows:
         d_sq = Cyc.from_rational(row.degree ** 2)
-        assert row.center_z == {i for i, v in enumerate(row.values)
-                                if v.abs_squared() == d_sq}, name
+        assert row.center_z == H.mask_of(i for i, v in enumerate(row.values)
+                                         if v.abs_squared() == d_sq), name
     assert rep.root_of_unity_elements == tuple(
         i for i in range(cd.n_classes)
         if all(r.values[i].abs_squared() == one for r in table.rows)), name

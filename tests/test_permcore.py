@@ -3,10 +3,10 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charval import catalog
+from charval import catalog, permcore, verify
 from charval.chartab import character_table
 from charval.permcore import (
     NotNormal,
@@ -37,7 +37,6 @@ from charval.permcore import (
     quotient_group,
     socle,
     structure_flags,
-    subset_mask,
 )
 from tests import helpers as H
 
@@ -146,6 +145,38 @@ def test_header_less_file_reports_the_bad_line_and_column():
     with pytest.raises(ParseError) as exc:
         parse_group_file("degree 4\n(1 2)\n (2 5)\n")
     assert (exc.value.line, exc.value.column) == (3, 5)
+
+
+@st.composite
+def group_file_like_text(draw):
+    """Lines of the group-file grammar, some malformed: bad headers,
+    points out of range, repeated or non-numeric, unclosed cycles and
+    comments.  Points stay below 13 because the degree is unbounded, and
+    a file naming point 10^9 allocates permutations that large."""
+    point = st.sampled_from([str(i) for i in range(1, 13)] + ["0", "-1", "x", ""])
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(["degree ", "degree", "degree  ", "# "]))
+                     + draw(point))
+    for _ in range(draw(st.integers(0, 3))):
+        cycles = []
+        for _ in range(draw(st.integers(0, 3))):
+            points = draw(st.lists(point, max_size=4))
+            sep = draw(st.sampled_from([" ", " ", ",", "  "]))
+            cycles.append("(" + sep.join(points) + draw(st.sampled_from([")", ")", ""])))
+        lines.append(draw(st.sampled_from(["", " "])).join(cycles)
+                     + draw(st.sampled_from(["", "", "  # note", "#"])))
+    return "\n".join(lines)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.one_of(st.text(max_size=6), group_file_like_text()))
+def test_group_file_parses_or_raises_a_typed_error(text):
+    try:
+        group = parse_group_file(text, bound=200)
+    except (ParseError, ValueError, OrderBoundExceeded):
+        return
+    assert group.order <= 200 and group.elements[0].is_identity()
 
 
 def test_cycle_text_errors_keep_their_types_and_carry_the_column():
@@ -380,8 +411,9 @@ def test_exponent_examples():
 
 def test_derived_series_matches_naive_commutators():
     for name in ("sym_4", "dihedral_8", "sg_21_1"):
-        _, g, _, table, _ = catalog.bundle(name)
-        assert derived_series(table)[1] == H.naive_derived_series(g)[1], name
+        _, g, cd, table, _ = catalog.bundle(name)
+        assert H.class_union(cd, derived_series(table)[1]) == \
+            H.naive_derived_series(g)[1], name
 
 
 def test_derived_length_examples():
@@ -408,8 +440,9 @@ def _entries_up_to_order(bound: int) -> list[str]:
 
 @pytest.mark.parametrize("name", _entries_up_to_order(150))
 def test_derived_series_matches_pairwise_commutator_closure(name):
-    _, g, _, table, _ = catalog.bundle(name)
-    assert derived_series(table) == H.naive_derived_series(g)
+    _, g, cd, table, _ = catalog.bundle(name)
+    assert [H.class_union(cd, t) for t in derived_series(table)] == \
+        H.naive_derived_series(g)
 
 
 @pytest.mark.parametrize("name", _entries_up_to_order(150))
@@ -421,7 +454,7 @@ def test_is_nilpotent_matches_element_commutators(name):
 def test_derived_series_stays_at_class_level(monkeypatch):
     # sym_6 > alt_6 = alt_6': a few dozen commutators, where closing
     # subgroups element by element takes orders of magnitude more products
-    _, _, _, table, _ = catalog.bundle("sym_6")
+    _, _, cd, table, _ = catalog.bundle("sym_6")
     calls = 0
     mult_index = PermGroup.mult_index
 
@@ -431,7 +464,7 @@ def test_derived_series_stays_at_class_level(monkeypatch):
         return mult_index(self, i, j)
 
     monkeypatch.setattr(PermGroup, "mult_index", counting)
-    assert [len(t) for t in derived_series(table)] == [720, 360]
+    assert [mask_size(cd, t) for t in derived_series(table)] == [720, 360]
     assert 0 < calls < 2000
 
 
@@ -452,6 +485,35 @@ def test_normal_subgroups_match_exhaustive_search(name):
     normals = normal_subgroups(table)
     assert set(normals) == H.naive_normal_sets(g, cd)
     assert list(normals) == sorted(normals, key=lambda n: (len(n), sorted(n)))
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_normal_masks_keep_the_element_list_order(name):
+    # sorting by class representatives orders the masks as sorting the
+    # expanded element lists did
+    _, _, cd, table, _ = catalog.bundle(name)
+    masks = normal_masks(table)
+    assert list(masks) == H.sorted_by_elements(cd, masks)
+
+
+def test_tables_reports_and_checkers_never_expand_class_masks(monkeypatch):
+    # a union of classes stays a class mask from the lift to the checkers;
+    # only the public normal_subgroups view lists elements
+    calls = 0
+    members = permcore._members
+
+    def counting(classes, mask):
+        nonlocal calls
+        calls += 1
+        return members(classes, mask)
+
+    monkeypatch.setattr(permcore, "_members", counting)
+    catalog.clear_caches()
+    for name in catalog.names("core"):
+        catalog.bundle(name)
+        verify.check_group(name)
+        assert catalog.check_expected(name) == [], name
+    assert calls == 0
 
 
 def test_every_subgroup_of_the_translations_is_normal_in_sg_250_14():
@@ -519,7 +581,7 @@ def test_frobenius_detection_with_brute_centralizers():
         _, g, cd, table, _ = catalog.bundle(name)
         kernel = frobenius_kernel(table, normal_masks(table))
         assert kernel is not None, name
-        kernel = H.class_union(cd, _bits(kernel))
+        kernel = H.class_union(cd, kernel)
         assert len(kernel) == ksize
         assert len(H.find_complement(g, kernel, g.order // ksize)) == g.order // ksize
         for n in kernel:
@@ -541,7 +603,7 @@ def _non_nilpotent_core_entries() -> list[str]:
 def test_kernel_condition_matches_element_centralizers(name):
     _, g, cd, table, _ = catalog.bundle(name)
     for n_set in normal_subgroups(table):
-        assert _kernel_centralizer_condition(cd, cd.sizes, subset_mask(cd, n_set)) == \
+        assert _kernel_centralizer_condition(cd, cd.sizes, H.subset_mask(cd, n_set)) == \
             H.naive_frobenius_kernel_condition(g, n_set), (name, len(n_set))
 
 
@@ -571,8 +633,9 @@ def test_quotient_facts_match_quotient_tables(name):
     # criterion promises exist, found by an element-level search
     ent, g, cd, table, rep = catalog.bundle(name)
     if rep.flags.frobenius is not None:
-        h = g.order // len(rep.flags.frobenius)
-        assert len(H.find_complement(g, rep.flags.frobenius, h)) == h
+        kernel = H.class_union(cd, rep.flags.frobenius)
+        h = g.order // len(kernel)
+        assert len(H.find_complement(g, kernel, h)) == h
     normals = normal_masks(table)
     for n_set, n in list(zip(normal_subgroups(table), normals))[1:-1]:
         q = quotient_group(g, n_set)
@@ -588,7 +651,7 @@ def test_quotient_facts_match_quotient_tables(name):
         if qflags.frobenius is None:
             assert kernel is None, where
             continue
-        q_kernel = qflags.frobenius
+        q_kernel = H.class_union(qt.classes, qflags.frobenius)
         h = q.order // len(q_kernel)
         assert mask_size(cd, kernel) == len(q_kernel) * len(n_set), where
         complement = H.find_complement(q, q_kernel, h)
@@ -605,8 +668,8 @@ def test_socle_matches_element_closure(name):
     old = H.socle_of_nilpotent(g) if rep.flags.is_nilpotent \
         else H.socle_from_normals(g, normals)
     masks = normal_masks(table)
-    assert H.class_union(cd, _bits(socle(table, masks))) == old
-    assert [H.class_union(cd, _bits(m)) for m in minimal_normal_masks(masks)] == \
+    assert H.class_union(cd, socle(table, masks)) == old
+    assert [H.class_union(cd, m) for m in minimal_normal_masks(masks)] == \
         H.minimal_normal_subgroups(normals)
 
 
@@ -615,9 +678,10 @@ def _bits(mask: int) -> list[int]:
 
 
 def test_structure_flags_examples():
-    flags = structure_flags(catalog.bundle("sym_4")[3])
+    _, _, cd, table, _ = catalog.bundle("sym_4")
+    flags = structure_flags(table)
     assert not flags.is_abelian and not flags.is_nilpotent
-    assert {p: len(s) for p, s in flags.o_p.items()} == {2: 4, 3: 1}
+    assert {p: mask_size(cd, m) for p, m in flags.o_p.items()} == {2: 4, 3: 1}
     for name in ("dihedral_8", "q8", "sg_27_3"):
         assert structure_flags(catalog.bundle(name)[3]).is_extraspecial
     flags = structure_flags(catalog.bundle("elab_3_2")[3])
@@ -662,9 +726,9 @@ def test_abelian_section_tests_pairs_within_one_class():
     g = _sl_2_3()
     cd = conjugacy_classes(g)
     assert g.order == 24
-    q8 = subset_mask(cd, [x for x in range(g.order) if 4 % g.element_order(x) == 0])
-    centre = subset_mask(cd, [x for x in range(g.order) if g.element_order(x) <= 2])
+    q8 = H.subset_mask(cd, [x for x in range(g.order) if 4 % g.element_order(x) == 0])
+    centre = H.subset_mask(cd, [x for x in range(g.order) if g.element_order(x) <= 2])
     assert _bits(q8) == _bits(centre) + [next(i for i in _bits(q8) if cd.sizes[i] == 6)]
     assert not is_abelian_section(cd, q8)
-    assert not H.all_commute(g, H.class_union(cd, _bits(q8)))
+    assert not H.all_commute(g, H.class_union(cd, q8))
     assert is_abelian_section(cd, q8, centre)

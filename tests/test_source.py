@@ -55,3 +55,26 @@ def test_module_imports_are_acyclic():
 
     for module in sorted(deps):
         visit(module, [])
+
+
+def test_every_private_function_has_a_caller():
+    """A module-level _name function is used somewhere in the package
+    outside its own body; an orphan (a converter nothing calls any more,
+    a helper only the tests reach) is dead code."""
+    defined: dict[str, str] = {}
+    used: set[str] = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            owner = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = stmt.name
+                if owner.startswith("_") and not owner.startswith("__"):
+                    defined[owner] = path.name
+            for node in ast.walk(stmt):
+                name = node.id if isinstance(node, ast.Name) else \
+                    node.attr if isinstance(node, ast.Attribute) else None
+                if name is not None and name != owner:
+                    used.add(name)
+    assert defined, "no private functions found"
+    orphans = {name: module for name, module in defined.items() if name not in used}
+    assert not orphans, orphans

@@ -1,6 +1,7 @@
 """Symmetric-group character values via the border-strip recursion."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -84,7 +85,8 @@ def test_external_square_oracle_spot():
 
 def test_rows_match_dixon_tables():
     """Row value multisets agree with the general-purpose engine."""
-    for n, name in ((3, "sym_3"), (4, "sym_4"), (5, "sym_5"), (6, "sym_6")):
+    for n, name in ((3, "sym_3"), (4, "sym_4"), (5, "sym_5"), (6, "sym_6"),
+                    (7, "sym_7")):
         _, g, cd, table, _ = catalog.bundle(name)
         types = [H.cycle_type_of(g.elements[r]) for r in cd.reps]
         strip_rows = {tuple(mn_value(lam, rho) for rho in types)
@@ -97,7 +99,7 @@ def test_rows_match_dixon_tables():
 def test_alternating_rows_match_non_self_conjugate_pairs():
     """Each pair {lam, lam'} of non-self-conjugate partitions restricts to
     one irreducible row of alt_n, with the same values on split classes."""
-    for n, name in ((4, "alt_4"), (5, "alt_5"), (6, "alt_6")):
+    for n, name in ((4, "alt_4"), (5, "alt_5"), (6, "alt_6"), (7, "alt_7")):
         _, g, cd, table, _ = catalog.bundle(name)
         types = [H.cycle_type_of(g.elements[r]) for r in cd.reps]
         strip_rows = set()
@@ -114,6 +116,46 @@ def test_alternating_rows_match_non_self_conjugate_pairs():
                       if all(v.is_integer() for v in row.values)}
         assert len(strip_rows) == pairs, name
         assert strip_rows <= dixon_rows, name
+
+
+def _diagonal_hooks(lam) -> tuple[int, ...]:
+    conj = conjugate_partition(lam)
+    return tuple(lam[i] + conj[i] - 2 * i - 1 for i in range(len(lam)) if lam[i] > i)
+
+
+def test_alternating_rows_split_on_self_conjugate_partitions():
+    """A self-conjugate lam with diagonal hooks h_1 > ... > h_d splits
+    into two rows of alt_n that equal chi_lam / 2 off the two classes of
+    cycle type (h_1, ..., h_d) and swap their values on those two.  Each
+    row's two values there have sum eps and product
+    (1 - eps * h_1 * ... * h_d) / 4, eps = (-1)^((n - d) / 2) (James and
+    Kerber, The Representation Theory of the Symmetric Group, 2.5).  The
+    product is checked in Cyc, with no square root.  A row constant on
+    the two classes is no constituent: the trivial row of alt_4 also
+    equals chi_(2,2) / 2 off them."""
+    seen = []
+    for n, name in ((4, "alt_4"), (5, "alt_5"), (6, "alt_6"), (7, "alt_7")):
+        _, g, cd, table, _ = catalog.bundle(name)
+        types = [H.cycle_type_of(g.elements[r]) for r in cd.reps]
+        for lam in partitions(n):
+            if not is_self_conjugate(lam):
+                continue
+            hooks = _diagonal_hooks(lam)
+            eps = (-1) ** ((n - len(hooks)) // 2)
+            assert mn_value(lam, hooks) == eps, (name, lam)
+            split = [i for i, rho in enumerate(types) if rho == hooks]
+            assert len(split) == 2, (name, lam)
+            halves = [tuple(row.values[i] for i in split) for row in table.rows
+                      if row.values[split[0]] != row.values[split[1]]
+                      and all(row.values[i] == Fraction(mn_value(lam, rho), 2)
+                              for i, rho in enumerate(types) if i not in split)]
+            assert len(halves) == 2 and halves[0] == halves[1][::-1], (name, lam)
+            product = Fraction(1 - eps * math.prod(hooks), 4)
+            for a, b in halves:
+                assert a + b == eps and a * b == product, (name, lam)
+            seen.append((lam, product))
+    assert seen == [((2, 2), 1), ((3, 1, 1), -1), ((3, 2, 1), -1),
+                    ((4, 1, 1, 1), 2)]
 
 
 def test_size_mismatch_and_validation():

@@ -128,7 +128,7 @@ def test_unit_modulus_columns_sit_in_frobenius_kernels():
     # nonidentity kernel classes
     for name in ("sym_3", "gamma_5", "gamma_8", "alt_4"):
         _, g, cd, table, rep = catalog.bundle(name)
-        kernel = rep.flags.frobenius
+        kernel = H.class_union(cd, rep.flags.frobenius)
         kernel_classes = {i for i in range(1, cd.n_classes)
                           if set(cd.classes[i]) <= kernel}
         assert set(rep.root_of_unity_elements) == kernel_classes, name
