@@ -545,8 +545,7 @@ def character_table(group: PermGroup, classes: ClassData | None = None,
             values, kernel, center_z = _lift_row(theta, d, cd, p, e, w_inv)
         except EigensplitFailure as exc:
             raise failure(exc.message, r, *exc.indices) from exc
-        degree_val = values[0]
-        if not (degree_val.is_integer() and degree_val.as_int() == d):
+        if values[0] != d:
             raise failure("identity value disagrees with degree", r)
         rows[r] = Character(tuple(values), d, kernel, center_z)
         # The conjugate under zeta -> zeta^u takes chi(g^u) at g.  That is an
@@ -641,9 +640,9 @@ def _self_verify(table: CharTable, galois: Iterable[tuple[int, ...]]) -> None:
     """Prove the table exactly or raise OrthogonalityFailure.
 
     With e the lcm of the value conductors (a divisor of the exponent),
-    every value is read as the integer vector of its power-basis
-    coordinates mod x^e - 1 (zeta_n^j -> x^(j*e/n), complex
-    conjugation negates exponents).  Each relation (inverse class equals
+    every value must have denominator 1 (den), and is read as the vector
+    of its integer numerators (num) mod x^e - 1 (zeta_n^j -> x^(j*e/n),
+    complex conjugation negates exponents).  Each relation (inverse class equals
     conjugate, first orthogonality) is accumulated as one such vector,
     minus its expected constant, and decided by _vanishes.  The table
     must be square, so that second orthogonality follows from the first.
@@ -685,11 +684,10 @@ def _self_verify(table: CharTable, galois: Iterable[tuple[int, ...]]) -> None:
     for r, row in enumerate(rows):
         vec_row = []
         for i, v in enumerate(row.values):
-            if any(c.denominator != 1 for c in v.coeffs):
+            if v.den != 1:
                 fail("value is not an algebraic integer", "integrality", r, i)
             step = e // v.n
-            vec_row.append(tuple((j * step, c.numerator)
-                                 for j, c in enumerate(v.coeffs) if c))
+            vec_row.append(tuple((j * step, c) for j, c in enumerate(v.num) if c))
         vecs.append(vec_row)
     perms = [perm for perm in galois
              if sorted(perm) == list(range(k))

@@ -1,12 +1,11 @@
 """Exact arithmetic in cyclotomic fields.
 
-A value is stored as its coordinate vector over the power basis
-1, z, z^2, ..., z^(phi(n)-1) of Q(zeta_n), where n is the smallest
-conductor containing the value.  Coordinates are Fractions, so every
-operation is exact; equality of values is equality of (conductor,
-coordinates) after canonicalization.  Arithmetic and the descent to the
-minimal conductor run on integer numerators over a common denominator.
-Rational numbers are the conductor-1 case and take fast paths throughout.
+A value is stored as integer numerators over one common denominator:
+its coordinates over the power basis 1, z, ..., z^(phi(n)-1) of
+Q(zeta_n) are num[j]/den, where n is the smallest conductor containing
+the value.  Every operation, and the descent to the minimal conductor,
+runs in integer arithmetic; Fractions appear only at the edges (parse
+input, as_fraction, the coeffs view).  Rationals have conductor 1.
 """
 
 from __future__ import annotations
@@ -14,8 +13,14 @@ from __future__ import annotations
 import cmath
 import math
 import re
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
+
+
+# Parsing conductor n builds phi(n) and its reduction rows in about n^2
+# steps, so text naming a larger conductor is refused.
+PARSE_CONDUCTOR_BOUND = 2500
 
 
 class NotCoprime(ValueError):
@@ -91,17 +96,16 @@ def is_p_power(n: int, p: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _power_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    # Row t is the coordinate vector of zeta_n^t over the power basis.
-    # Enough rows for embedding (t < n) and for reducing a product of two
-    # reduced polynomials (t <= 2*phi - 2).
+def _sparse_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # Row t holds the nonzero power-basis coordinates of zeta_n^t as
+    # (index, value) pairs.  Enough rows for embedding (t < n) and for
+    # reducing a product of two reduced polynomials (t <= 2*phi - 2).
     k = phi(n)
-    length = max(n, 2 * k - 1)
     cp = cyclotomic_polynomial(n)
-    rows: list[tuple[int, ...]] = []
+    rows: list[tuple[tuple[int, int], ...]] = []
     cur = [1] + [0] * (k - 1)
-    for _ in range(length):
-        rows.append(tuple(cur))
+    for _ in range(max(n, 2 * k - 1)):
+        rows.append(tuple((i, r) for i, r in enumerate(cur) if r))
         lead = cur[k - 1]
         nxt = [0] + cur[:-1]
         if lead:
@@ -110,15 +114,6 @@ def _power_rows(n: int) -> tuple[tuple[int, ...], ...]:
                 nxt[i] -= lead * cp[i]
         cur = nxt
     return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _sparse_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    # The rows of _power_rows(n) as (index, value) pairs of their nonzero
-    # entries.
-    return tuple(
-        tuple((i, r) for i, r in enumerate(row) if r) for row in _power_rows(n)
-    )
 
 
 @lru_cache(maxsize=None)
@@ -145,7 +140,7 @@ def _descent_solver(n: int, d: int):
     return p, tuple(((w * j) % p, rows[(u * j) % d]) for j in range(phi(n)))
 
 
-def _try_descend(n: int, d: int, num: list[int]) -> list[int] | None:
+def _try_descend(n: int, d: int, num: Sequence[int]) -> Sequence[int] | None:
     # Integer coordinates over Q(zeta_d) of the value with integer
     # coordinates num over Q(zeta_n), or None if it does not lie in Q(zeta_d).
     p, plan = _descent_solver(n, d)
@@ -170,15 +165,7 @@ def _try_descend(n: int, d: int, num: list[int]) -> list[int] | None:
     return [a - b for a, b in zip(parts[0], last)]
 
 
-def _as_ints(coeffs) -> tuple[list[int], int]:
-    # Integer numerators over the least common denominator of coeffs.
-    den = math.lcm(*(c.denominator for c in coeffs))
-    if den == 1:
-        return [c.numerator for c in coeffs], 1
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-def _embed_ints(num: list[int], n: int, m: int) -> list[int]:
+def _embed_ints(num: Sequence[int], n: int, m: int) -> Sequence[int]:
     # Integer coordinates of a conductor-n vector inside Q(zeta_m).
     if m == n:
         return num
@@ -192,7 +179,18 @@ def _embed_ints(num: list[int], n: int, m: int) -> list[int]:
     return acc
 
 
-def _canonical_ints(n: int, num: list[int], den: int) -> tuple[int, tuple[Fraction, ...]]:
+def _lowest_terms(n: int, num: Sequence[int], den: int) -> "Cyc":
+    # The value num/den at conductor n, with the common factor of den and
+    # the numerators divided out; n must already be minimal.
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return Cyc(n, tuple(num), den)
+
+
+def _from_ints(n: int, num: Sequence[int], den: int) -> "Cyc":
     # Descend one prime at a time; the minimal conductor is unique, and so
     # are the coordinates over its power basis.
     changed = True
@@ -204,38 +202,43 @@ def _canonical_ints(n: int, num: list[int], den: int) -> tuple[int, tuple[Fracti
                 n, num = n // p, down
                 changed = True
                 break
-    if den == 1:
-        return n, tuple(Fraction(v) for v in num)
-    return n, tuple(Fraction(v, den) for v in num)
+    return _lowest_terms(n, num, den)
 
 
-def _canonical(n: int, coeffs) -> tuple[int, tuple[Fraction, ...]]:
-    num, den = _as_ints(coeffs)
-    return _canonical_ints(n, num, den)
-
-
-def _from_ints(n: int, num: list[int], den: int) -> "Cyc":
-    n, coeffs = _canonical_ints(n, num, den)
-    return Cyc(n, coeffs, _raw=True)
+def _ratio_text(c: int, den: int) -> str:
+    # c/den in lowest terms, as str() prints the equal Fraction.
+    g = math.gcd(c, den)
+    return str(c // g) if g == den else f"{c // g}/{den // g}"
 
 
 class Cyc:
-    """An element of a cyclotomic field, reduced to its minimal conductor."""
+    """sum(num[j] * zeta_n^j for j < phi(n)) / den at the minimal conductor n.
 
-    __slots__ = ("n", "coeffs")
+    num is a tuple of phi(n) ints and den an int >= 1 with
+    gcd(den, *num) == 1; zero is (1, (0,), 1).  That form is unique, so
+    equality and hashing compare (n, num, den), and a rational hashes
+    like the equal int or Fraction.  The constructor stores its arguments
+    as given, so they must already be in that form; values are built by
+    from_rational, from_exponents, zeta, parse and the arithmetic.
+    """
 
-    def __init__(self, n: int, coeffs: tuple[Fraction, ...], _raw: bool = False):
-        if _raw:
-            self.n = n
-            self.coeffs = coeffs
-        else:
-            self.n, self.coeffs = _canonical(n, coeffs)
+    __slots__ = ("n", "num", "den")
+
+    def __init__(self, n: int, num: tuple[int, ...], den: int):
+        self.n = n
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates num[j]/den as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_rational(q) -> "Cyc":
-        return Cyc(1, (Fraction(q),), _raw=True)
+        return Cyc(1, (q.numerator,), q.denominator)
 
     @staticmethod
     def zero() -> "Cyc":
@@ -247,16 +250,12 @@ class Cyc:
 
     @staticmethod
     def from_exponents(n: int, terms: dict[int, object]) -> "Cyc":
-        """Sum of c * zeta_n^e over the given exponent -> coefficient map."""
-        if n < 1:
-            raise ValueError(f"conductor must be positive, got {n}")
-        if n == 1:
-            return Cyc.from_rational(sum(Fraction(c) for c in terms.values()))
+        """Sum of c * zeta_n^e over the given exponent -> coefficient map;
+        the coefficients are ints or Fractions."""
         rows = _sparse_rows(n)
-        fracs = [(e, Fraction(c)) for e, c in terms.items()]
-        den = math.lcm(*(c.denominator for _, c in fracs))
+        den = math.lcm(*(c.denominator for c in terms.values()))
         acc = [0] * phi(n)
-        for e, c in fracs:
+        for e, c in terms.items():
             if c:
                 v = c.numerator * (den // c.denominator)
                 for i, r in rows[e % n]:
@@ -269,25 +268,24 @@ class Cyc:
         return self.n == 1
 
     def is_integer(self) -> bool:
-        return self.n == 1 and self.coeffs[0].denominator == 1
+        return self.n == 1 and self.den == 1
 
     def is_zero(self) -> bool:
-        return self.n == 1 and not self.coeffs[0]
+        return self.n == 1 and not self.num[0]
 
     def is_positive_natural(self) -> bool:
         """True for 1, 2, 3, ... (0 does not count)."""
-        return self.is_integer() and self.coeffs[0] >= 1
+        return self.is_integer() and self.num[0] >= 1
 
     def as_fraction(self) -> Fraction:
         if self.n != 1:
             raise ValueError(f"not rational: {self.display()}")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def as_int(self) -> int:
-        f = self.as_fraction()
-        if f.denominator != 1:
+        if not self.is_integer():
             raise ValueError(f"not an integer: {self.display()}")
-        return f.numerator
+        return self.num[0]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -295,47 +293,38 @@ class Cyc:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.n == 1 and other.n == 1:
-            return Cyc(1, (self.coeffs[0] + other.coeffs[0],), _raw=True)
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
         m = math.lcm(self.n, other.n)
-        a, da = _as_ints(self.coeffs)
-        b, db = _as_ints(other.coeffs)
-        den = math.lcm(da, db)
-        fa, fb = den // da, den // db
-        a = _embed_ints(a, self.n, m)
-        b = _embed_ints(b, other.n, m)
+        a = _embed_ints(self.num, self.n, m)
+        b = _embed_ints(other.num, other.n, m)
         return _from_ints(m, [x * fa + y * fb for x, y in zip(a, b)], den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyc":
-        return Cyc(self.n, tuple(-c for c in self.coeffs), _raw=True)
+        return Cyc(self.n, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __mul__(self, other) -> "Cyc":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.n == 1:
-            return other._scaled(self.coeffs[0])
-        if other.n == 1:
-            return self._scaled(other.coeffs[0])
+        den = self.den * other.den
+        if self.n == 1 or other.n == 1:
+            # A nonzero rational factor q keeps the other's conductor.
+            q, x = (self.num[0], other) if self.n == 1 else (other.num[0], self)
+            if not q:
+                return _ZERO
+            return _lowest_terms(x.n, [c * q for c in x.num], den)
         m = math.lcm(self.n, other.n)
-        a, da = _as_ints(self.coeffs)
-        b, db = _as_ints(other.coeffs)
-        a = _embed_ints(a, self.n, m)
-        b = [(j, y) for j, y in enumerate(_embed_ints(b, other.n, m)) if y]
+        a = _embed_ints(self.num, self.n, m)
+        b = [(j, y) for j, y in enumerate(_embed_ints(other.num, other.n, m)) if y]
         k = phi(m)
         conv = [0] * (2 * k - 1)
         for i, x in enumerate(a):
@@ -349,7 +338,7 @@ class Cyc:
             if c:
                 for i, r in rows[t]:
                     acc[i] += c * r
-        return _from_ints(m, acc, da * db)
+        return _from_ints(m, acc, den)
 
     __rmul__ = __mul__
 
@@ -365,26 +354,25 @@ class Cyc:
             k >>= 1
         return result
 
-    def _scaled(self, q: Fraction) -> "Cyc":
-        if not q:
-            return _ZERO
-        return Cyc(self.n, tuple(c * q for c in self.coeffs), _raw=True)
-
     # -- Galois ------------------------------------------------------------
 
     def galois(self, v: int) -> "Cyc":
         """Apply the field automorphism zeta -> zeta^v; v must be coprime to
         the conductor."""
-        if self.n == 1:
+        n = self.n
+        if n == 1:
             return self
-        if math.gcd(v, self.n) != 1:
-            raise NotCoprime(f"substitution {v} not coprime to conductor {self.n}")
-        terms: dict[int, Fraction] = {}
-        for j, c in enumerate(self.coeffs):
+        if math.gcd(v, n) != 1:
+            raise NotCoprime(f"substitution {v} not coprime to conductor {n}")
+        # An automorphism keeps the minimal conductor and maps Z[zeta_n]
+        # onto itself, so the image is already in lowest terms over den.
+        rows = _sparse_rows(n)
+        acc = [0] * len(self.num)
+        for j, c in enumerate(self.num):
             if c:
-                e = (j * v) % self.n
-                terms[e] = terms.get(e, Fraction(0)) + c
-        return Cyc.from_exponents(self.n, terms)
+                for i, r in rows[(j * v) % n]:
+                    acc[i] += c * r
+        return Cyc(n, tuple(acc), self.den)
 
     def conjugate(self) -> "Cyc":
         if self.n == 1:
@@ -393,13 +381,13 @@ class Cyc:
 
     def abs_squared(self) -> "Cyc":
         if self.n == 1:
-            c = self.coeffs[0]
-            return Cyc(1, (c * c,), _raw=True)
+            c = self.num[0]
+            return Cyc(1, (c * c,), self.den * self.den)
         return self * self.conjugate()
 
     def is_root_of_unity(self) -> bool:
         if self.n == 1:
-            return self.coeffs[0] in (1, -1)
+            return self.den == 1 and self.num[0] in (1, -1)
         return self in _roots_of_unity(self.n)
 
     # -- display / parse ---------------------------------------------------
@@ -407,14 +395,16 @@ class Cyc:
     def display(self) -> str:
         """Canonical text form: rationals as plain fractions, otherwise
         nonzero terms c*z(n)^e joined by " + " in ascending exponent order."""
+        den = self.den
         if self.n == 1:
-            return str(self.coeffs[0])
+            return _ratio_text(self.num[0], den)
         parts = []
-        for e, c in enumerate(self.coeffs):
+        for e, c in enumerate(self.num):
             if not c:
                 continue
+            c = _ratio_text(c, den)
             if e == 0:
-                parts.append(str(c))
+                parts.append(c)
             elif e == 1:
                 parts.append(f"{c}*z({self.n})")
             else:
@@ -427,7 +417,8 @@ class Cyc:
 
     @staticmethod
     def parse(text: str) -> "Cyc":
-        """Inverse of display(); raises ValueError on malformed input."""
+        """Inverse of display(); raises ValueError on malformed input,
+        including a conductor above PARSE_CONDUCTOR_BOUND."""
         s = text.strip()
         if not s:
             raise ValueError("empty cyclotomic literal")
@@ -449,6 +440,8 @@ class Cyc:
                     raise ValueError(f"redundant exponent in {part!r}")
                 if n is not None and tn != n:
                     raise ValueError(f"mixed conductors {n} and {tn} in {text!r}")
+                if tn > PARSE_CONDUCTOR_BOUND:
+                    raise ValueError(f"conductor {tn} above {PARSE_CONDUCTOR_BOUND}")
                 n = tn
             if e in terms:
                 raise ValueError(f"repeated exponent {e} in {text!r}")
@@ -469,27 +462,27 @@ class Cyc:
     def approx(self) -> complex:
         """Floating-point image for debugging only; never used in checks."""
         return sum(
-            float(c) * cmath.exp(2j * cmath.pi * j / self.n)
-            for j, c in enumerate(self.coeffs)
+            c / self.den * cmath.exp(2j * cmath.pi * j / self.n)
+            for j, c in enumerate(self.num)
             if c
         )
 
     def sort_key(self):
         """Total order: rationals first by value, then by display string."""
         if self.n == 1:
-            return (0, self.coeffs[0], "")
-        return (1, Fraction(0), self.display())
+            return (0, self.num[0] if self.den == 1 else self.as_fraction(), "")
+        return (1, 0, self.display())
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
+        return self.n == other.n and self.den == other.den and self.num == other.num
 
     def __hash__(self):
         if self.n == 1:
-            return hash(self.coeffs[0])
-        return hash((self.n, self.coeffs))
+            return hash(self.num[0] if self.den == 1 else self.as_fraction())
+        return hash((self.n, self.num, self.den))
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -521,5 +514,5 @@ def zeta(n: int, k: int = 1) -> Cyc:
     return Cyc.from_exponents(n, {k: 1})
 
 
-_ZERO = Cyc(1, (Fraction(0),), _raw=True)
-_ONE = Cyc(1, (Fraction(1),), _raw=True)
+_ZERO = Cyc(1, (0,), 1)
+_ONE = Cyc(1, (1,), 1)

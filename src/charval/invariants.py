@@ -112,7 +112,7 @@ def report(table: CharTable) -> InvariantReport:
     for r in table.rows:
         cv_set.update(r.values)
     cd_set = {r.degree for r in table.rows}
-    cdc_set = {v for v in cv_set if not any(v == d for d in cd_set)}
+    cdc_set = {v for v in cv_set if not (v.is_integer() and v.as_int() in cd_set)}
     ncv_set = {v for v in cv_set if not v.is_positive_natural()}
     per_sizes = tuple(len(set(r.values)) for r in table.rows)
     cods = tuple(codegree(table, i) for i in range(len(table.rows)))

@@ -229,30 +229,39 @@ def parse_cycle_text(text: str, degree: int) -> Permutation:
         raise
 
 
+# Degree of the regular action at the default order bound; a group file
+# past it is refused before any permutation of that many points is built.
+MAX_DEGREE = 2500
+
+
 def parse_group_file(text: str, bound: int = 2500) -> "PermGroup":
     """Parse the group-description format.
 
     An optional first line ``degree N`` fixes the degree; without it the
-    degree is the largest point named.  Each further nonblank line: one
-    generator in 1-based cycle notation.  ``#`` starts a comment; blank
-    lines ignored.
+    degree is the largest point named.  Either is at most MAX_DEGREE.
+    Each further nonblank line: one generator in 1-based cycle notation.
+    ``#`` starts a comment; blank lines ignored.
     """
     lines = [(lineno, raw, raw.split("#", 1)[0].strip())
              for lineno, raw in enumerate(text.splitlines(), start=1)]
     lines = [item for item in lines if item[2]]
     if lines and lines[0][2].split()[0] == "degree":
-        lineno, _, header = lines.pop(0)
+        lineno, raw, header = lines.pop(0)
         parts = header.split()
         if len(parts) != 2 or not parts[1].isdigit():
             raise ParseError("expected 'degree N'", lineno, 1)
-        degree = int(parts[1])
+        degree, column = int(parts[1]), raw.index(parts[1]) + 1
         if degree < 1:
-            raise ParseError("degree must be at least 1", lineno, len("degree "))
+            raise ParseError("degree must be at least 1", lineno, column)
     else:
-        degree = max((int(tok) for _, _, line in lines
-                      for tok in re.findall(r"\d+", line)), default=0)
+        degree, lineno, column = max(
+            ((int(tok.group()), lineno, raw.index(line[0]) + tok.start() + 1)
+             for lineno, raw, line in lines for tok in re.finditer(r"\d+", line)),
+            default=(0, 1, 1))
         if degree < 1:
             raise ParseError("no 'degree N' header and no point to infer it from", 1, 1)
+    if degree > MAX_DEGREE:
+        raise ParseError(f"degree {degree} above {MAX_DEGREE}", lineno, column)
     gens: list[Permutation] = []
     for lineno, raw, line in lines:
         start = raw.index(line[0])

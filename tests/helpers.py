@@ -93,11 +93,10 @@ def full_self_verify(table: CharTable) -> None:
     for r, row in enumerate(rows):
         vec_row = []
         for i, v in enumerate(row.values):
-            if any(c.denominator != 1 for c in v.coeffs):
+            if v.den != 1:
                 fail("value is not an algebraic integer", "integrality", r, i)
             step = e // v.n
-            vec_row.append(tuple((j * step, c.numerator)
-                                 for j, c in enumerate(v.coeffs) if c))
+            vec_row.append(tuple((j * step, c) for j, c in enumerate(v.num) if c))
         vecs.append(vec_row)
     for r in range(len(rows)):
         for i in range(k):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from charval import catalog, chartab
+from charval import catalog, chartab, cyclo
 from charval.chartab import (
     Character,
     CharTable,
@@ -175,6 +175,23 @@ def test_abelian_tables_are_fourier_matrices():
         assert len(set(column)) == n  # pairwise distinct
         for row in table.rows:
             assert all(v.is_root_of_unity() for v in row.values)
+
+
+def test_character_tables_construct_no_fraction(monkeypatch):
+    # values are integer numerators over one denominator from the lift
+    # to the proof; a Fraction made on the way would be churn
+    made = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(cyclo, "Fraction", CountingFraction)
+    for name in catalog.names("core"):
+        group = catalog.build(name)
+        character_table(group, conjugacy_classes(group))
+    assert not made
 
 
 # --- negative controls: the self-check must reject corrupted tables ---

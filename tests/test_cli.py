@@ -259,6 +259,14 @@ def test_group_file_order_bound(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_group_file_point_past_the_degree_bound(capsys, tmp_path):
+    path = tmp_path / "far.txt"
+    path.write_text("(1 2000000)\n")
+    err = run_err(capsys, ["table", "--group", str(path)])
+    assert err.startswith("error: line 1, column 4: degree 2000000 above")
+    assert len(err.splitlines()) == 1
+
+
 def test_missing_group_file(capsys, tmp_path):
     err = run_err(capsys, ["table", "--group", str(tmp_path / "nope.txt")])
     assert err.startswith("error:")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charval.cyclo import (
+    PARSE_CONDUCTOR_BOUND,
     Cyc,
     NotCoprime,
     cyclotomic_polynomial,
@@ -216,15 +217,18 @@ def test_parse_rejects_zero_denominators():
 @st.composite
 def cyc_like_text(draw):
     """Terms of the display grammar, some malformed: zero denominators,
-    conductors 0 to 40, exponents out of range, stray separators.
-    Conductors stay small because parsing conductor n costs about n^2."""
+    conductors 0 to 40 and at and one past PARSE_CONDUCTOR_BOUND,
+    exponents out of range, stray separators.  Other conductors stay
+    small because parsing conductor n costs about n^2."""
+    conductor = st.one_of(st.integers(0, 40), st.sampled_from(
+        [PARSE_CONDUCTOR_BOUND, PARSE_CONDUCTOR_BOUND + 1]))
     terms = []
     for _ in range(draw(st.integers(1, 3))):
         coeff = str(draw(st.integers(-3, 3)))
         if draw(st.booleans()):
             coeff += f"/{draw(st.integers(0, 4))}"
         shape = draw(st.sampled_from(["", "*z({n})", "*z({n})^{e}"]))
-        terms.append(coeff + shape.format(n=draw(st.integers(0, 40)),
+        terms.append(coeff + shape.format(n=draw(conductor),
                                           e=draw(st.integers(0, 40))))
     return draw(st.sampled_from([" + ", " + ", "+", " ", " - "])).join(terms)
 
@@ -238,6 +242,63 @@ def test_parse_returns_a_value_or_raises_value_error(text):
     except ValueError:
         return
     assert Cyc.parse(value.display()) == value
+
+
+def test_parse_refuses_conductors_past_the_bound():
+    bound = PARSE_CONDUCTOR_BOUND
+    assert Cyc.parse(f"1*z({bound})") == zeta(bound)
+    for text in (f"1*z({bound + 1})", "1*z(10007)", f"1 + 1*z({10 ** 9})^2"):
+        with pytest.raises(ValueError, match=f"above {bound}"):
+            Cyc.parse(text)
+
+
+# -- the representation: integer numerators over one denominator ---------
+
+
+def assert_canonical(v: Cyc) -> None:
+    assert type(v.n) is int and v.n >= 1
+    assert type(v.den) is int and v.den >= 1
+    assert type(v.num) is tuple and all(type(c) is int for c in v.num)
+    assert len(v.num) == phi(v.n)
+    assert math.gcd(v.den, *v.num) == 1
+    if v.n == 1 and not v.num[0]:
+        assert (v.n, v.num, v.den) == (1, (0,), 1)
+    assert v.coeffs == tuple(Fraction(c, v.den) for c in v.num)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(cyc_values(), cyc_values(), small_rationals, st.integers(1, 40))
+def test_every_constructed_value_is_in_lowest_terms(a, b, q, v):
+    values = [a, b, a + b, a - b, a * b, -a, a * q, q + a, q - a, a.abs_squared(),
+              a.conjugate(), Cyc.parse(a.display()), Cyc.from_rational(q)]
+    if math.gcd(v, a.n) == 1:
+        values.append(a.galois(v))
+    for value in values:
+        assert_canonical(value)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.sampled_from(CONDUCTORS),
+       st.dictionaries(st.integers(0, 40), st.integers(-6, 6), max_size=5))
+def test_int_and_fraction_terms_build_the_same_value(n, terms):
+    from_ints = Cyc.from_exponents(n, terms)
+    from_fracs = Cyc.from_exponents(n, {e: Fraction(c) for e, c in terms.items()})
+    assert_canonical(from_ints)
+    assert from_ints == from_fracs
+    assert (from_ints.n, from_ints.num, from_ints.den) == \
+        (from_fracs.n, from_fracs.num, from_fracs.den)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.one_of(st.integers(-10 ** 20, 10 ** 20), small_rationals,
+                 st.fractions(max_denominator=10 ** 12)))
+def test_rationals_hash_like_ints_and_fractions(q):
+    for x in (q, Fraction(q)):
+        value = Cyc.from_rational(x)
+        assert_canonical(value)
+        assert hash(value) == hash(x)
+        assert x in {value} and value in {x}
+        assert value == x and x == value
 
 
 @given(cyc_values())

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from charval import catalog, permcore, verify
 from charval.chartab import character_table
 from charval.permcore import (
+    MAX_DEGREE,
     NotNormal,
     OrderBoundExceeded,
     ParseError,
@@ -147,13 +148,23 @@ def test_header_less_file_reports_the_bad_line_and_column():
     assert (exc.value.line, exc.value.column) == (3, 5)
 
 
+def test_degree_and_points_past_the_bound_are_refused_where_they_stand():
+    with pytest.raises(ParseError, match=f"degree {MAX_DEGREE + 1} above") as exc:
+        parse_group_file(f"# header\n degree {MAX_DEGREE + 1}\n(1 2)\n")
+    assert (exc.value.line, exc.value.column) == (2, 9)
+    with pytest.raises(ParseError, match="degree 1000000000 above") as exc:
+        parse_group_file("(1 2)\n  (3 4)(5 1000000000)\n")
+    assert (exc.value.line, exc.value.column) == (2, 11)
+    assert parse_group_file(f"(1 {MAX_DEGREE})\n").degree == MAX_DEGREE
+
+
 @st.composite
 def group_file_like_text(draw):
     """Lines of the group-file grammar, some malformed: bad headers,
-    points out of range, repeated or non-numeric, unclosed cycles and
-    comments.  Points stay below 13 because the degree is unbounded, and
-    a file naming point 10^9 allocates permutations that large."""
-    point = st.sampled_from([str(i) for i in range(1, 13)] + ["0", "-1", "x", ""])
+    points out of range, repeated, non-numeric, at MAX_DEGREE or past it,
+    unclosed cycles and comments."""
+    point = st.sampled_from([str(i) for i in range(1, 13)] + ["0", "-1", "x", ""]
+                            + [str(MAX_DEGREE), str(MAX_DEGREE + 1), str(10 ** 9)])
     lines = []
     if draw(st.booleans()):
         lines.append(draw(st.sampled_from(["degree ", "degree", "degree  ", "# "]))
