@@ -16,6 +16,7 @@ import re
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 
 # Parsing conductor n builds phi(n) and its reduction rows in about n^2
@@ -27,39 +28,31 @@ class NotCoprime(ValueError):
     """Galois substitution exponent shares a factor with the conductor."""
 
 
-def _polydiv_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # Exact division of integer polynomials, coefficients ascending.
-    # den is monic (true for every cyclotomic polynomial).
-    num = list(num)
-    dd = len(den) - 1
-    qd = len(num) - 1 - dd
-    quot = [0] * (qd + 1)
-    for k in range(qd, -1, -1):
-        c = num[dd + k]
-        quot[k] = c
-        if c:
-            for i, d in enumerate(den):
-                num[k + i] -= c * d
-    if any(num):
-        raise ArithmeticError("polynomial division left a remainder")
-    return quot
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients of the n-th cyclotomic polynomial, ascending.
 
-    Computed by exact division: x^n - 1 divided by the product of the
-    cyclotomic polynomials of all proper divisors of n.
+    Phi_n is the product of (x^d - 1)^mu(n/d) over the divisors d of n,
+    and mu(n/d) = (-1)^|S| when n/d is the product of a set S of primes,
+    else 0.  The factors with mu = 1 are multiplied in first and those
+    with mu = -1 divided out after, each in one pass: about n * tau(n) steps.
     """
     if n < 1:
         raise ValueError(f"conductor must be positive, got {n}")
-    if n == 1:
-        return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _polydiv_exact(poly, cyclotomic_polynomial(d))
+    primes = prime_factors(n)
+    subsets = [s for k in range(len(primes) + 1) for s in combinations(primes, k)]
+    poly = [1]
+    for s in sorted(subsets, key=lambda s: len(s) % 2):
+        d = n // math.prod(s)
+        if len(s) % 2 == 0:
+            poly = [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]
+            continue
+        # exact division by x^d - 1, from the top coefficient down
+        for j in range(len(poly) - 1, d - 1, -1):
+            poly[j - d] += poly[j]
+        if any(poly[:d]):
+            raise ArithmeticError("polynomial division left a remainder")
+        poly = poly[d:]
     return tuple(poly)
 
 

@@ -4,12 +4,13 @@ Groups here are small (order bounded, default 2500), so the element list
 is materialized by breadth-first closure over the generators, and
 classes are answered by exact enumeration.  Every structural question
 is read off the group's proven character table as class masks (bit i
-set for class i): each normal subgroup N is an intersection of kernels
-of irreducible characters, the rows of G/N are the rows with N in their
-kernel, and each centre Z(G/N) is an intersection of the rows' Z(chi).
-Normal subgroups, the derived and upper central series, the socle,
-chief factors, and the extraspecial, abelian, cyclic and Frobenius
-shapes of every quotient G/N come from G's one table.  Element order is
+set for class i): a normal closure is an intersection of irreducible
+kernels, the rows of G/N are the rows with N in their kernel, and each
+centre Z(G/N) is an intersection of the rows' Z(chi).  The derived
+series, O_p, the Frobenius kernel, the socle and a chief series are
+normal closures of a few classes over a known term; only
+normal_subgroups, check_two_degrees and four claims of check_expected
+build every normal subgroup (normal_masks).  Element order is
 canonical: BFS from the identity with the generator list in the given
 order, which makes every downstream computation deterministic.
 
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
@@ -603,22 +603,26 @@ def is_nilpotent(table: CharTable) -> bool:
     return True
 
 
+def sort_masks(classes: ClassData, masks) -> list[int]:
+    """Class masks sorted by (size, elements); where two unions of classes
+    first differ, the least element is a class representative."""
+    return sorted(masks, key=lambda m: (
+        mask_size(classes, m),
+        sorted(rep for i, rep in enumerate(classes.reps) if m >> i & 1)))
+
+
 def normal_masks(table: CharTable) -> tuple[int, ...]:
-    """All normal subgroups, as class masks sorted by (size, elements).
+    """All normal subgroups, as class masks in sort_masks order.
 
     Every normal subgroup N is the intersection of the kernels of the
     irreducible characters of G/N, lifted to G (Isaacs, Character Theory
     of Finite Groups, Ch. 2), so the closure of {G} under intersection
-    with each row's kernel is exactly the set of normal subgroups.  The
-    least element where two unions of classes differ is a class's least
-    element, its representative, so the representatives give that order.
+    with each row's kernel is exactly the set of normal subgroups.
     """
-    cd = table.classes
-    masks = {(1 << cd.n_classes) - 1}
+    masks = {(1 << table.classes.n_classes) - 1}
     for row in table.rows:
         masks |= {m & row.kernel for m in masks}
-    return tuple(sorted(masks, key=lambda m: (
-        mask_size(cd, m), sorted(rep for i, rep in enumerate(cd.reps) if m >> i & 1))))
+    return tuple(sort_masks(table.classes, masks))
 
 
 def normal_subgroups(table: CharTable) -> tuple[frozenset[int], ...]:
@@ -769,59 +773,61 @@ def is_abelian_section(classes: ClassData, mask: int, below: int = 1) -> bool:
     return True
 
 
-def _kernel_centralizer_condition(classes: ClassData, fused, kernel: int,
-                                  below: int = 1) -> bool:
-    # K/N is a Frobenius kernel of G/N iff C(n) <= K/N for every n != 1 in
-    # K/N; fused[i] is the preimage size of the class of G/N that class i
-    # maps to.  In a group G, C_G(n) <= N for every n != 1 in a normal N
-    # needs |C_G(n)| = |G|/|C| to divide |N| for each class C != {1} of N,
-    # and that suffices: every such C then has size a multiple of |G:N|,
-    # so |N| = 1 mod |G:N| and gcd(|N|, |G:N|) = 1, while |C_G(n) : C_N(n)|
-    # divides both |G:N| and |C_G(n)|, hence |N|, so it is 1.
-    # Schur-Zassenhaus then gives a complement H, and an h != 1 in H
-    # centralizing some n != 1 in N would lie in C_G(n) <= N, so H acts
-    # fixed-point-freely and G is Frobenius.
-    order = classes.group.order
-    quotient_kernel = mask_size(classes, kernel) // mask_size(classes, below)
-    return all(quotient_kernel % (order // fused[i]) == 0
-               for i in range(classes.n_classes)
-               if kernel >> i & 1 and not below >> i & 1)
+def frobenius_kernel(table: CharTable, below: int = 1) -> int | None:
+    """Class mask of K if G/N is Frobenius with kernel K/N, else None,
+    N the union of the classes in below.
 
+    A proper nontrivial normal K/N is a Frobenius kernel of G/N iff
+    C(n) <= K/N for every n != 1 in K/N.  In a group G, C_G(n) <= N for
+    every n != 1 in a normal N needs |C_G(n)| = |G|/|C| to divide |N| for
+    each class C != {1} of N, and that suffices: every such C then has
+    size a multiple of |G:N|, so |N| = 1 mod |G:N| and gcd(|N|, |G:N|) = 1,
+    while |C_G(n) : C_N(n)| divides both |G:N| and |C_G(n)|, hence |N|, so
+    it is 1.  Schur-Zassenhaus then gives a complement H, and an h != 1 in
+    H centralizing some n != 1 in N would lie in C_G(n) <= N, so H acts
+    fixed-point-freely and G is Frobenius.
 
-def frobenius_kernel(table: CharTable, normals: tuple[int, ...],
-                     below: int = 1) -> int | None:
-    """Class mask of K if G/N is Frobenius with kernel K/N, else None.
-
-    normals are the masks of normal_masks(table) and below is N's.  A
-    complement exists (see _kernel_centralizer_condition); it has order
-    |G:K| and is isomorphic to G/K.  The Frobenius kernel is unique.
+    So for each proper divisor m of |G:N| the one candidate K/N of order m
+    is N with the classes whose centralizer in G/N has order dividing m:
+    an element outside a Frobenius kernel has its centralizer in a
+    complement, of order greater than 1 and prime to m.  The candidate
+    meets the criterion by construction, so it is the kernel when it is
+    a normal subgroup of order m|N|.  The complement is isomorphic to G/K.
     """
     cd = table.classes
-    fused = cd.sizes
+    order, fused = table.group.order, cd.sizes
     if below != 1:
-        # classes of G fuse in G/N iff their columns agree on its rows,
-        # since the columns of an irreducible table are distinct
+        # classes fuse in G/N iff their columns agree on its rows, whose
+        # columns are distinct; fused[i] is the preimage size of i's class
         rows = _rows_over(table, below)
         keys = [tuple(row.values[i] for row in rows) for i in range(cd.n_classes)]
-        totals: Counter = Counter()
-        for key, size in zip(keys, cd.sizes):
-            totals[key] += size
-        fused = [totals[key] for key in keys]
-    return next((k for k in normals[1:-1] if k != below and below & ~k == 0
-                 and _kernel_centralizer_condition(cd, fused, k, below)), None)
+        fused = [sum(s for other, s in zip(keys, cd.sizes) if other == key) for key in keys]
+    n = mask_size(cd, below)
+    for m in (m for m in range(2, order // n) if order % (m * n) == 0):
+        kernel = below | sum(1 << i for i, f in enumerate(fused) if m % (order // f) == 0)
+        if mask_size(cd, kernel) == m * n and _normal_closure(table, kernel) == kernel:
+            return kernel
+    return None
 
 
-def minimal_normal_masks(normals: tuple[int, ...], below: int = 1) -> list[int]:
-    """The K with K/N minimal normal in G/N: among the masks of
-    normal_masks, those minimal above below, N's mask."""
-    above = [m for m in normals if m != below and below & ~m == 0]
-    return [m for m in above if not any(o != m and o & ~m == 0 for o in above)]
+def minimal_normal_masks(table: CharTable, below: int = 1) -> list[int]:
+    """The K with K/N minimal normal in G/N, N the union of the classes in
+    below, in sort_masks order.
+
+    Each is the normal closure of N and one class outside N, and a
+    closure minimal among these is minimal normal over N.
+    """
+    cd = table.classes
+    closures = {_normal_closure(table, below | 1 << i)
+                for i in range(cd.n_classes) if not below >> i & 1}
+    return sort_masks(cd, (m for m in closures
+                           if not any(o != m and o & ~m == 0 for o in closures)))
 
 
-def socle(table: CharTable, normals: tuple[int, ...]) -> int:
+def socle(table: CharTable) -> int:
     """Class mask of the socle, the product of the minimal normal
-    subgroups: the normal closure of their union."""
-    return _normal_closure(table, reduce(or_, minimal_normal_masks(normals), 1))
+    subgroups: the normal closure of the union of minimal_normal_masks."""
+    return _normal_closure(table, reduce(or_, minimal_normal_masks(table), 1))
 
 
 def a5a6_free(table: CharTable) -> bool:
@@ -830,15 +836,20 @@ def a5a6_free(table: CharTable) -> bool:
     A nonabelian chief factor is T^k for a nonabelian simple T, and the
     only simple groups of order 60 and 360 are A5 and A6, so below order
     20160 the chief factors showing A5 or A6 are exactly those of order
-    60, 360 or 3600 (A5^2); no abelian one has such an order.  Chief
-    factors are the covering pairs of the normal-subgroup lattice.
+    60, 360 or 3600 (A5^2); no abelian one has such an order.  By
+    Jordan-Hoelder every chief series has the same factors, so one is
+    walked, each term a smallest minimal normal subgroup over the last.
     Raises ValueError from order 20160 on, where the rule is unproven.
     """
     if table.group.order >= 20160:
         raise ValueError(f"composition factors undecided at order {table.group.order}")
-    cd, normals = table.classes, normal_masks(table)
-    return not any(mask_size(cd, high) // mask_size(cd, low) in (60, 360, 3600)
-                   for low in normals for high in minimal_normal_masks(normals, low))
+    cd, low = table.classes, 1
+    while low != (1 << cd.n_classes) - 1:
+        high = minimal_normal_masks(table, low)[0]
+        if mask_size(cd, high) // mask_size(cd, low) in (60, 360, 3600):
+            return False
+        low = high
+    return True
 
 
 @dataclass(frozen=True)
@@ -860,42 +871,31 @@ class StructureFlags:
     frobenius: int | None
 
 
-def _o_p_mask(classes: ClassData, p: int, normals: tuple[int, ...] | None) -> int:
-    """O_p(G) as a class mask; normals is None for nilpotent G."""
-    if normals is None:
-        return sum(1 << i for i, o in enumerate(classes.element_orders)
-                   if is_p_power(o, p))
-    p_normals = [m for m in normals if is_p_power(mask_size(classes, m), p)]
-    best = max(p_normals, key=lambda m: mask_size(classes, m), default=1)
-    if any(m & ~best for m in p_normals):
-        raise InvariantViolation("normal p-subgroups not nested under the largest")
-    return best
+def _o_p_mask(table: CharTable, p: int) -> int:
+    """O_p(G) as a class mask: the union of the normal closures of the
+    p-power-order classes that are p-groups.  Each such closure lies in
+    O_p, and each element of O_p has one, so the union is O_p."""
+    cd = table.classes
+    closures = (_normal_closure(table, 1 << i)
+                for i, o in enumerate(cd.element_orders) if is_p_power(o, p))
+    return reduce(or_, (m for m in closures if is_p_power(mask_size(cd, m), p)), 1)
 
 
 def structure_flags(table: CharTable) -> StructureFlags:
-    """Compute the structural flag set of the table's group.
-
-    Nilpotent groups need no normal subgroups: O_p is the set of
-    p-power-order classes and no nilpotent group is Frobenius.
-    Non-nilpotent groups read their normal subgroups off the table's
-    kernels.
-    """
+    """Compute the structural flag set of the table's group, every
+    subgroup read off as a normal closure of classes."""
     group, cd = table.group, table.classes
     abelian = cd.n_classes == group.order
     factors = prime_factors(group.order)
     p_group_p = factors[0] if len(factors) == 1 else None
-    elem_p = None
-    if abelian and p_group_p is not None \
-            and all(o == p_group_p for o in cd.element_orders[1:]):
-        elem_p = p_group_p
-    nilpotent = abelian or is_nilpotent(table)
-    normals = None if nilpotent else normal_masks(table)
+    elem_p = p_group_p if abelian and all(
+        o == p_group_p for o in cd.element_orders[1:]) else None
     return StructureFlags(
         is_abelian=abelian,
         elementary_abelian_p=elem_p,
-        is_nilpotent=nilpotent,
+        is_nilpotent=abelian or is_nilpotent(table),
         p_group_p=p_group_p,
         is_extraspecial=is_extraspecial(table),
-        o_p={p: _o_p_mask(cd, p, normals) for p in factors},
-        frobenius=None if nilpotent else frobenius_kernel(table, normals),
+        o_p={p: _o_p_mask(table, p) for p in factors},
+        frobenius=frobenius_kernel(table),
     )

@@ -17,7 +17,7 @@ from .cyclo import is_p_power, prime_factors
 from .invariants import InvariantReport
 from .permcore import (
     ClassData, a5a6_free, frobenius_kernel, is_abelian_section,
-    is_extraspecial, mask_size, normal_masks,
+    is_extraspecial, mask_size, normal_masks, sort_masks,
 )
 # unused here, but perfbench patches and restores verify.structure_flags
 from .permcore import structure_flags  # noqa: F401
@@ -151,11 +151,17 @@ def check_nilpotent_cdc3(table: CharTable, rep: InvariantReport,
     if flags.is_extraspecial:
         return _met(label, claim, True,
                     "all three predicates true; group itself extraspecial")
-    for n in normal_masks(table)[1:-1]:
-        if is_extraspecial(table, n):
-            return _met(label, claim, True,
-                        "all three predicates true; extraspecial factor "
-                        f"group of order {g.order // mask_size(table.classes, n)}")
+    # If G/N is extraspecial, its centre of order p is its derived subgroup
+    # and its unique minimal normal subgroup.  A nonlinear character of G/N
+    # has a kernel without the derived subgroup, hence a trivial one, so N
+    # is the kernel of a nonlinear row of G; the smallest N gives the order.
+    sizes = [mask_size(table.classes, n)
+             for n in {row.kernel for row in table.rows if row.degree > 1}
+             if is_extraspecial(table, n)]
+    if sizes:
+        return _met(label, claim, True,
+                    "all three predicates true; extraspecial factor "
+                    f"group of order {g.order // min(sizes)}")
     return _met(label, claim, False, "no extraspecial factor group found")
 
 
@@ -178,11 +184,10 @@ def check_nonnilpotent_cdc3(table: CharTable, rep: InvariantReport,
     o2 = flags.o_p.get(2, 1)
     if not is_abelian_section(cd, o2):
         return _met(label, claim, False, "2-core is nonabelian")
-    normals = normal_masks(table)
+    # a subgroup of index 2 is the kernel of its quotient's sign, a linear row
     half = None
-    for n in normals:
-        if 2 * mask_size(cd, n) != g.order:
-            continue
+    for n in sort_masks(cd, {row.kernel for row in table.rows if row.degree == 1
+                             and 2 * mask_size(cd, row.kernel) == g.order}):
         orders = [(i, o) for i, o in enumerate(cd.element_orders) if n >> i & 1]
         two = sum(1 << i for i, o in orders if is_p_power(o, 2))
         if all(o in (1, 3) for _, o in orders if o % 2 == 1) and two == o2 \
@@ -208,7 +213,7 @@ def check_nonnilpotent_cdc3(table: CharTable, rep: InvariantReport,
     central = all(cd.sizes[i] == 1 for i in o2_classes)
     elementary2 = all(cd.element_orders[i] in (1, 2) for i in o2_classes)
     # G/O_2 is Frobenius with kernel K/O_2 and a complement of order 2
-    kernel = frobenius_kernel(table, normals, o2)
+    kernel = frobenius_kernel(table, o2)
     frob_shape = (kernel is not None and 2 * mask_size(cd, kernel) == g.order
                   and _elementary_abelian_section(cd, kernel, 3, o2))
     concl = central and elementary2 and frob_shape

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from charval import catalog
 from charval.chartab import (
@@ -153,6 +154,25 @@ def dense_rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int
                 m[rr] = [(x - f * y) % p for x, y in zip(m[rr], m[r])]
         pivots.append(c)
     return m[:len(pivots)], pivots
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_by_division(n: int) -> tuple[int, ...]:
+    """Phi_n by its recursive definition: x^n - 1 divided by Phi_d for
+    every proper divisor d of n, by long division (Phi_d is monic)."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d:
+            continue
+        den = cyclotomic_by_division(d)
+        quot = [0] * (len(poly) - len(den) + 1)
+        for k in range(len(quot) - 1, -1, -1):
+            quot[k] = c = poly[k + len(den) - 1]
+            for i, a in enumerate(den):
+                poly[k + i] -= c * a
+        assert not any(poly), f"Phi_{d} does not divide"
+        poly = quot
+    return tuple(poly)
 
 
 def naive_inverses(group: PermGroup) -> list[int]:

@@ -18,6 +18,7 @@ from charval.cyclo import (
     prime_factors,
     zeta,
 )
+from tests import helpers as H
 
 CONDUCTORS = [1, 3, 4, 5, 7, 8, 9, 12]
 
@@ -49,6 +50,12 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
     for n in range(1, 30):
         assert len(cyclotomic_polynomial(n)) == phi(n) + 1
+
+
+def test_cyclotomic_polynomials_match_the_recursive_definition():
+    for n in range(1, 700):
+        assert cyclotomic_polynomial(n) == H.cyclotomic_by_division(n), n
+    assert cyclotomic_polynomial(105)[7] == -2  # the least n with a coefficient off {-1, 0, 1}
 
 
 def test_phi_values():

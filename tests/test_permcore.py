@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from charval import catalog, permcore, verify
 from charval.chartab import character_table
+from charval.cyclo import is_p_power
 from charval.permcore import (
     MAX_DEGREE,
     NotNormal,
@@ -17,7 +18,6 @@ from charval.permcore import (
     Permutation,
     PointOutOfRange,
     RepeatedPoint,
-    _kernel_centralizer_condition,
     conjugacy_classes,
     derived_length,
     derived_series,
@@ -498,6 +498,16 @@ def test_normal_subgroups_match_exhaustive_search(name):
     assert list(normals) == sorted(normals, key=lambda n: (len(n), sorted(n)))
 
 
+@pytest.mark.parametrize("name", _oracle_sized_entries())
+def test_o_p_is_the_largest_normal_p_subgroup(name):
+    _, g, cd, table, _ = catalog.bundle(name)
+    normals = H.naive_normal_sets(g, cd)
+    for p, mask in structure_flags(table).o_p.items():
+        o_p = H.class_union(cd, mask)
+        p_normals = [n for n in normals if is_p_power(len(n), p)]
+        assert o_p in p_normals and all(n <= o_p for n in p_normals), (name, p)
+
+
 @pytest.mark.parametrize("name", catalog.names())
 def test_normal_masks_keep_the_element_list_order(name):
     # sorting by class representatives orders the masks as sorting the
@@ -590,7 +600,7 @@ def test_direct_product_multiplies_orders_and_classes():
 def test_frobenius_detection_with_brute_centralizers():
     for name, ksize in (("sg_21_1", 7), ("dihedral_10", 5), ("gamma_8", 8)):
         _, g, cd, table, _ = catalog.bundle(name)
-        kernel = frobenius_kernel(table, normal_masks(table))
+        kernel = frobenius_kernel(table)
         assert kernel is not None, name
         kernel = H.class_union(cd, kernel)
         assert len(kernel) == ksize
@@ -601,8 +611,7 @@ def test_frobenius_detection_with_brute_centralizers():
             centralizes = {x for x in range(g.order)
                            if g.conjugate_index(n, x) == n}
             assert centralizes <= kernel, name
-    table = catalog.bundle("sym_4")[3]
-    assert frobenius_kernel(table, normal_masks(table)) is None
+    assert frobenius_kernel(catalog.bundle("sym_4")[3]) is None
 
 
 def _non_nilpotent_core_entries() -> list[str]:
@@ -612,17 +621,19 @@ def _non_nilpotent_core_entries() -> list[str]:
 
 @pytest.mark.parametrize("name", _non_nilpotent_core_entries())
 def test_kernel_condition_matches_element_centralizers(name):
+    # a proper nontrivial normal N is the Frobenius kernel exactly when no
+    # element of N but 1 commutes with an element outside N
     _, g, cd, table, _ = catalog.bundle(name)
-    for n_set in normal_subgroups(table):
-        assert _kernel_centralizer_condition(cd, cd.sizes, H.subset_mask(cd, n_set)) == \
-            H.naive_frobenius_kernel_condition(g, n_set), (name, len(n_set))
+    kernel = frobenius_kernel(table)
+    for n_set in normal_subgroups(table)[1:-1]:
+        assert H.naive_frobenius_kernel_condition(g, n_set) == \
+            (H.subset_mask(cd, n_set) == kernel), (name, len(n_set))
 
 
 def test_frobenius_decomposition_stays_at_class_level(monkeypatch):
     # sg_250_14 = C5^3 : C2 is Frobenius with kernel C5^3; deciding the
     # kernel condition element by element took 15 500 products
     _, g, cd, table, _ = catalog.bundle("sg_250_14")
-    normals = normal_masks(table)
     calls = 0
     mult_index = PermGroup.mult_index
 
@@ -632,7 +643,7 @@ def test_frobenius_decomposition_stays_at_class_level(monkeypatch):
         return mult_index(self, i, j)
 
     monkeypatch.setattr(PermGroup, "mult_index", counting)
-    kernel = frobenius_kernel(table, normals)
+    kernel = frobenius_kernel(table)
     assert mask_size(cd, kernel) == 125
     assert calls < 500
 
@@ -658,7 +669,7 @@ def test_quotient_facts_match_quotient_tables(name):
         assert is_abelian_section(cd, normals[-1], n) == qflags.is_abelian, where
         assert is_abelian_section(cd, n) == H.all_commute(g, n_set), where
         assert is_cyclic_quotient(cd, n) == H.is_cyclic_subset(q, range(q.order)), where
-        kernel = frobenius_kernel(table, normals, n)
+        kernel = frobenius_kernel(table, n)
         if qflags.frobenius is None:
             assert kernel is None, where
             continue
@@ -678,10 +689,19 @@ def test_socle_matches_element_closure(name):
     normals = normal_subgroups(table)
     old = H.socle_of_nilpotent(g) if rep.flags.is_nilpotent \
         else H.socle_from_normals(g, normals)
-    masks = normal_masks(table)
-    assert H.class_union(cd, socle(table, masks)) == old
-    assert [H.class_union(cd, m) for m in minimal_normal_masks(masks)] == \
+    assert H.class_union(cd, socle(table)) == old
+    assert [H.class_union(cd, m) for m in minimal_normal_masks(table)] == \
         H.minimal_normal_subgroups(normals)
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_minimal_normals_over_every_normal_match_the_lattice(name):
+    table = catalog.bundle(name)[3]
+    normals = normal_masks(table)
+    for n in normals:
+        above = [m for m in normals if m != n and n & ~m == 0]
+        assert minimal_normal_masks(table, n) == \
+            [m for m in above if not any(o != m and o & ~m == 0 for o in above)], (name, n)
 
 
 def _bits(mask: int) -> list[int]:
@@ -706,17 +726,16 @@ def test_socle_computations():
                        ("cyclic_12", 6), ("elab_2_3", 8), ("sym_4", 4),
                        ("alt_7", 2520), ("sym_7", 2520)):
         _, _, cd, table, _ = catalog.bundle(name)
-        assert mask_size(cd, socle(table, normal_masks(table))) == size, name
+        assert mask_size(cd, socle(table)) == size, name
     _, _, cd, table, _ = catalog.bundle("sym_4")
-    minimals = minimal_normal_masks(normal_masks(table))
+    minimals = minimal_normal_masks(table)
     assert [mask_size(cd, m) for m in minimals] == [4]  # unique minimal normal
 
 
 def test_socle_of_simple_group_is_itself():
     _, _, cd, table, _ = catalog.bundle("alt_5")
-    normals = normal_masks(table)
-    assert len(normals) == 2
-    assert mask_size(cd, socle(table, normals)) == 60
+    assert len(normal_masks(table)) == 2
+    assert mask_size(cd, socle(table)) == 60
 
 
 def _sl_2_3() -> PermGroup:

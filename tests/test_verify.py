@@ -149,3 +149,47 @@ def test_core_verify_stays_at_class_level(monkeypatch):
                         _counting(calls, "mult_index", permcore.PermGroup.mult_index))
     verify.verify_names()
     assert 0 < calls["mult_index"] < 4000
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_extraspecial_quotients_are_nonlinear_row_kernels(name):
+    # check_nilpotent_cdc3 searches these kernels, not the lattice
+    table = catalog.bundle(name)[3]
+    lattice = {n for n in permcore.normal_masks(table)
+               if permcore.is_extraspecial(table, n)}
+    assert lattice == {row.kernel for row in table.rows if row.degree > 1
+                       and permcore.is_extraspecial(table, row.kernel)}
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_index_two_subgroups_are_linear_row_kernels(name):
+    # check_nonnilpotent_cdc3 takes its candidates in this order
+    _, g, cd, table, _ = catalog.bundle(name)
+    lattice = [n for n in permcore.normal_masks(table)
+               if 2 * permcore.mask_size(cd, n) == g.order]
+    assert lattice == permcore.sort_masks(cd, {
+        row.kernel for row in table.rows
+        if row.degree == 1 and 2 * permcore.mask_size(cd, row.kernel) == g.order})
+
+
+def test_structure_answers_never_build_the_lattice(monkeypatch):
+    # normal_masks serves normal_subgroups, check_two_degrees and the four
+    # claims of check_expected that are about every normal subgroup
+    def refuse(table):
+        raise AssertionError("normal_masks called")
+
+    for module in (permcore, verify, catalog):
+        monkeypatch.setattr(module, "normal_masks", refuse)
+    lattice_claims = {"normal_count", "quotient_d10_count",
+                      "exists_normal_with_2group_quotient",
+                      "exists_normal_with_frobenius_cyclic_quotient"}
+    checkers = (verify.check_four_values_solvable, verify.check_cdc3_solvable,
+                verify.check_cdc2_shape, verify.check_nilpotent_cdc3,
+                verify.check_nonnilpotent_cdc3)
+    catalog.clear_caches()
+    for name in catalog.names("core"):
+        ent, _, _, table, rep = catalog.bundle(name)
+        for check in checkers:
+            check(table, rep, name)
+        if not lattice_claims & ent.expected.keys():
+            assert catalog.check_expected(name) == [], name
