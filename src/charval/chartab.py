@@ -20,7 +20,8 @@ integer arithmetic: it must have one row per class, and with e the lcm
 of the value conductors, each value becomes the integer vector of its
 power-basis coordinates mod x^e - 1, each relation (inverse class
 equals conjugate, first orthogonality) is accumulated as one such
-vector, and one exact remainder by a cyclotomic polynomial decides it.
+vector, and one exact remainder by the e-th cyclotomic polynomial,
+cyclo.power_basis, decides it.
 The power maps carry relations to relations, so a row, or a pair of
 rows, whose vectors are the power-map image of one already checked is
 not checked again.  For a square table first orthogonality implies the
@@ -34,7 +35,7 @@ import math
 import random
 from collections.abc import Iterable
 
-from .cyclo import Cyc, cyclotomic_polynomial, is_prime, prime_factors
+from .cyclo import Cyc, is_prime, power_basis, prime_factors
 from .permcore import ClassData, PermGroup, conjugacy_classes, mask_size
 
 
@@ -366,36 +367,6 @@ def _split_subspace(space: tuple[list[list[int]], list[int]],
     return pieces
 
 
-def _sqrt_mod(n: int, p: int) -> int:
-    """A square root of n mod p (Tonelli-Shanks); raises if none exists."""
-    n %= p
-    if n == 0:
-        return 0
-    if pow(n, (p - 1) // 2, p) != 1:
-        raise EigensplitFailure("degree squared is not a quadratic residue", p)
-    if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
-    q = p - 1
-    s = 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
-    while t != 1:
-        t2 = t
-        i = 0
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
 def _primitive_root(p: int) -> int:
     fac = prime_factors(p - 1)
     g = 2
@@ -533,13 +504,13 @@ def character_table(group: PermGroup, classes: ClassData | None = None,
         if s_val == 0:
             raise failure("degree denominator vanished mod p", r)
         d_sq = order % p * pow(s_val, p - 2, p) % p
-        try:
-            root = _sqrt_mod(d_sq, p)
-        except EigensplitFailure as exc:
-            raise failure(exc.message, r) from exc
-        d = min(root, p - root)
-        if d == 0 or d * d > order:
-            raise failure("lifted degree out of range", r)
+        # At most one d in 1..sqrt|G| has d^2 = |G|/s mod p: for two, d1 != d2,
+        # p would divide (d1 - d2)(d1 + d2), whose factors are nonzero and
+        # below 2*sqrt|G| < p.
+        d = next((d for d in range(1, math.isqrt(order) + 1)
+                  if d * d % p == d_sq), None)
+        if d is None:
+            raise failure("no degree d <= sqrt|G| with d^2 = |G|/s mod p", r)
         theta = [d * omega[i] % p * inv_sizes[i] % p for i in range(k)]
         try:
             values, kernel, center_z = _lift_row(theta, d, cd, p, e, w_inv)
@@ -644,8 +615,9 @@ def _self_verify(table: CharTable, galois: Iterable[tuple[int, ...]]) -> None:
     of its integer numerators (num) mod x^e - 1 (zeta_n^j -> x^(j*e/n),
     complex conjugation negates exponents).  Each relation (inverse class equals
     conjugate, first orthogonality) is accumulated as one such vector,
-    minus its expected constant, and decided by _vanishes.  The table
-    must be square, so that second orthogonality follows from the first.
+    minus its expected constant, and decided by _vanishes, one remainder
+    by Phi_e (cyclo.power_basis).  The table must be square, so that
+    second orthogonality follows from the first.
 
     galois holds class permutations, the power maps of _galois_maps.  A
     permutation pi that keeps class sizes and commutes with inversion
@@ -741,41 +713,9 @@ def _self_verify(table: CharTable, galois: Iterable[tuple[int, ...]]) -> None:
                     implied_pairs.add((min(ia, ib), max(ia, ib)))
 
 
-def _cyclotomic_remainder(acc: list[int]) -> tuple[int, list[int]]:
-    """Reduce sum(acc[t] * zeta_e^t), e = len(acc), in the smallest field.
-
-    With g the gcd of e and the support of acc, the sum is Q(zeta_m) for
-    m = e/g and Q(y) = sum(acc[s*g] * y^s).  Returns (m, r) with r the
-    remainder of Q by the m-th cyclotomic polynomial, trailing zeros
-    stripped; r is empty iff the sum is 0.
-    """
-    e = len(acc)
-    g = e
-    for t in range(1, e):
-        if acc[t]:
-            g = math.gcd(g, t)
-            if g == 1:
-                break
-    m = e // g
-    q = acc[::g]
-    cp = cyclotomic_polynomial(m)
-    deg = len(cp) - 1
-    terms = [(s, c) for s, c in enumerate(cp[:-1]) if c]
-    for top in range(m - 1, deg - 1, -1):
-        c = q[top]
-        if c:
-            base = top - deg
-            for s, pc in terms:
-                q[base + s] -= c * pc
-    del q[deg:]
-    while q and not q[-1]:
-        q.pop()
-    return m, q
-
-
 def _vanishes(acc: list[int]) -> bool:
     """True iff sum(acc[t] * zeta_e^t) == 0, e = len(acc)."""
-    return not any(acc) or not _cyclotomic_remainder(acc)[1]
+    return not any(acc) or not any(power_basis(acc, len(acc)))
 
 
 def codegree(table: CharTable, row: int) -> int:

@@ -6,6 +6,8 @@ Q(zeta_n) are num[j]/den, where n is the smallest conductor containing
 the value.  Every operation, and the descent to the minimal conductor,
 runs in integer arithmetic; Fractions appear only at the edges (parse
 input, as_fraction, the coeffs view).  Rationals have conductor 1.
+Every reduction to the power basis is one remainder by Phi_n,
+power_basis, and the only table kept per conductor is Phi_n's nonzero terms.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import sub
 
 
-# Parsing conductor n builds phi(n) and its reduction rows in about n^2
-# steps, so text naming a larger conductor is refused.
+# Text naming a larger conductor is refused: the bound limits how large a
+# field, and so how much work, a literal from outside the program may ask for.
 PARSE_CONDUCTOR_BOUND = 2500
 
 
@@ -89,24 +92,28 @@ def is_p_power(n: int, p: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _sparse_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    # Row t holds the nonzero power-basis coordinates of zeta_n^t as
-    # (index, value) pairs.  Enough rows for embedding (t < n) and for
-    # reducing a product of two reduced polynomials (t <= 2*phi - 2).
-    k = phi(n)
+def _phi_terms(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    # phi(n) and the nonzero terms (s, c) of Phi_n below its leading x^phi(n)
     cp = cyclotomic_polynomial(n)
-    rows: list[tuple[tuple[int, int], ...]] = []
-    cur = [1] + [0] * (k - 1)
-    for _ in range(max(n, 2 * k - 1)):
-        rows.append(tuple((i, r) for i, r in enumerate(cur) if r))
-        lead = cur[k - 1]
-        nxt = [0] + cur[:-1]
-        if lead:
-            # x^k = -(cp[0] + cp[1] x + ... + cp[k-1] x^(k-1))
-            for i in range(k):
-                nxt[i] -= lead * cp[i]
-        cur = nxt
-    return tuple(rows)
+    return len(cp) - 1, tuple((s, c) for s, c in enumerate(cp[:-1]) if c)
+
+
+def power_basis(acc: list[int], n: int) -> list[int]:
+    """Power-basis coordinates of sum(acc[t] * zeta_n^t) over Q(zeta_n).
+
+    They are the remainder of sum(acc[t] * x^t) by the monic Phi_n, taken
+    from the top down over Phi_n's nonzero terms.  acc must hold at least
+    phi(n) entries; it is reduced in place, cut to phi(n) and returned.
+    """
+    k, terms = _phi_terms(n)
+    for top in range(len(acc) - 1, k - 1, -1):
+        c = acc[top]
+        if c:
+            base = top - k
+            for s, pc in terms:
+                acc[base + s] -= c * pc
+    del acc[k:]
+    return acc
 
 
 @lru_cache(maxsize=None)
@@ -120,17 +127,17 @@ def _descent_solver(n: int, d: int):
     #
     # Otherwise zeta_n = zeta_d^u * zeta_p^w with u = 1/p mod d and
     # w = 1/d mod p, and 1, zeta_p, ..., zeta_p^(p-2) is a basis of Q(zeta_n)
-    # over Q(zeta_d).  plan[j] = (w*j mod p, sparse row of zeta_d^(u*j)),
-    # which files the term c*zeta_n^j under the power of zeta_p it carries.
+    # over Q(zeta_d).  The term c*zeta_n^j is c*zeta_d^t * zeta_p^b with
+    # b = w*j mod p and t = u*j mod d; plan[j] = b*d + t packs the pair
+    # into one index, so a flat list of p*d slots holds every y_b.
     if n % d:
         raise ValueError(f"{d} does not divide {n}")
     p = n // d
     if d % p == 0:
         return p, None
-    u = pow(p, -1, d) if d > 1 else 0
+    u = pow(p, -1, d)
     w = pow(d, -1, p)
-    rows = _sparse_rows(d)
-    return p, tuple(((w * j) % p, rows[(u * j) % d]) for j in range(phi(n)))
+    return p, tuple((w * j) % p * d + (u * j) % d for j in range(phi(n)))
 
 
 def _try_descend(n: int, d: int, num: Sequence[int]) -> Sequence[int] | None:
@@ -143,33 +150,29 @@ def _try_descend(n: int, d: int, num: Sequence[int]) -> Sequence[int] | None:
         return num[::p]
     # x = sum over b < p of y_b * zeta_p^b with y_b in Q(zeta_d).  Since
     # zeta_p^(p-1) = -(1 + zeta_p + ... + zeta_p^(p-2)), x lies in Q(zeta_d)
-    # exactly when y_1 = ... = y_(p-1), and then x = y_0 - y_(p-1).
-    kd = phi(d)
-    parts = [[0] * kd for _ in range(p)]
-    for c, (b, row) in zip(num, plan):
+    # exactly when y_1 = ... = y_(p-1), and then x = y_0 - y_(p-1).  The y_b
+    # are unreduced; each difference is reduced until one is not zero.
+    parts = [0] * (p * d)
+    for c, i in zip(num, plan):
         if c:
-            part = parts[b]
-            for i, r in row:
-                part[i] += c * r
-    last = parts[p - 1]
-    for b in range(1, p - 1):
-        if parts[b] != last:
+            parts[i] += c
+    last = parts[(p - 1) * d:]
+    for b in range(d, (p - 1) * d, d):
+        diff = list(map(sub, parts[b:b + d], last))
+        if any(diff) and any(power_basis(diff, d)):
             return None
-    return [a - b for a, b in zip(parts[0], last)]
+    return power_basis(list(map(sub, parts[:d], last)), d)
 
 
 def _embed_ints(num: Sequence[int], n: int, m: int) -> Sequence[int]:
-    # Integer coordinates of a conductor-n vector inside Q(zeta_m).
+    # Integer coordinates of a conductor-n vector inside Q(zeta_m):
+    # zeta_n^j = zeta_m^(j*m/n), and phi(m) <= phi(n) * m/n.
     if m == n:
         return num
     step = m // n
-    rows = _sparse_rows(m)
-    acc = [0] * phi(m)
-    for j, c in enumerate(num):
-        if c:
-            for i, r in rows[j * step]:
-                acc[i] += c * r
-    return acc
+    acc = [0] * (len(num) * step)
+    acc[::step] = num
+    return power_basis(acc, m)
 
 
 def _lowest_terms(n: int, num: Sequence[int], den: int) -> "Cyc":
@@ -245,15 +248,11 @@ class Cyc:
     def from_exponents(n: int, terms: dict[int, object]) -> "Cyc":
         """Sum of c * zeta_n^e over the given exponent -> coefficient map;
         the coefficients are ints or Fractions."""
-        rows = _sparse_rows(n)
         den = math.lcm(*(c.denominator for c in terms.values()))
-        acc = [0] * phi(n)
+        acc = [0] * n
         for e, c in terms.items():
-            if c:
-                v = c.numerator * (den // c.denominator)
-                for i, r in rows[e % n]:
-                    acc[i] += v * r
-        return _from_ints(n, acc, den)
+            acc[e % n] += c.numerator * (den // c.denominator)
+        return _from_ints(n, power_basis(acc, n), den)
 
     # -- classification ----------------------------------------------------
 
@@ -324,14 +323,7 @@ class Cyc:
             if x:
                 for j, y in b:
                     conv[i + j] += x * y
-        acc = conv[:k]
-        rows = _sparse_rows(m)
-        for t in range(k, 2 * k - 1):
-            c = conv[t]
-            if c:
-                for i, r in rows[t]:
-                    acc[i] += c * r
-        return _from_ints(m, acc, den)
+        return _from_ints(m, power_basis(conv, m), den)
 
     __rmul__ = __mul__
 
@@ -359,13 +351,10 @@ class Cyc:
             raise NotCoprime(f"substitution {v} not coprime to conductor {n}")
         # An automorphism keeps the minimal conductor and maps Z[zeta_n]
         # onto itself, so the image is already in lowest terms over den.
-        rows = _sparse_rows(n)
-        acc = [0] * len(self.num)
+        acc = [0] * n
         for j, c in enumerate(self.num):
-            if c:
-                for i, r in rows[(j * v) % n]:
-                    acc[i] += c * r
-        return Cyc(n, tuple(acc), self.den)
+            acc[(j * v) % n] = c
+        return Cyc(n, tuple(power_basis(acc, n)), self.den)
 
     def conjugate(self) -> "Cyc":
         if self.n == 1:

@@ -175,6 +175,35 @@ def cyclotomic_by_division(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+@lru_cache(maxsize=None)
+def reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """x^t mod Phi_n for t < 2n, by shift and subtract: row t+1 is row t
+    times x, with its x^phi(n) term rewritten as x^phi(n) - Phi_n(x)."""
+    cp = cyclotomic_by_division(n)
+    k = len(cp) - 1
+    rows = []
+    cur = [1] + [0] * (k - 1)
+    for _ in range(2 * n):
+        rows.append(tuple(cur))
+        lead = cur[-1]
+        cur = [0] + cur[:-1]
+        for i in range(k):
+            cur[i] -= lead * cp[i]
+    return tuple(rows)
+
+
+def power_basis_by_rows(acc: list[int], n: int) -> list[int]:
+    """sum(acc[t] * zeta_n^t) over the power basis of Q(zeta_n), from the
+    rows x^t mod Phi_n; acc may hold up to 2n entries."""
+    rows = reduction_rows(n)
+    out = [0] * len(rows[0])
+    for c, row in zip(acc, rows):
+        if c:
+            for i, r in enumerate(row):
+                out[i] += c * r
+    return out
+
+
 def naive_inverses(group: PermGroup) -> list[int]:
     """The index of every element's inverse, by Permutation.inverse."""
     return [group.element_index(e.inverse()) for e in group.elements]
@@ -575,6 +604,35 @@ def product_value_failures(product_name: str, left_name: str,
                 if v not in cv_p:
                     bad.append(f"{product_name}: missing factor product "
                                f"{v.display()}")
+    return bad
+
+
+def tensor_product_failures(product_name: str, left_name: str,
+                            right_name: str, seed: int = 0) -> list[str]:
+    """The rows of a direct product are exactly the products chi x psi of
+    the factors' rows.  The product acts on the left factor's points
+    followed by the right factor's, so a class representative's images,
+    split at the left degree, name one element of each factor."""
+    _, g, cd, table, _ = catalog.bundle(product_name, seed)
+    _, gl, cdl, tl, _ = catalog.bundle(left_name, seed)
+    _, gr, cdr, tr, _ = catalog.bundle(right_name, seed)
+    cut = gl.degree
+    pairs = []
+    for rep in cd.reps:
+        images = g.elements[rep].images
+        left = Permutation(images[:cut])
+        right = Permutation(tuple(x - cut for x in images[cut:]))
+        pairs.append((cdl.elt_class[gl.element_index(left)],
+                      cdr.elt_class[gr.element_index(right)]))
+    rows = {tuple(r.values) for r in table.rows}
+    products = {tuple(chi.values[i] * psi.values[j] for i, j in pairs)
+                for chi in tl.rows for psi in tr.rows}
+    bad = []
+    if len(rows) != len(table.rows) or len(products) != len(tl.rows) * len(tr.rows):
+        bad.append(f"{product_name} (seed {seed}): repeated rows")
+    if rows != products:
+        bad.append(f"{product_name} (seed {seed}): {len(rows - products)} rows "
+                   f"are not products of {left_name} and {right_name} rows")
     return bad
 
 

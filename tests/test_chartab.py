@@ -15,7 +15,6 @@ from charval.chartab import (
     EigensplitFailure,
     OrthogonalityFailure,
     TooManyClasses,
-    _cyclotomic_remainder,
     _galois_maps,
     _nullspace,
     _pdivmod,
@@ -28,7 +27,7 @@ from charval.chartab import (
     choose_dixon_prime,
     codegree,
 )
-from charval.cyclo import Cyc, zeta
+from charval.cyclo import Cyc, power_basis, zeta
 from charval.permcore import (
     conjugacy_classes,
     direct_product,
@@ -312,16 +311,23 @@ def test_self_verify_degree_failure_keeps_the_old_message():
     assert info.value.relation == "degrees"
 
 
-def test_cyclotomic_remainder_decides_in_the_smallest_field():
-    assert _cyclotomic_remainder([1, 1, 1]) == (3, [])      # 1 + z3 + z3^2 = 0
-    assert _cyclotomic_remainder([1, 1, 0]) == (3, [1, 1])  # 1 + z3 = -z3^2
-    assert _vanishes([1, 1, 1]) and not _vanishes([1, 1, 0])
-    assert _cyclotomic_remainder([0] * 420) == (1, [])
+def test_vanishes_takes_one_remainder_by_phi_e():
+    assert _vanishes([1, 1, 1])                             # 1 + z3 + z3^2 = 0
+    assert power_basis([1, 1, 1], 3) == [0, 0]
+    assert not _vanishes([1, 1, 0])                         # 1 + z3 = -z3^2
+    assert power_basis([1, 1, 0], 3) == [1, 1]
+    assert not _vanishes([3, 1, 1])                         # 2 + (1 + z3 + z3^2)
+    assert power_basis([3, 1, 1], 3) == [2, 0]
+    assert _vanishes([0] * 420)
+    assert power_basis([0] * 420, 420) == [0] * 96
     acc = [0] * 420
     acc[0] = acc[140] = acc[280] = 5
-    assert _cyclotomic_remainder(acc) == (3, [])
-    acc[280] = 4
-    assert _cyclotomic_remainder(acc) == (3, [1, 1])        # 5 + 5 z3 + 4 z3^2
+    assert _vanishes(list(acc))
+    assert not any(power_basis(list(acc), 420))
+    acc[280] = 4                                            # 5 + 5 z3 + 4 z3^2
+    assert not _vanishes(list(acc))
+    assert power_basis(acc[::140], 3) == [1, 1]
+    assert power_basis(list(acc), 420) == power_basis([1] + [0] * 139 + [1], 420)
 
 
 def _span(rows, p, n):

@@ -1,6 +1,8 @@
 """Exact cyclotomic arithmetic: ring laws, Galois action, text forms."""
 
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from charval.cyclo import (
     is_p_power,
     is_prime,
     phi,
+    power_basis,
     prime_factors,
     zeta,
 )
@@ -56,6 +59,26 @@ def test_cyclotomic_polynomials_match_the_recursive_definition():
     for n in range(1, 700):
         assert cyclotomic_polynomial(n) == H.cyclotomic_by_division(n), n
     assert cyclotomic_polynomial(105)[7] == -2  # the least n with a coefficient off {-1, 0, 1}
+
+
+def test_power_basis_matches_the_reduction_rows():
+    rng = random.Random(13)
+    for n in range(1, 200):
+        for length in (phi(n), n, 2 * n, rng.randint(phi(n), 2 * n)):
+            acc = [rng.randint(-9, 9) if rng.random() < 0.3 else 0
+                   for _ in range(length)]
+            assert power_basis(list(acc), n) == H.power_basis_by_rows(acc, n), (n, acc)
+
+
+def test_parsing_a_large_composite_conductor_stays_small():
+    # a table of every reduced power x^t, t < 2145, peaked at 66 MB
+    tracemalloc.start()
+    try:
+        assert Cyc.parse("1*z(2145)").n == 2145
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak
 
 
 def test_phi_values():

@@ -78,3 +78,23 @@ def test_every_private_function_has_a_caller():
     assert defined, "no private functions found"
     orphans = {name: module for name, module in defined.items() if name not in used}
     assert not orphans, orphans
+
+
+def test_only_cyclo_reads_the_cyclotomic_polynomial():
+    """One remainder by Phi_n: cyclo.power_basis.  Any other module that
+    needs a value's power-basis coordinates, or to know that a sum of
+    roots of unity vanishes, calls it instead of dividing by Phi_n itself."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "cyclo":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            if "cyclotomic_polynomial" in names:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found

@@ -63,6 +63,16 @@ def test_direct_products_multiply_value_sets(prod, left, right):
     assert not failures, failures
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("prod,left,right", PRODUCTS + [
+    ("sg_81_12", "cyclic_3", "sg_27_3"),
+    ("sg_81_13", "cyclic_3", "sg_27_4"),
+])
+def test_direct_product_rows_are_tensor_products(prod, left, right, seed):
+    failures = H.tensor_product_failures(prod, left, right, seed)
+    assert not failures, failures
+
+
 @pytest.mark.parametrize("name", FULL)
 def test_row_value_sets_are_galois_stable(name):
     failures = H.galois_row_failures(name)
