@@ -4,10 +4,24 @@ A value is stored as integer numerators over one common denominator:
 its coordinates over the power basis 1, z, ..., z^(phi(n)-1) of
 Q(zeta_n) are num[j]/den, where n is the smallest conductor containing
 the value.  Every operation, and the descent to the minimal conductor,
-runs in integer arithmetic; Fractions appear only at the edges (parse
-input, as_fraction, the coeffs view).  Rationals have conductor 1.
-Every reduction to the power basis is one remainder by Phi_n,
-power_basis, and the only table kept per conductor is Phi_n's nonzero terms.
+runs in integer arithmetic; Fractions appear only at the edges
+(from_exponents input, as_fraction, the coeffs view).  Rationals have
+conductor 1.  Every reduction to the power basis is one remainder by
+Phi_n, power_basis, and the only table kept per conductor is Phi_n's
+nonzero terms.
+
+A sum or product of a and b, of minimal conductors n_a and n_b, is
+formed in Q(zeta_m) for m = lcm(n_a, n_b), and its descent tries only
+the primes p that n_a and n_b carry to the same power.  Proof that no
+other prime can go: Q(zeta_k) contains a exactly when n_a divides k.
+Let p^alpha exactly divide n_a and p^beta exactly divide n_b, with
+alpha > beta (else swap a and b).  Then n_b divides m/p and n_a does not,
+so every automorphism of Q(zeta_m) that fixes Q(zeta_(m/p)) fixes b,
+and some such automorphism moves a.  That one moves a + b, and it moves a*b
+because b != 0 (a rational factor takes a path with no descent).  So
+the result lies outside Q(zeta_(m/p)), and its minimal conductor keeps
+p^alpha, whichever other prime is removed first.  from_exponents and
+parse have no operands to compare and try every prime.
 """
 
 from __future__ import annotations
@@ -20,6 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from operator import sub
+from typing import NamedTuple
 
 
 # Text naming a larger conductor is refused: the bound limits how large a
@@ -186,19 +201,40 @@ def _lowest_terms(n: int, num: Sequence[int], den: int) -> "Cyc":
     return Cyc(n, tuple(num), den)
 
 
-def _from_ints(n: int, num: Sequence[int], den: int) -> "Cyc":
-    # Descend one prime at a time; the minimal conductor is unique, and so
-    # are the coordinates over its power basis.
-    changed = True
-    while n > 1 and changed:
-        changed = False
-        for p in prime_factors(n):
+@lru_cache(maxsize=None)
+def _shared_primes(na: int, nb: int) -> tuple[int, ...]:
+    # The primes that na and nb carry to the same power, the only ones a
+    # sum or product of values of minimal conductors na and nb can lose
+    # (module docstring).  p divides lcm/gcd exactly when the powers differ.
+    g = math.gcd(na, nb)
+    apart = na // g * nb // g
+    return tuple(p for p in prime_factors(g) if apart % p)
+
+
+def _from_ints(n: int, num: Sequence[int], den: int,
+               primes: Sequence[int]) -> "Cyc":
+    # Descend one prime at a time over the given primes.  A bare exponent
+    # map passes every prime of n.  A sum or product passes only the primes
+    # that its operands' conductors carry to the same power: at any other
+    # p, one operand b lies in Q(zeta_(n/p)) and the other, a, does not, so
+    # an automorphism fixing Q(zeta_(n/p)) fixes b and moves a, and so
+    # moves a + b and a*b (b != 0); the result keeps p's whole power
+    # (module docstring).  A prime that fails once fails for good, since
+    # Q(zeta_(d/p)) lies in Q(zeta_(n/p)) when d divides n.  The minimal
+    # conductor is unique, and so are the coordinates over its power basis.
+    for p in primes:
+        while n % p == 0:
             down = _try_descend(n, n // p, num)
-            if down is not None:
-                n, num = n // p, down
-                changed = True
+            if down is None:
                 break
+            n, num = n // p, down
     return _lowest_terms(n, num, den)
+
+
+class _Ratio(NamedTuple):
+    # a coefficient read by parse, neither reduced nor made a Fraction
+    numerator: int
+    denominator: int
 
 
 def _ratio_text(c: int, den: int) -> str:
@@ -247,12 +283,13 @@ class Cyc:
     @staticmethod
     def from_exponents(n: int, terms: dict[int, object]) -> "Cyc":
         """Sum of c * zeta_n^e over the given exponent -> coefficient map;
-        the coefficients are ints or Fractions."""
+        the coefficients are ints, Fractions or anything else with int
+        numerator and denominator >= 1.  Descends at every prime of n."""
         den = math.lcm(*(c.denominator for c in terms.values()))
         acc = [0] * n
         for e, c in terms.items():
             acc[e % n] += c.numerator * (den // c.denominator)
-        return _from_ints(n, power_basis(acc, n), den)
+        return _from_ints(n, power_basis(acc, n), den, prime_factors(n))
 
     # -- classification ----------------------------------------------------
 
@@ -290,7 +327,8 @@ class Cyc:
         m = math.lcm(self.n, other.n)
         a = _embed_ints(self.num, self.n, m)
         b = _embed_ints(other.num, other.n, m)
-        return _from_ints(m, [x * fa + y * fb for x, y in zip(a, b)], den)
+        return _from_ints(m, [x * fa + y * fb for x, y in zip(a, b)], den,
+                          _shared_primes(self.n, other.n))
 
     __radd__ = __add__
 
@@ -323,7 +361,8 @@ class Cyc:
             if x:
                 for j, y in b:
                     conv[i + j] += x * y
-        return _from_ints(m, power_basis(conv, m), den)
+        return _from_ints(m, power_basis(conv, m), den,
+                          _shared_primes(self.n, other.n))
 
     __rmul__ = __mul__
 
@@ -393,9 +432,11 @@ class Cyc:
                 parts.append(f"{c}*z({self.n})^{e}")
         return " + ".join(parts)
 
-    # a denominator needs a nonzero digit, or Fraction raises ZeroDivisionError
-    _TERM_RE = re.compile(r"^(-?\d+(?:/\d*[1-9]\d*)?)\*z\((\d+)\)(?:\^(\d+))?$")
-    _RAT_RE = re.compile(r"^-?\d+(?:/\d*[1-9]\d*)?$")
+    # a coefficient is numerator text and optional denominator text, and a
+    # denominator needs a nonzero digit
+    _COEFF = r"(-?\d+)(?:/(\d*[1-9]\d*))?"
+    _TERM_RE = re.compile(rf"^{_COEFF}\*z\((\d+)\)(?:\^(\d+))?$")
+    _RAT_RE = re.compile(rf"^{_COEFF}$")
 
     @staticmethod
     def parse(text: str) -> "Cyc":
@@ -404,21 +445,22 @@ class Cyc:
         s = text.strip()
         if not s:
             raise ValueError("empty cyclotomic literal")
-        if Cyc._RAT_RE.match(s):
-            return Cyc.from_rational(Fraction(s))
+        m = Cyc._RAT_RE.match(s)
+        if m:
+            return _lowest_terms(1, [int(m.group(1))], int(m.group(2) or 1))
         n = None
-        terms: dict[int, Fraction] = {}
+        terms: dict[int, _Ratio] = {}
         for part in s.split(" + "):
-            if Cyc._RAT_RE.match(part):
-                e, c = 0, Fraction(part)
+            m = Cyc._RAT_RE.match(part)
+            if m:
+                e = 0
             else:
                 m = Cyc._TERM_RE.match(part)
                 if not m:
                     raise ValueError(f"bad cyclotomic term {part!r} in {text!r}")
-                c = Fraction(m.group(1))
-                tn = int(m.group(2))
-                e = int(m.group(3)) if m.group(3) else 1
-                if e == 1 and m.group(3):
+                tn = int(m.group(3))
+                e = int(m.group(4)) if m.group(4) else 1
+                if e == 1 and m.group(4):
                     raise ValueError(f"redundant exponent in {part!r}")
                 if n is not None and tn != n:
                     raise ValueError(f"mixed conductors {n} and {tn} in {text!r}")
@@ -427,7 +469,7 @@ class Cyc:
                 n = tn
             if e in terms:
                 raise ValueError(f"repeated exponent {e} in {text!r}")
-            terms[e] = c
+            terms[e] = _Ratio(int(m.group(1)), int(m.group(2) or 1))
         if n is None:
             raise ValueError(f"no conductor in {text!r}")
         if n < 3:

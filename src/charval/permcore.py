@@ -9,8 +9,9 @@ kernels, the rows of G/N are the rows with N in their kernel, and each
 centre Z(G/N) is an intersection of the rows' Z(chi).  The derived
 series, O_p, the Frobenius kernel, the socle and a chief series are
 normal closures of a few classes over a known term; only
-normal_subgroups, check_two_degrees and four claims of check_expected
-build every normal subgroup (normal_masks).  Element order is
+normal_subgroups and four claims of check_expected build every normal
+subgroup (normal_masks), and check_two_degrees builds those of index at
+most m (large_normal_masks).  Element order is
 canonical: BFS from the identity with the generator list in the given
 order, which makes every downstream computation deterministic.
 
@@ -612,17 +613,30 @@ def sort_masks(classes: ClassData, masks) -> list[int]:
 
 
 def normal_masks(table: CharTable) -> tuple[int, ...]:
-    """All normal subgroups, as class masks in sort_masks order.
+    """All normal subgroups, as class masks in sort_masks order."""
+    return large_normal_masks(table, 1)
+
+
+def large_normal_masks(table: CharTable, min_size: int) -> tuple[int, ...]:
+    """The normal subgroups of at least min_size elements, as class masks
+    in sort_masks order.
 
     Every normal subgroup N is the intersection of the kernels of the
     irreducible characters of G/N, lifted to G (Isaacs, Character Theory
     of Finite Groups, Ch. 2), so the closure of {G} under intersection
     with each row's kernel is exactly the set of normal subgroups.
+    Intersecting only shrinks a mask, and every partial intersection on
+    the way to N contains N, so the closure may drop each mask below
+    min_size and still reach every normal subgroup that is large enough.
     """
-    masks = {(1 << table.classes.n_classes) - 1}
+    cd = table.classes
+    masks = {(1 << cd.n_classes) - 1}
     for row in table.rows:
-        masks |= {m & row.kernel for m in masks}
-    return tuple(sort_masks(table.classes, masks))
+        cut = {m & row.kernel for m in masks}
+        if min_size > 1:
+            cut = {k for k in cut if mask_size(cd, k) >= min_size}
+        masks |= cut
+    return tuple(sort_masks(cd, masks))
 
 
 def normal_subgroups(table: CharTable) -> tuple[frozenset[int], ...]:

@@ -17,7 +17,7 @@ from .cyclo import is_p_power, prime_factors
 from .invariants import InvariantReport
 from .permcore import (
     ClassData, a5a6_free, frobenius_kernel, is_abelian_section,
-    is_extraspecial, mask_size, normal_masks, sort_masks,
+    is_extraspecial, large_normal_masks, mask_size, sort_masks,
 )
 # unused here, but perfbench patches and restores verify.structure_flags
 from .permcore import structure_flags  # noqa: F401
@@ -239,7 +239,7 @@ def check_two_degrees(table: CharTable, rep: InvariantReport,
             return _met(label, claim, True,
                         f"m={m}=prime power; nilpotent with abelian "
                         "coprime part")
-    for n in normal_masks(table):
+    for n in large_normal_masks(table, g.order // m):
         if mask_size(cd, n) * m == g.order and is_abelian_section(cd, n):
             return _met(label, claim, True,
                         f"abelian normal subgroup of index {m}")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charval import cyclo
 from charval.cyclo import (
     PARSE_CONDUCTOR_BOUND,
     Cyc,
@@ -305,6 +306,84 @@ def test_every_constructed_value_is_in_lowest_terms(a, b, q, v):
         values.append(a.galois(v))
     for value in values:
         assert_canonical(value)
+
+
+# -- descent: pruned for sums and products, every prime elsewhere ---------
+
+ORACLE_CONDUCTORS = [1, 3, 4, 5, 8, 9, 12, 15, 16, 20, 24, 27, 36, 45]
+
+
+@st.composite
+def oracle_pairs(draw):
+    a = draw(cyc_values(n=draw(st.sampled_from(ORACLE_CONDUCTORS))))
+    b = draw(cyc_values(n=draw(st.sampled_from(ORACLE_CONDUCTORS))))
+    if draw(st.booleans()):
+        b = b - a  # a + b falls back to b's old conductor, or to 0
+    return a, b
+
+
+def _exponent_map(v: Cyc, m: int) -> dict[int, Fraction]:
+    # v as an unreduced exponent map over Q(zeta_m), for v.n dividing m
+    return {j * (m // v.n): c for j, c in enumerate(v.coeffs) if c}
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(oracle_pairs())
+def test_sums_and_products_match_the_all_prime_descent(pair):
+    a, b = pair
+    m = math.lcm(a.n, b.n)
+    ea, eb = _exponent_map(a, m), _exponent_map(b, m)
+    total = dict(ea)
+    for e, c in eb.items():
+        total[e] = total.get(e, 0) + c
+    product: dict[int, Fraction] = {}
+    for i, x in ea.items():
+        for j, y in eb.items():
+            product[(i + j) % m] = product.get((i + j) % m, 0) + x * y
+    for got, want in ((a + b, Cyc.from_exponents(m, total)),
+                      (a * b, Cyc.from_exponents(m, product))):
+        assert_canonical(got)
+        assert (got.n, got.num, got.den) == (want.n, want.num, want.den)
+
+
+def _descent_attempts(monkeypatch, op) -> int:
+    calls = []
+    inner = cyclo._try_descend
+
+    def counted(n, d, num):
+        calls.append((n, d))
+        return inner(n, d, num)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cyclo, "_try_descend", counted)
+        op()
+    return len(calls)
+
+
+def test_sums_and_products_skip_primes_they_cannot_remove(monkeypatch):
+    a, b = zeta(5), zeta(7)
+    assert _descent_attempts(monkeypatch, lambda: a * b) == 0
+    a, q = zeta(4), Fraction(1, 2)
+    assert _descent_attempts(monkeypatch, lambda: a + q) == 0
+    a, b = zeta(9), zeta(3)
+    assert _descent_attempts(monkeypatch, lambda: a * b) == 0
+    assert (a * b).n == 9
+    # a prime both conductors carry to the same power is still removed
+    assert zeta(3) * zeta(3, 2) == 1
+    assert zeta(5) + (-zeta(5)) == 0
+    assert zeta(12) * zeta(12, 5) == -1
+
+
+def test_parse_descends_at_every_prime():
+    for text in ("1*z(9)^3", "1*z(15)^5", "1*z(8)^2", "1*z(20)^4"):
+        with pytest.raises(ValueError, match="non-canonical"):
+            Cyc.parse(text)
+    for text in ("2/4*z(5)", "03/4*z(5)"):
+        with pytest.raises(ValueError, match="non-canonical"):
+            Cyc.parse(text)
+    value = Cyc.parse("-3/4*z(5)")
+    assert value == Fraction(-3, 4) * zeta(5)
+    assert_canonical(value)
 
 
 @settings(derandomize=True, deadline=None)

@@ -28,6 +28,7 @@ from charval.permcore import (
     is_cyclic_quotient,
     is_extraspecial,
     is_nilpotent,
+    large_normal_masks,
     mask_size,
     minimal_normal_masks,
     normal_masks,
@@ -515,6 +516,15 @@ def test_normal_masks_keep_the_element_list_order(name):
     _, _, cd, table, _ = catalog.bundle(name)
     masks = normal_masks(table)
     assert list(masks) == H.sorted_by_elements(cd, masks)
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_large_normal_masks_cut_the_lattice_at_a_size(name):
+    _, _, cd, table, _ = catalog.bundle(name)
+    masks = normal_masks(table)
+    for size in sorted({mask_size(cd, n) for n in masks}):
+        assert large_normal_masks(table, size) == \
+            tuple(n for n in masks if mask_size(cd, n) >= size), (name, size)
 
 
 def test_tables_reports_and_checkers_never_expand_class_masks(monkeypatch):

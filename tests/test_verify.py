@@ -173,19 +173,20 @@ def test_index_two_subgroups_are_linear_row_kernels(name):
 
 
 def test_structure_answers_never_build_the_lattice(monkeypatch):
-    # normal_masks serves normal_subgroups, check_two_degrees and the four
-    # claims of check_expected that are about every normal subgroup
+    # normal_masks serves normal_subgroups and the four claims of
+    # check_expected that are about every normal subgroup; check_two_degrees
+    # builds only the normal subgroups of index at most m
     def refuse(table):
         raise AssertionError("normal_masks called")
 
-    for module in (permcore, verify, catalog):
+    for module in (permcore, catalog):
         monkeypatch.setattr(module, "normal_masks", refuse)
     lattice_claims = {"normal_count", "quotient_d10_count",
                       "exists_normal_with_2group_quotient",
                       "exists_normal_with_frobenius_cyclic_quotient"}
     checkers = (verify.check_four_values_solvable, verify.check_cdc3_solvable,
                 verify.check_cdc2_shape, verify.check_nilpotent_cdc3,
-                verify.check_nonnilpotent_cdc3)
+                verify.check_nonnilpotent_cdc3, verify.check_two_degrees)
     catalog.clear_caches()
     for name in catalog.names("core"):
         ent, _, _, table, rep = catalog.bundle(name)
