@@ -4,15 +4,18 @@ Each entry couples a deterministic builder with the structural and
 value-set facts the corpus pins for that group (order, degree sets,
 four-value row claims, Frobenius shape, socle, and so on).  Builders are
 verified on construction: an order or relation mismatch raises instead
-of returning the wrong group.  GAP SmallGroup identifiers appear in
-source labels as provenance only; entries are pinned by the checked
-claims, not by library lookup.
+of returning the wrong group.  The groups that act on the points of
+(Z/n)^k (cyclic, dihedral, AGL(1,q), C3^k : C2, C_p : C_m and others)
+come from one affine builder, `_vector_group`.  GAP SmallGroup
+identifiers appear in source labels as provenance only; entries are
+pinned by the checked claims, not by library lookup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
+from math import factorial
 from typing import Callable
 
 from .chartab import CharTable, character_table
@@ -49,38 +52,59 @@ class CatalogEntry:
 
 # --- permutation builders ---
 
-def _cyclic(n: int) -> PermGroup:
-    if n == 1:
-        return PermGroup.from_generators([Permutation((0,))], degree=1, bound=2)
-    gen = Permutation(tuple((x + 1) % n for x in range(n)))
-    return PermGroup.from_generators([gen], bound=n + 1)
+def _vector_points(n: int, k: int) -> list[tuple[int, ...]]:
+    pts = [()]
+    for _ in range(k):
+        pts = [v + (c,) for v in pts for c in range(n)]
+    return pts
+
+
+def _vector_group(n: int, k: int, maps: list, order: int) -> PermGroup:
+    """The group of maps of (Z/n)^k, read mod n, on its n^k vector points."""
+    pts = _vector_points(n, k)
+    index = {v: i for i, v in enumerate(pts)}
+    gens = [Permutation(tuple(index[tuple(c % n for c in fn(v))] for v in pts))
+            for fn in maps]
+    return PermGroup.from_generators(gens, bound=order + 1)
+
+
+def _shifts(k: int) -> list:
+    """The k unit translations of a k-dimensional vector space."""
+    return [lambda v, axis=axis: v[:axis] + (v[axis] + 1,) + v[axis + 1:]
+            for axis in range(k)]
+
+
+def _scale(c: int):
+    return lambda v: tuple(c * x for x in v)
+
+
+def _linear(*rows: tuple[int, ...]):
+    return lambda v: tuple(sum(a * x for a, x in zip(row, v)) for row in rows)
+
+
+# F_q as (Z/n)^k, and the matrix of multiplication by a generator of F_q^*
+_FIELDS = {
+    3: (3, 1, ((2,),)),
+    4: (2, 2, ((0, 1), (1, 1))),                   # F2[y]/(y^2+y+1), by y
+    5: (5, 1, ((2,),)),
+    7: (7, 1, ((3,),)),
+    8: (2, 3, ((0, 0, 1), (1, 0, 1), (0, 1, 0))),  # F2[y]/(y^3+y+1), by y
+    9: (3, 2, ((1, -1), (1, 1))),                  # F3[y]/(y^2+1), by y+1
+}
 
 
 def _elem_abelian(p: int, k: int) -> PermGroup:
-    gens = []
-    d = p * k
-    for blk in range(k):
-        images = list(range(d))
-        for x in range(p):
-            images[blk * p + x] = blk * p + (x + 1) % p
-        gens.append(Permutation(tuple(images)))
+    # a p-cycle on each of k disjoint blocks of p points
+    gens = [Permutation(tuple(b * p + (x + (b == blk)) % p
+                              for b in range(k) for x in range(p)))
+            for blk in range(k)]
     return PermGroup.from_generators(gens, bound=p ** k + 1)
-
-
-def _dihedral(order: int) -> PermGroup:
-    t = order // 2
-    rot = Permutation(tuple((x + 1) % t for x in range(t)))
-    flip = Permutation(tuple((-x) % t for x in range(t)))
-    return PermGroup.from_generators([rot, flip], bound=order + 1)
 
 
 def _symmetric(n: int) -> PermGroup:
     gens = [Permutation(tuple([1, 0] + list(range(2, n)))),
             Permutation(tuple(list(range(1, n)) + [0]))]
-    bound = 1
-    for i in range(2, n + 1):
-        bound *= i
-    return PermGroup.from_generators(gens, bound=bound + 1)
+    return PermGroup.from_generators(gens, bound=factorial(n) + 1)
 
 
 def _alternating(n: int) -> PermGroup:
@@ -89,10 +113,7 @@ def _alternating(n: int) -> PermGroup:
         big = Permutation(tuple(list(range(1, n)) + [0]))
     else:
         big = Permutation(tuple([0] + list(range(2, n)) + [1]))
-    bound = 1
-    for i in range(2, n + 1):
-        bound *= i
-    return PermGroup.from_generators([three, big], bound=bound // 2 + 1)
+    return PermGroup.from_generators([three, big], bound=factorial(n) // 2 + 1)
 
 
 def _quaternion8() -> PermGroup:
@@ -104,110 +125,6 @@ def _quaternion8() -> PermGroup:
     if g.order != 8 or n2 != 1:
         raise ConstructionMismatch("quaternion recipe broke its relations")
     return g
-
-
-def _affine_prime(p: int, mult: int, order: int) -> PermGroup:
-    add = Permutation(tuple((x + 1) % p for x in range(p)))
-    mul = Permutation(tuple((mult * x) % p for x in range(p)))
-    return PermGroup.from_generators([add, mul], bound=order + 1)
-
-
-def _vector_points(p: int, k: int) -> list[tuple[int, ...]]:
-    pts = [()]
-    for _ in range(k):
-        pts = [v + (c,) for v in pts for c in range(p)]
-    return pts
-
-
-def _vector_perm(p: int, pts: list, index: dict, fn) -> Permutation:
-    return Permutation(tuple(index[fn(v)] for v in pts))
-
-
-def _translations(p: int, k: int, pts: list, index: dict) -> list[Permutation]:
-    gens = []
-    for axis in range(k):
-        def shift(v, axis=axis):
-            return tuple((c + 1) % p if i == axis else c for i, c in enumerate(v))
-        gens.append(_vector_perm(p, pts, index, shift))
-    return gens
-
-
-def _frob_3k_2(k: int) -> PermGroup:
-    pts = _vector_points(3, k)
-    index = {v: i for i, v in enumerate(pts)}
-    gens = _translations(3, k, pts, index)
-    gens.append(_vector_perm(3, pts, index,
-                             lambda v: tuple((-c) % 3 for c in v)))
-    return PermGroup.from_generators(gens, bound=2 * 3 ** k + 1)
-
-
-_GAMMA_PRIME_ROOT = {3: 2, 5: 2, 7: 3}
-
-
-def _gamma(q: int) -> PermGroup:
-    """Full one-dimensional affine group of the field with q elements."""
-    if q in _GAMMA_PRIME_ROOT:
-        return _affine_prime(q, _GAMMA_PRIME_ROOT[q], q * (q - 1))
-    if q == 4:   # F2[y]/(y^2+y+1), multiply by y
-        p, k, mul = 2, 2, lambda v: (v[1], (v[0] + v[1]) % 2)
-    elif q == 8:  # F2[y]/(y^3+y+1), multiply by y
-        p, k, mul = 2, 3, lambda v: (v[2], (v[0] + v[2]) % 2, v[1])
-    elif q == 9:  # F3[y]/(y^2+1), multiply by y+1 (order 8)
-        p, k, mul = 3, 2, lambda v: ((v[0] - v[1]) % 3, (v[0] + v[1]) % 3)
-    else:
-        raise UnknownName(f"no field table for gamma({q})")
-    pts = _vector_points(p, k)
-    index = {v: i for i, v in enumerate(pts)}
-    gens = _translations(p, k, pts, index)
-    gens.append(_vector_perm(p, pts, index, mul))
-    return PermGroup.from_generators(gens, bound=q * (q - 1) + 1)
-
-
-def _heisenberg3() -> PermGroup:
-    # unitriangular 3x3 over F3 acting on column vectors
-    pts = _vector_points(3, 3)
-    index = {v: i for i, v in enumerate(pts)}
-    x = _vector_perm(3, pts, index, lambda v: ((v[0] + v[1]) % 3, v[1], v[2]))
-    y = _vector_perm(3, pts, index, lambda v: (v[0], (v[1] + v[2]) % 3, v[2]))
-    return PermGroup.from_generators([x, y], bound=28)
-
-
-def _sg_27_4() -> PermGroup:
-    return _affine_prime(9, 4, 27)
-
-
-def _sg_36_9() -> PermGroup:
-    pts = _vector_points(3, 2)
-    index = {v: i for i, v in enumerate(pts)}
-    gens = _translations(3, 2, pts, index)
-    gens.append(_vector_perm(3, pts, index,
-                             lambda v: ((-v[1]) % 3, v[0])))
-    return PermGroup.from_generators(gens, bound=37)
-
-
-def _dih_vector(p: int, k: int, order: int) -> PermGroup:
-    pts = _vector_points(p, k)
-    index = {v: i for i, v in enumerate(pts)}
-    gens = _translations(p, k, pts, index)
-    gens.append(_vector_perm(p, pts, index,
-                             lambda v: tuple((-c) % p for c in v)))
-    return PermGroup.from_generators(gens, bound=order + 1)
-
-
-def _sg_80_49() -> PermGroup:
-    # F2[y]/(y^4+y+1) translations, multiplication by y^3 (order 5)
-    pts = _vector_points(2, 4)
-    index = {v: i for i, v in enumerate(pts)}
-    gens = _translations(2, 4, pts, index)
-
-    def mul_y(v):
-        return (v[3], (v[0] + v[3]) % 2, v[1], v[2])
-
-    def mul_y3(v):
-        return mul_y(mul_y(mul_y(v)))
-
-    gens.append(_vector_perm(2, pts, index, mul_y3))
-    return PermGroup.from_generators(gens, bound=81)
 
 
 def _sg_81_3() -> PermGroup:
@@ -247,18 +164,11 @@ def _sg_81_4() -> PermGroup:
     return g
 
 
-def _sg_147_4() -> PermGroup:
-    # C7^2 : C3 via the fixed-point-free scalar 2I
-    pts = _vector_points(7, 2)
-    index = {v: i for i, v in enumerate(pts)}
-    gens = _translations(7, 2, pts, index)
-    gens.append(_vector_perm(7, pts, index,
-                             lambda v: tuple((2 * c) % 7 for c in v)))
-    return PermGroup.from_generators(gens, bound=148)
+_D8 = partial(_vector_group, 4, 1, _shifts(1) + [_scale(-1)], 8)
 
 
 def _central_product_32(second_factor: Callable[[], PermGroup]) -> PermGroup:
-    d8 = _dihedral(8)
+    d8 = _D8()
     other = second_factor()
     prod = direct_product(d8, other)
     z_parts = []
@@ -273,12 +183,7 @@ def _central_product_32(second_factor: Callable[[], PermGroup]) -> PermGroup:
 
 
 def _builder_direct(*parts: Callable[[], PermGroup]) -> Callable[[], PermGroup]:
-    def build() -> PermGroup:
-        g = parts[0]()
-        for nxt in parts[1:]:
-            g = direct_product(g, nxt())
-        return g
-    return build
+    return lambda: reduce(direct_product, [part() for part in parts])
 
 
 # --- registry ---
@@ -293,11 +198,15 @@ def _add(entry: CatalogEntry) -> None:
 
 
 def _register_all() -> None:
-    _add(CatalogEntry("trivial", 1, "C1", builder=lambda: _cyclic(1),
-                      expected={"degrees": (1,)}))
-    for n in (2, 3, 4, 5, 6, 7, 8, 9, 12):
-        _add(CatalogEntry(f"cyclic_{n}", n, f"C{n}",
-                          builder=(lambda n=n: _cyclic(n)),
+    c2 = partial(_vector_group, 2, 1, _shifts(1), 2)
+    c3 = partial(_vector_group, 3, 1, _shifts(1), 3)
+    # unitriangular 3x3 matrices over F3, acting on column vectors
+    he3 = partial(_vector_group, 3, 3, [_linear((1, 1, 0), (0, 1, 0), (0, 0, 1)),
+                                        _linear((1, 0, 0), (0, 1, 1), (0, 0, 1))], 27)
+    c9_c3 = partial(_vector_group, 9, 1, _shifts(1) + [_scale(4)], 27)
+    for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 12):
+        _add(CatalogEntry("trivial" if n == 1 else f"cyclic_{n}", n, f"C{n}",
+                          builder=partial(_vector_group, n, 1, _shifts(1), n),
                           expected={"degrees": (1,) * n,
                                     **({"cdc_size": 1} if n == 2 else {})}))
     _add(CatalogEntry("elab_2_2", 4, "C2 x C2", builder=lambda: _elem_abelian(2, 2),
@@ -319,7 +228,8 @@ def _register_all() -> None:
             exp = {"cdc_size": 3, "dl": 2}
         _add(CatalogEntry(f"dihedral_{order}", order,
                           f"D{order} (points = Z_{order // 2})",
-                          builder=(lambda order=order: _dihedral(order)),
+                          builder=partial(_vector_group, order // 2, 1,
+                                          _shifts(1) + [_scale(-1)], order),
                           expected=exp))
     _add(CatalogEntry("q8", 8, "quaternion group, regular action",
                       builder=_quaternion8,
@@ -356,66 +266,71 @@ def _register_all() -> None:
     for k in (1, 2, 3):
         _add(CatalogEntry(f"frob_3k_2_{k}", 2 * 3 ** k,
                           f"C3^{k} : C2 (inversion on translations)",
-                          builder=(lambda k=k: _frob_3k_2(k)),
+                          builder=partial(_vector_group, 3, k,
+                                          _shifts(k) + [_scale(-1)], 2 * 3 ** k),
                           expected={"cdc_size": 2, "cd": (1, 2),
                                     "frobenius": (3 ** k, 2)}))
-    for q in (3, 4, 5, 7, 8, 9):
+    for q, (n, k, mul) in _FIELDS.items():
         _add(CatalogEntry(f"gamma_{q}", q * (q - 1), f"AGL(1,{q})",
-                          builder=(lambda q=q: _gamma(q)),
+                          builder=partial(_vector_group, n, k,
+                                          _shifts(k) + [_linear(*mul)], q * (q - 1)),
                           expected={"frobenius": (q, q - 1),
                                     "complement_cyclic": True,
                                     "nonlinear_row_values":
                                         {str(q - 1), "-1", "0"}}))
     _add(CatalogEntry("c2xs3", 12, "C2 x S3",
-                      builder=_builder_direct(lambda: _cyclic(2),
-                                              lambda: _symmetric(3)),
+                      builder=_builder_direct(c2, partial(_symmetric, 3)),
                       expected={"cdc_size": 3, "dl": 2}))
     _add(CatalogEntry("d8xc2", 16, "D8 x C2",
-                      builder=_builder_direct(lambda: _dihedral(8),
-                                              lambda: _cyclic(2)),
+                      builder=_builder_direct(_D8, c2),
                       expected={"cdc_size": 3, "cd": (1, 2)}))
     _add(CatalogEntry("q8xc2", 16, "Q8 x C2",
-                      builder=_builder_direct(_quaternion8, lambda: _cyclic(2)),
+                      builder=_builder_direct(_quaternion8, c2),
                       expected={"cdc_size": 3, "cd": (1, 2)}))
     _add(CatalogEntry("d8xc2xc2", 32, "D8 x C2 x C2",
-                      builder=_builder_direct(lambda: _dihedral(8),
-                                              lambda: _cyclic(2),
-                                              lambda: _cyclic(2)),
+                      builder=_builder_direct(_D8, c2, c2),
                       expected={"cdc_size": 3, "cd": (1, 2)}))
     _add(CatalogEntry("sg_21_1", 21, "SmallGroup(21,1): C7 : C3, x -> 2x",
-                      builder=lambda: _affine_prime(7, 2, 21),
+                      builder=partial(_vector_group, 7, 1,
+                                      _shifts(1) + [_scale(2)], 21),
                       expected={"cd": (1, 3), "four_value_nonlinear": True,
                                 "nonlinear_count": 2}))
     _add(CatalogEntry("sg_27_3", 27, "SmallGroup(27,3): Heisenberg mod 3",
-                      builder=_heisenberg3,
+                      builder=he3,
                       expected={"four_value_nonlinear": True, "socle": 3,
                                 "unique_minimal_normal": 3,
                                 "extraspecial": True}))
     _add(CatalogEntry("sg_27_4", 27, "SmallGroup(27,4): C9 : C3, x -> 4x",
-                      builder=_sg_27_4,
+                      builder=c9_c3,
                       expected={"four_value_nonlinear": True, "socle": 3,
                                 "unique_minimal_normal": 3,
                                 "nonlinear_count": 2, "cd": (1, 3)}))
     _add(CatalogEntry("sg_36_9", 36, "SmallGroup(36,9): C3^2 : C4",
-                      builder=_sg_36_9,
+                      builder=partial(_vector_group, 3, 2,
+                                      _shifts(2) + [_linear((0, -1), (1, 0))], 36),
                       expected={"four_value_nonlinear": True,
                                 "unique_minimal_normal": 9,
                                 "nonlinear_count": 2,
                                 "nonlinear_degrees": (4, 4)}))
     _add(CatalogEntry("sg_50_4", 50, "SmallGroup(50,4): C5^2 : C2 (inversion)",
-                      builder=lambda: _dih_vector(5, 2, 50),
+                      builder=partial(_vector_group, 5, 2,
+                                      _shifts(2) + [_scale(-1)], 50),
                       expected={"four_value_nonlinear": True,
                                 "deg2_rows": 12, "normal_count": 9,
                                 "quotient_d10_count": 6,
                                 "frobenius": (25, 2)}))
     _add(CatalogEntry("sg_55_1", 55, "SmallGroup(55,1): C11 : C5, x -> 3x",
-                      builder=lambda: _affine_prime(11, 3, 55),
+                      builder=partial(_vector_group, 11, 1,
+                                      _shifts(1) + [_scale(3)], 55),
                       expected={"four_value_nonlinear": True, "cd": (1, 5)}))
     _add(CatalogEntry("sg_78_1", 78, "SmallGroup(78,1): C13 : C6, x -> 4x",
-                      builder=lambda: _affine_prime(13, 4, 78),
+                      builder=partial(_vector_group, 13, 1,
+                                      _shifts(1) + [_scale(4)], 78),
                       expected={"four_value_nonlinear": True, "cd": (1, 6)}))
     _add(CatalogEntry("sg_80_49", 80, "SmallGroup(80,49): C2^4 : C5",
-                      builder=_sg_80_49,
+                      # F2[y]/(y^4+y+1), multiplication by y^3
+                      builder=partial(_vector_group, 2, 4, _shifts(4) + [_linear(
+                          (0, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1))], 80),
                       expected={"four_value_nonlinear": True, "socle": 16,
                                 "unique_minimal_normal": 16, "cd": (1, 5)}))
     _add(CatalogEntry("sg_81_3", 81, "SmallGroup(81,3): C3^2 : C9",
@@ -427,30 +342,34 @@ def _register_all() -> None:
                       expected={"four_value_nonlinear": True, "socle": 9,
                                 "socle_elementary_p": 3}))
     _add(CatalogEntry("sg_81_12", 81, "SmallGroup(81,12): C3 x Heisenberg",
-                      builder=_builder_direct(lambda: _cyclic(3), _heisenberg3),
+                      builder=_builder_direct(c3, he3),
                       expected={"four_value_nonlinear": True, "socle": 9,
                                 "socle_elementary_p": 3}))
     _add(CatalogEntry("sg_81_13", 81, "SmallGroup(81,13): C3 x (C9 : C3)",
-                      builder=_builder_direct(lambda: _cyclic(3), _sg_27_4),
+                      builder=_builder_direct(c3, c9_c3),
                       expected={"four_value_nonlinear": True, "socle": 9,
                                 "socle_elementary_p": 3}))
     _add(CatalogEntry("sg_136_12", 136, "SmallGroup(136,12): C17 : C8, x -> 2x",
-                      builder=lambda: _affine_prime(17, 2, 136),
+                      builder=partial(_vector_group, 17, 1,
+                                      _shifts(1) + [_scale(2)], 136),
                       expected={"four_value_nonlinear": True, "cd": (1, 8),
                                 "exists_normal_with_2group_quotient": True}))
     _add(CatalogEntry("sg_147_4", 147, "SmallGroup(147,4): C7^2 : C3 (scalar 2)",
-                      builder=_sg_147_4,
+                      builder=partial(_vector_group, 7, 2,
+                                      _shifts(2) + [_scale(2)], 147),
                       expected={"four_value_nonlinear": True, "socle": 49,
                                 "socle_elementary_p": 7, "cd": (1, 3)}))
     _add(CatalogEntry("sg_250_14", 250, "SmallGroup(250,14): C5^3 : C2 (inversion)",
-                      tier="optional", builder=lambda: _dih_vector(5, 3, 250),
+                      tier="optional",
+                      builder=partial(_vector_group, 5, 3,
+                                      _shifts(3) + [_scale(-1)], 250),
                       table_guard=70,
                       expected={"four_value_nonlinear": True, "cd": (1, 2),
                                 "deg2_rows": 62,
                                 "exists_normal_with_frobenius_cyclic_quotient": True}))
     _add(CatalogEntry("extraspecial_32_plus", 32,
                       "D8 * D8 (central product)", tier="optional",
-                      builder=lambda: _central_product_32(lambda: _dihedral(8)),
+                      builder=lambda: _central_product_32(_D8),
                       expected={"extraspecial": True, "cd": (1, 4),
                                 "cv": {"1", "-1", "4", "-4", "0"},
                                 "involutions": 19}))

@@ -111,9 +111,8 @@ def _cmd_invariants(args) -> int:
     return 0
 
 
-def _verify_targets(args) -> list[str]:
-    if args.group:
-        return [catalog.resolve_name(g) for g in args.group]
+def _corpus_names(args) -> list[str]:
+    """The core tier, plus the optional tier under --optional-tier."""
     names = catalog.names("core")
     if args.optional_tier:
         names += catalog.names("optional")
@@ -121,11 +120,12 @@ def _verify_targets(args) -> list[str]:
 
 
 def _cmd_verify(args) -> int:
-    verdicts = []
-    for name in sorted(_verify_targets(args)):
-        verdicts.extend(verify.check_group(name, args.seed))
-    if not args.group:
-        verdicts.extend(verify.scan_checks(args.seed))
+    if args.group:
+        targets = [catalog.resolve_name(g) for g in args.group]
+    else:
+        targets = _corpus_names(args)
+    verdicts = verify.verify_names(targets, args.seed,
+                                   include_scans=not args.group)
     if args.claim:
         verdicts = [v for v in verdicts if v.claim == args.claim]
     if args.json:
@@ -139,10 +139,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    names = catalog.names("core")
-    if args.optional_tier:
-        names += catalog.names("optional")
-    hits = verify.scan(args.property, names, args.seed)
+    hits = verify.scan(args.property, _corpus_names(args), args.seed)
     if args.json:
         _emit_json({"property": args.property, "matches": hits})
     else:
@@ -164,17 +161,12 @@ def _cmd_mn(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    tiers = ["core"]
-    if args.optional_tier:
-        tiers.append("optional")
-    if args.all_tiers:
-        tiers = [None]
+    names = catalog.names() if args.all_tiers else _corpus_names(args)
     rows = []
-    for tier in tiers:
-        for name in catalog.names(tier):
-            ent = catalog.entry(name)
-            rows.append({"name": ent.name, "order": ent.order,
-                         "tier": ent.tier, "source": ent.source})
+    for name in names:
+        ent = catalog.entry(name)
+        rows.append({"name": ent.name, "order": ent.order,
+                     "tier": ent.tier, "source": ent.source})
     rows.sort(key=lambda r: (r["order"], r["name"]))
     if args.json:
         _emit_json(rows)
