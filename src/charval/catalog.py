@@ -13,10 +13,10 @@ pinned by the checked claims, not by library lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
 from math import factorial
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 from .chartab import CharTable, character_table
 from .cyclo import is_p_power
@@ -39,15 +39,14 @@ class ConstructionMismatch(RuntimeError):
     """A builder produced a group violating its frozen facts."""
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     order: int
     source: str
     tier: str = "core"  # core | large | optional
     builder: Callable[[], PermGroup] = None
     table_guard: int = 60       # guard for table construction
-    expected: dict = field(default_factory=dict)
+    expected: Mapping = MappingProxyType({})  # shared, so read-only
 
 
 # --- permutation builders ---

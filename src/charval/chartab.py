@@ -376,6 +376,8 @@ def _primitive_root(p: int) -> int:
         g += 1
 
 
+# Character and CharTable keep __slots__, not NamedTuple: rows are built per
+# character and read in the split, proof and structure loops; slots read faster.
 class Character:
     """One irreducible character: exact values indexed by class, and the
     class masks (bit i set for class i) of ker chi and Z(chi)."""

@@ -440,14 +440,24 @@ class Cyc:
 
     @staticmethod
     def parse(text: str) -> "Cyc":
-        """Inverse of display(); raises ValueError on malformed input,
-        including a conductor above PARSE_CONDUCTOR_BOUND."""
+        """Inverse of display(); raises ValueError on malformed or
+        non-canonical input, including a conductor above
+        PARSE_CONDUCTOR_BOUND."""
         s = text.strip()
         if not s:
             raise ValueError("empty cyclotomic literal")
         m = Cyc._RAT_RE.match(s)
         if m:
-            return _lowest_terms(1, [int(m.group(1))], int(m.group(2) or 1))
+            val = _lowest_terms(1, [int(m.group(1))], int(m.group(2) or 1))
+        else:
+            val = Cyc._parse_sum(s, text)
+        if val.display() != s:
+            raise ValueError(f"non-canonical cyclotomic literal {text!r}")
+        return val
+
+    @staticmethod
+    def _parse_sum(s: str, text: str) -> "Cyc":
+        # s is text stripped, a sum of terms at one conductor
         n = None
         terms: dict[int, _Ratio] = {}
         for part in s.split(" + "):
@@ -476,10 +486,7 @@ class Cyc:
             raise ValueError(f"conductor {n} cannot carry irrational terms")
         if any(e >= phi(n) for e in terms):
             raise ValueError(f"exponent out of reduced range in {text!r}")
-        val = Cyc.from_exponents(n, terms)
-        if val.display() != s:
-            raise ValueError(f"non-canonical cyclotomic literal {text!r}")
-        return val
+        return Cyc.from_exponents(n, terms)
 
     # -- misc --------------------------------------------------------------
 

@@ -10,6 +10,8 @@ strings), so reports serialize byte-identically across runs.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .chartab import CharTable, codegree
 from .cyclo import Cyc
 from .permcore import (
@@ -17,31 +19,22 @@ from .permcore import (
 )
 
 
-class InvariantReport:
+class InvariantReport(NamedTuple):
     """Invariants of one group's character table."""
 
-    __slots__ = ("order", "classes", "cv", "cd", "cdc", "ncv",
-                 "per_char_cv_sizes", "cod", "b", "dl", "is_rational_group",
-                 "root_of_unity_elements", "flags")
-
-    def __init__(self, order: int, classes: ClassData, cv: tuple[Cyc, ...],
-                 cd: tuple[int, ...], cdc: tuple[Cyc, ...], ncv: tuple[Cyc, ...],
-                 per_char_cv_sizes: tuple[int, ...], cod: tuple[int, ...],
-                 b: int, dl: int | None, is_rational_group: bool,
-                 root_of_unity_elements: tuple[int, ...], flags: StructureFlags):
-        self.order = order
-        self.classes = classes
-        self.cv = cv
-        self.cd = cd
-        self.cdc = cdc
-        self.ncv = ncv
-        self.per_char_cv_sizes = per_char_cv_sizes
-        self.cod = cod
-        self.b = b
-        self.dl = dl
-        self.is_rational_group = is_rational_group
-        self.root_of_unity_elements = root_of_unity_elements
-        self.flags = flags
+    order: int
+    classes: ClassData
+    cv: tuple[Cyc, ...]
+    cd: tuple[int, ...]
+    cdc: tuple[Cyc, ...]
+    ncv: tuple[Cyc, ...]
+    per_char_cv_sizes: tuple[int, ...]
+    cod: tuple[int, ...]
+    b: int
+    dl: int | None
+    is_rational_group: bool
+    root_of_unity_elements: tuple[int, ...]
+    flags: StructureFlags
 
     @property
     def class_count(self) -> int:

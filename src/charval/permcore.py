@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .cyclo import is_p_power, prime_factors
 
@@ -866,8 +865,7 @@ def a5a6_free(table: CharTable) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class StructureFlags:
+class StructureFlags(NamedTuple):
     """Structural facts read off the group's proven table.
 
     o_p maps each prime p dividing |G| to O_p(G), the largest normal

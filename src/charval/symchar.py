@@ -13,6 +13,10 @@ from functools import cache
 
 from .permcore import InvariantViolation
 
+# largest n for mn_value: the recursion nests n deep and its memo grows fast;
+# the slowest case tried, (9, ..., 1) against 1^45, takes under a second
+MAX_N = 45
+
 
 class SizeMismatch(ValueError):
     """Partition and cycle type describe different symmetric groups."""
@@ -71,11 +75,14 @@ def mn_value(lam, rho) -> int:
 
     Raises:
       SizeMismatch: the two do not partition the same n.
+      ValueError: n is above MAX_N.
     """
     lam = _check_partition(lam, "partition")
     rho = _check_partition(rho, "cycle type")
     if sum(lam) != sum(rho):
         raise SizeMismatch(f"partition of {sum(lam)} against cycle type of {sum(rho)}")
+    if sum(lam) > MAX_N:
+        raise ValueError(f"symmetric group degree {sum(lam)} above {MAX_N}")
     return _mn(lam, rho)
 
 

@@ -9,7 +9,7 @@ contradicts the claim, which on this corpus indicates an engine bug.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import catalog
 from .chartab import CharTable, codegree
@@ -26,8 +26,7 @@ CLAIMS = ("four_values_solvable", "cdc3_solvable", "cdc2_shape",
           "nilpotent_cdc3", "nonnilpotent_cdc3", "two_degrees")
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     group: str
     claim: str
     hypothesis_met: bool
@@ -249,14 +248,9 @@ def check_two_degrees(table: CharTable, rep: InvariantReport,
 def check_group(name: str, seed: int = 0) -> list[Verdict]:
     """All checkers against one catalog entry."""
     ent, g, cd, table, rep = catalog.bundle(name, seed)
-    return [
-        check_four_values_solvable(table, rep, ent.name),
-        check_cdc3_solvable(table, rep, ent.name),
-        check_cdc2_shape(table, rep, ent.name),
-        check_nilpotent_cdc3(table, rep, ent.name),
-        check_nonnilpotent_cdc3(table, rep, ent.name),
-        check_two_degrees(table, rep, ent.name),
-    ]
+    return [check(table, rep, ent.name) for check in (
+        check_four_values_solvable, check_cdc3_solvable, check_cdc2_shape,
+        check_nilpotent_cdc3, check_nonnilpotent_cdc3, check_two_degrees)]
 
 
 _PREDICATES = re.compile(r"(cdc|ncv)=(\d+)|rows<=(\d+)|rational")
@@ -304,7 +298,7 @@ def scan_checks(seed: int = 0) -> list[Verdict]:
             dl4.add(name)
         if rep.dl is None and len(rep.ncv) == 3:
             nonsolvable_ncv3.add(name)
-    out = [
+    return [
         _met("corpus", "cdc2_classified", (cdc2 & nonabelian) == shaped,
              f"nonabelian cdc-size-2 entries {sorted(cdc2 & nonabelian)} "
              f"vs classified shapes {sorted(shaped)}"),
@@ -314,7 +308,6 @@ def scan_checks(seed: int = 0) -> list[Verdict]:
              nonsolvable_ncv3 == {"sym_5"},
              f"nonsolvable entries with |ncv|=3: {sorted(nonsolvable_ncv3)}"),
     ]
-    return out
 
 
 def verify_names(names: list[str] | None = None, seed: int = 0,

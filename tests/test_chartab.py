@@ -547,3 +547,27 @@ def test_self_verify_uses_no_map_that_moves_sizes_or_inverses(name, swap, source
     with pytest.raises(OrthogonalityFailure) as info:
         _self_verify(bad, [tuple(perm)])
     assert str(info.value) == str(_oracle_failure(bad))
+
+
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                   reason="open proof gap: orthogonality and the power-map "
+                   "relations do not tie a column to its class; the "
+                   "class-algebra certificate would reject this swap")
+@pytest.mark.parametrize("name", ["cyclic_5", "elab_2_3", "sym_6"])
+def test_self_verify_rejects_swapped_columns_of_one_size_and_order(name):
+    # swapping columns 1 and 2, of equal class size and element order,
+    # and their inverse columns with them, keeps every relation
+    # _self_verify checks, but the rows are no longer the group's characters
+    _, g, cd, table, _ = catalog.bundle(name)
+    i, j = 1, 2
+    assert cd.sizes[i] == cd.sizes[j]
+    assert cd.element_orders[i] == cd.element_orders[j]
+    perm = list(range(cd.n_classes))
+    for a, b in ((i, j), (cd.inverse_class[i], cd.inverse_class[j])):
+        perm[a], perm[b] = b, a
+    bad = _with_values(table, {(r, t): row.values[perm[t]]
+                               for r, row in enumerate(table.rows)
+                               for t in range(cd.n_classes)})
+    assert {r.values for r in bad.rows} != {r.values for r in table.rows}
+    with pytest.raises(OrthogonalityFailure):
+        _self_verify(bad, _power_maps(cd))

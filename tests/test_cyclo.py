@@ -245,6 +245,16 @@ def test_parse_rejects_zero_denominators():
     assert Cyc.parse("7/10") == Cyc.from_rational(Fraction(7, 10))
 
 
+def test_parse_refuses_non_canonical_rationals():
+    for bad in ("2/4", "-0", "007", "1/1", "0/5", "2/4*z(3)", "1/1*z(3)",
+                "-0*z(3)"):
+        with pytest.raises(ValueError, match="non-canonical"):
+            Cyc.parse(bad)
+    assert Cyc.parse("7/10") == Cyc.from_rational(Fraction(7, 10))
+    assert Cyc.parse("-3/2") == Cyc.from_rational(Fraction(-3, 2))
+    assert Cyc.parse("0") == Cyc.zero()
+
+
 @st.composite
 def cyc_like_text(draw):
     """Terms of the display grammar, some malformed: zero denominators,

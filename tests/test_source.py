@@ -1,6 +1,8 @@
 """Source-level rules for the library package."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import charval
@@ -98,3 +100,14 @@ def test_only_cyclo_reads_the_cyclotomic_polynomial():
             if "cyclotomic_polynomial" in names:
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_import_loads_no_introspection_modules():
+    """Records are NamedTuples, not dataclasses, so `import charval` does
+    not load dataclasses and the inspect, ast and dis chain behind it."""
+    code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); "
+            "import charval; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

@@ -7,6 +7,7 @@ import pytest
 
 from charval import catalog
 from charval.symchar import (
+    MAX_N,
     SizeMismatch,
     clear_memo,
     conjugate_partition,
@@ -167,6 +168,15 @@ def test_size_mismatch_and_validation():
         mn_value((3, 0), (3,))  # zero part
     with pytest.raises(ValueError):
         mn_value((-2,), (-2,))
+
+
+def test_values_up_to_the_size_bound():
+    ones = (1,) * MAX_N
+    assert mn_value((MAX_N - 1, 1), ones) == hook_degree((MAX_N - 1, 1)) == MAX_N - 1
+    assert mn_value(ones, (MAX_N,)) == (-1) ** (MAX_N - 1)
+    for lam, rho in (((MAX_N + 1,), (1,) * (MAX_N + 1)), ((600,), (1,) * 600)):
+        with pytest.raises(ValueError, match=f"above {MAX_N}$"):
+            mn_value(lam, rho)
 
 
 def test_memo_reset_is_transparent():
