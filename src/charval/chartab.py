@@ -15,7 +15,12 @@ zeta -> zeta^r has its central character and values permuted by the
 power map g -> g^r on classes.  The lift also gives each row's kernel
 and centre: at each class the root multiplicities must sum to the
 degree, the class lies in the centre when one root has them all, and in
-the kernel when that root is 1.  The finished table is then proven in
+the kernel when that root is 1.  Each distinct pattern of residues, the
+central character at the powers of a class representative, is lifted
+once per table: with the prime and the root of unity fixed, the pattern
+fixes the class order (its length) and the degree (its entry at the
+identity), so it fixes the multiplicities, both checks, the value and
+the two bits.  The finished table is then proven in
 integer arithmetic: it must have one row per class, and with e the lcm
 of the value conductors, each value becomes the integer vector of its
 power-basis coordinates mod x^e - 1, each relation (inverse class
@@ -495,6 +500,7 @@ def character_table(group: PermGroup, classes: ClassData | None = None,
     w_inv = pow(w, p - 2, p)
     galois = _galois_maps(cd, e)
 
+    lifted: dict[tuple[int, ...], tuple[Cyc, bool, bool]] = {}
     rows: list[Character | None] = [None] * k
     for r, omega in enumerate(omegas):
         if rows[r] is not None:
@@ -515,7 +521,7 @@ def character_table(group: PermGroup, classes: ClassData | None = None,
             raise failure("no degree d <= sqrt|G| with d^2 = |G|/s mod p", r)
         theta = [d * omega[i] % p * inv_sizes[i] % p for i in range(k)]
         try:
-            values, kernel, center_z = _lift_row(theta, d, cd, p, e, w_inv)
+            values, kernel, center_z = _lift_row(theta, d, cd, p, e, w_inv, lifted)
         except EigensplitFailure as exc:
             raise failure(exc.message, r, *exc.indices) from exc
         if values[0] != d:
@@ -532,7 +538,8 @@ def character_table(group: PermGroup, classes: ClassData | None = None,
             if rows[c] is None:
                 rows[c] = Character(tuple(values[t] for t in perm), d, kernel, center_z)
 
-    rows.sort(key=lambda r: (r.degree, tuple(v.display() for v in r.values)))
+    shown = {v: v.display() for v in {v for r in rows for v in r.values}}
+    rows.sort(key=lambda r: (r.degree, tuple([shown[v] for v in r.values])))
     table = CharTable(group, cd, tuple(rows), p)
     _self_verify(table, galois)
     return table
@@ -544,16 +551,18 @@ def _galois_maps(cd: ClassData, e: int) -> dict[tuple[int, ...], int]:
     permutation is left out.  The Galois conjugate of a row by
     zeta_e -> zeta_e^r takes at class i the row's value at perm[i]."""
     k = cd.n_classes
+    powers = [cd.powers(i) for i in range(k)]
     maps: dict[tuple[int, ...], int] = {}
     for r in range(2, e):
         if math.gcd(r, e) == 1:
-            maps.setdefault(tuple(cd.power_class(i, r) for i in range(k)), r)
+            maps.setdefault(tuple([pw[r % len(pw)] for pw in powers]), r)
     maps.pop(tuple(range(k)), None)
     return maps
 
 
-def _lift_row(theta: list[int], d: int, cd: ClassData, p: int, e: int,
-              w_inv: int) -> tuple[list[Cyc], int, int]:
+def _lift_row(theta: list[int], d: int, cd: ClassData, p: int, e: int, w_inv: int,
+              lifted: dict[tuple[int, ...], tuple[Cyc, bool, bool]]
+              ) -> tuple[list[Cyc], int, int]:
     """Lift one row: (values, kernel, center_z), the last two class masks.
 
     At class i of order m the multiplicity of zeta_m^j among the d
@@ -562,32 +571,44 @@ def _lift_row(theta: list[int], d: int, cd: ClassData, p: int, e: int,
     unity; its modulus is d exactly when one root has multiplicity d
     (class i lies in the centre), and it is d itself when that root is 1
     (class i lies in the kernel).
+
+    lifted holds the table's lifts so far, (value, in_centre, in_kernel)
+    keyed by theta at the powers of rep(i).  p, e and w_inv are fixed for
+    the table; the key's length is m and its first entry theta at the
+    identity, which is d.  So the multiplicities, both checks and the
+    result are functions of the key, and a stored key needs no lift.  A
+    key that fails a check raises before it is stored, so the failure
+    names the first (row, class) that meets it.
     """
     k = cd.n_classes
     values: list[Cyc] = [Cyc.zero()] * k
     kernel = center = 0
     for i in range(k):
-        m = cd.element_orders[i]
-        theta_pow = [theta[cd.power_class(i, t)] for t in range(m)]
-        mus = _multiplicities(theta_pow, p, pow(w_inv, e // m, p))
-        for j, mu in enumerate(mus):
-            if 2 * mu >= p:
+        key = tuple([theta[c] for c in cd.powers(i)])
+        lift = lifted.get(key)
+        if lift is None:
+            m = len(key)
+            mus = _multiplicities(key, p, pow(w_inv, e // m, p))
+            for j, mu in enumerate(mus):
+                if 2 * mu >= p:
+                    raise EigensplitFailure(
+                        f"multiplicity {mu} of root {j} at class {i} out of range mod {p}",
+                        p, None, (i,))
+            if sum(mus) != d:
                 raise EigensplitFailure(
-                    f"multiplicity {mu} of root {j} at class {i} out of range mod {p}",
+                    f"multiplicities at class {i} sum to {sum(mus)}, not {d}",
                     p, None, (i,))
-        if sum(mus) != d:
-            raise EigensplitFailure(
-                f"multiplicities at class {i} sum to {sum(mus)}, not {d}",
-                p, None, (i,))
-        if d in mus:
+            value = Cyc.from_exponents(m, {j: mu for j, mu in enumerate(mus) if mu})
+            lift = lifted[key] = (value, d in mus, mus[0] == d)
+        values[i], in_centre, in_kernel = lift
+        if in_centre:
             center |= 1 << i
-            if mus[0] == d:
-                kernel |= 1 << i
-        values[i] = Cyc.from_exponents(m, {j: mu for j, mu in enumerate(mus) if mu})
+        if in_kernel:
+            kernel |= 1 << i
     return values, kernel, center
 
 
-def _multiplicities(theta_pow: list[int], p: int, wm_inv: int) -> list[int]:
+def _multiplicities(theta_pow: tuple[int, ...], p: int, wm_inv: int) -> list[int]:
     """mu[j] = (1/m) sum_t theta_pow[t] * wm_inv^(j*t) mod p, m = len(theta_pow).
 
     theta_pow[t] is the central-character image of g^t and wm_inv a
@@ -654,14 +675,18 @@ def _self_verify(table: CharTable, galois: Iterable[tuple[int, ...]]) -> None:
     # Every value lies in Q(zeta_e), and equality there is equality in
     # any larger cyclotomic field, such as that of the group exponent.
     e = math.lcm(*(v.n for r in rows for v in r.values))
+    vec_of: dict[Cyc, tuple[tuple[int, int], ...]] = {}
     vecs = []
     for r, row in enumerate(rows):
         vec_row = []
         for i, v in enumerate(row.values):
-            if v.den != 1:
-                fail("value is not an algebraic integer", "integrality", r, i)
-            step = e // v.n
-            vec_row.append(tuple((j * step, c) for j, c in enumerate(v.num) if c))
+            vec = vec_of.get(v)
+            if vec is None:
+                if v.den != 1:
+                    fail("value is not an algebraic integer", "integrality", r, i)
+                step = e // v.n
+                vec = vec_of[v] = tuple((j * step, c) for j, c in enumerate(v.num) if c)
+            vec_row.append(vec)
         vecs.append(vec_row)
     perms = [perm for perm in galois
              if sorted(perm) == list(range(k))

@@ -82,11 +82,6 @@ def sorted_values(values) -> tuple[Cyc, ...]:
     return tuple(sorted(values, key=lambda v: v.sort_key()))
 
 
-def per_char_values(table: CharTable, row: int) -> tuple[Cyc, ...]:
-    """Distinct values of one row, canonically ordered."""
-    return sorted_values(set(table.rows[row].values))
-
-
 def root_of_unity_elements(table: CharTable) -> tuple[int, ...]:
     """Classes on which every irreducible value has modulus 1.
 

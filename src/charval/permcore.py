@@ -459,12 +459,11 @@ class ClassData:
     def n_classes(self) -> int:
         return len(self.classes)
 
-    def power_class(self, i: int, t: int) -> int:
-        """Class index of rep(i)**t.
+    def powers(self, i: int) -> tuple[int, ...]:
+        """The class indices of rep(i)**u for u below the representative's
+        order m, so entry u % m is the class of rep(i)**u for any u.
 
-        The first call for class i reads the classes of all the powers
-        rep(i)**u, u below the representative's order, by repeated
-        multiplication.
+        The first call for class i reads them by repeated multiplication.
         """
         powers = self._powers.get(i)
         if powers is None:
@@ -476,6 +475,11 @@ class ClassData:
                     p = p * rep
                 out.append(self.elt_class[group.element_index(p)])
             powers = self._powers[i] = tuple(out)
+        return powers
+
+    def power_class(self, i: int, t: int) -> int:
+        """Class index of rep(i)**t."""
+        powers = self.powers(i)
         return powers[t % len(powers)]
 
     def product_rows(self, i: int) -> list[list[int]]:

@@ -13,8 +13,12 @@ from functools import cache
 
 from .permcore import InvariantViolation
 
-# largest n for mn_value: the recursion nests n deep and its memo grows fast;
-# the slowest case tried, (9, ..., 1) against 1^45, takes under a second
+# largest n for mn_value: the recursion nests n deep and its memo grows with
+# the subdiagrams it reaches.  The slowest case found at 45 (400 sampled
+# partitions against cycle types of parts up to 3), (9, 7, 5, 5, 3, 3, 3,
+# 1^10) against 2^20 1^5, takes 0.11 s and 2 545 memo entries, and 3^15
+# about 0.02 s (2-core VM, CPython 3.11.7); an all-ones cycle type costs
+# one hook length product
 MAX_N = 45
 
 
@@ -91,6 +95,8 @@ def _mn(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
     if not rho:
         return 1
     s = rho[0]
+    if s == 1:  # rho is weakly decreasing, so it is all ones: the degree
+        return hook_degree(lam)
     rest = rho[1:]
     r = len(lam)
     beta = [lam[i] + (r - 1 - i) for i in range(r)]

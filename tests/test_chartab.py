@@ -512,6 +512,62 @@ def test_lifts_once_per_galois_orbit_and_splits_only_when_not_scalar(
     assert 0 < calls["_charpoly"] <= max_charpolys
 
 
+@pytest.mark.parametrize("name,patterns", [
+    ("sg_250_14", 9), ("sg_81_3", 21), ("sg_147_4", 10),
+])
+def test_lifts_each_pattern_of_residues_once_per_table(monkeypatch, name, patterns):
+    # lifting every (row, class) of one row per Galois orbit took 2112,
+    # 363 and 190 calls; the table's dict leaves one per distinct pattern
+    ent, g, cd, _, _ = catalog.bundle(name)
+    calls = _count_calls(monkeypatch, "_multiplicities")
+    character_table(g, cd, max_classes=ent.table_guard)
+    assert calls["_multiplicities"] == patterns
+
+
+def test_a_failing_pattern_is_met_where_the_full_lift_meets_it(monkeypatch):
+    # corrupt one pattern of residues that sg_250_14 meets at many classes
+    # of several rows, first after other rows were lifted: the build stops
+    # at its first (row, class), as a lift without the table's dict would
+    ent, g, cd, _, _ = catalog.bundle("sg_250_14")
+    lift_row, multiplicities = chartab._lift_row, chartab._multiplicities
+    met: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    lifts = 0
+
+    def recording(theta, *args):
+        nonlocal lifts
+        for i in range(cd.n_classes):
+            met.setdefault(tuple(theta[c] for c in cd.powers(i)), []).append((lifts, i))
+        lifts += 1
+        return lift_row(theta, *args)
+
+    monkeypatch.setattr(chartab, "_lift_row", recording)
+    character_table(g, cd, max_classes=ent.table_guard)
+    bad, where = next((key, where) for key, where in met.items()
+                      if where[0][0] > 0 and len({n for n, _ in where}) > 1
+                      and len({i for _, i in where}) > 1)
+    corrupted = 0
+
+    def bumped(theta_pow, p, wm_inv):
+        nonlocal corrupted
+        mus = multiplicities(theta_pow, p, wm_inv)
+        if tuple(theta_pow) == bad:
+            corrupted += 1
+            mus[0] += 1
+        return mus
+
+    monkeypatch.setattr(chartab, "_multiplicities", bumped)
+    monkeypatch.setattr(chartab, "_lift_row", lift_row)
+    with pytest.raises(EigensplitFailure) as cached:
+        character_table(g, cd, max_classes=ent.table_guard)
+    assert corrupted == 1
+    monkeypatch.setattr(chartab, "_lift_row", lambda *args: lift_row(*args[:-1], {}))
+    with pytest.raises(EigensplitFailure) as full:
+        character_table(g, cd, max_classes=ent.table_guard)
+    assert str(cached.value) == str(full.value)
+    assert cached.value.indices[1] == where[0][1]
+    assert cached.value.message.startswith(f"multiplicities at class {where[0][1]} sum")
+
+
 def test_self_verify_checks_one_relation_per_power_map_orbit(monkeypatch):
     # the full check decides 64 * 64 conjugate relations and 64 * 65 / 2
     # row pairs on sg_250_14, 6176 in all; one per orbit is 3169

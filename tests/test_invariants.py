@@ -7,7 +7,7 @@ import pytest
 
 from charval import catalog
 from charval.cyclo import Cyc
-from charval.invariants import per_char_values, report, sorted_values
+from charval.invariants import report, sorted_values
 from tests import helpers as H
 
 CORE = catalog.names("core")
@@ -44,8 +44,8 @@ def test_sym_4_report_fields():
 def test_cv_is_union_of_row_values():
     _, g, cd, table, rep = catalog.bundle("sg_21_1")
     union = set()
-    for r in range(len(table.rows)):
-        row_vals = per_char_values(table, r)
+    for row in table.rows:
+        row_vals = sorted_values(set(row.values))
         assert list(row_vals) == sorted(row_vals, key=lambda v: v.sort_key())
         union.update(row_vals)
     assert set(rep.cv) == union

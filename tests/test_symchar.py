@@ -9,6 +9,7 @@ from charval import catalog
 from charval.symchar import (
     MAX_N,
     SizeMismatch,
+    _mn,
     clear_memo,
     conjugate_partition,
     hook_degree,
@@ -177,6 +178,15 @@ def test_values_up_to_the_size_bound():
     for lam, rho in (((MAX_N + 1,), (1,) * (MAX_N + 1)), ((600,), (1,) * 600)):
         with pytest.raises(ValueError, match=f"above {MAX_N}$"):
             mn_value(lam, rho)
+
+
+def test_all_ones_cycle_type_is_read_off_the_hook_lengths():
+    # the staircase (9, ..., 1) against 1^45 walked 16 796 subdiagrams
+    # through the border-strip recursion; it is the hook length degree
+    stair = tuple(range(9, 0, -1))
+    clear_memo()
+    assert mn_value(stair, (1,) * MAX_N) == hook_degree(stair)
+    assert _mn.cache_info().currsize == 1
 
 
 def test_memo_reset_is_transparent():
