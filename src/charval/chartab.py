@@ -9,36 +9,31 @@ are made, starting from the identity; a class matrix that is one scalar
 on a subspace is recognised from the images of its basis, and the
 subspace is kept whole without a characteristic polynomial.  Central
 characters, degrees, and values are computed mod p, then the values of
-one row per Galois orbit are lifted exactly to cyclotomic integers
-through root-of-unity multiplicities; the conjugate row under
-zeta -> zeta^r has its central character and values permuted by the
-power map g -> g^r on classes.  The lift also gives each row's kernel
-and centre: at each class the root multiplicities must sum to the
-degree, the class lies in the centre when one root has them all, and in
-the kernel when that root is 1.  Each distinct pattern of residues, the
-central character at the powers of a class representative, is lifted
-once per table: with the prime and the root of unity fixed, the pattern
-fixes the class order (its length) and the degree (its entry at the
+each row are lifted exactly to cyclotomic integers through root-of-unity
+multiplicities.  The lift also gives each row's kernel and centre: at
+each class the root multiplicities must sum to the degree, the class
+lies in the centre when one root has them all, and in the kernel when
+that root is 1.  Each distinct pattern of residues, the central
+character at the powers of a class representative, is lifted once per
+table: with the prime and the root of unity fixed, the pattern fixes
+the class order (its length) and the degree (its entry at the
 identity), so it fixes the multiplicities, both checks, the value and
-the two bits.  The finished table is then proven in
-integer arithmetic: it must have one row per class, and with e the lcm
-of the value conductors, each value becomes the integer vector of its
-power-basis coordinates mod x^e - 1, each relation (inverse class
-equals conjugate, first orthogonality) is accumulated as one such
-vector, and one exact remainder by the e-th cyclotomic polynomial,
-cyclo.power_basis, decides it.
-The power maps carry relations to relations, so a row, or a pair of
-rows, whose vectors are the power-map image of one already checked is
-not checked again.  For a square table first orthogonality implies the
-second.  Failure raises OrthogonalityFailure instead of returning a
-wrong table.
+the two bits.  The finished table is then proven exactly: it must have
+one row per class, every value must be an algebraic integer, the value
+at an inverse class must equal the conjugate, and first orthogonality
+must hold, each row pair's relation decided by one exact remainder of
+an integer vector mod x^e - 1 by the e-th cyclotomic polynomial,
+cyclo.power_basis.  The power maps on classes carry row pairs to row
+pairs, so a pair whose rows are the power-map images of a pair already
+checked is not checked again.  For a square table first orthogonality
+implies the second.  Failure raises OrthogonalityFailure instead of
+returning a wrong table.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterable
 
 from .cyclo import Cyc, is_prime, power_basis, prime_factors
 from .permcore import ClassData, PermGroup, conjugacy_classes, mask_size
@@ -54,10 +49,9 @@ class EigensplitFailure(RuntimeError):
     prime is the Dixon prime and seed the splitting seed, so the failure
     can be reproduced.  indices is (i,) for the class whose matrix failed
     to split the pending subspaces, (row,) for a row without a degree,
-    (row, class) for a failed lift, and (row, r) when the Galois
-    conjugate of a row under zeta -> zeta^r is not a row; rows are
-    numbered in eigenspace order, before the table is sorted.  The
-    helpers raise with what they know and character_table adds the rest.
+    and (row, class) for a failed lift; rows are numbered in eigenspace
+    order, before the table is sorted.  The helpers raise with what they
+    know and character_table adds the rest.
     """
 
     def __init__(self, message: str, prime: int | None = None,
@@ -484,27 +478,20 @@ def character_table(group: PermGroup, classes: ClassData | None = None,
     if any(len(basis) != 1 for basis, _ in spaces):
         raise failure("class matrices left a subspace unsplit")
 
-    omegas = []
-    for r, (basis, _) in enumerate(spaces):
-        v = basis[0]
-        if v[0] == 0:
-            raise failure("eigenvector vanishes at the identity class", r)
-        inv0 = pow(v[0], p - 2, p)
-        omegas.append(tuple(x * inv0 % p for x in v))
-    row_of = {omega: r for r, omega in enumerate(omegas)}
-
     order = group.order
     inv_sizes = [pow(sz, p - 2, p) for sz in cd.sizes]
     e = math.lcm(*cd.element_orders)
     w = pow(_primitive_root(p), (p - 1) // e, p)
     w_inv = pow(w, p - 2, p)
-    galois = _galois_maps(cd, e)
 
     lifted: dict[tuple[int, ...], tuple[Cyc, bool, bool]] = {}
-    rows: list[Character | None] = [None] * k
-    for r, omega in enumerate(omegas):
-        if rows[r] is not None:
-            continue
+    rows: list[Character] = []
+    for r, (basis, _) in enumerate(spaces):
+        v = basis[0]
+        if v[0] == 0:
+            raise failure("eigenvector vanishes at the identity class", r)
+        inv0 = pow(v[0], p - 2, p)
+        omega = [x * inv0 % p for x in v]
         s_val = 0
         for i in range(k):
             s_val += omega[i] * omega[cd.inverse_class[i]] % p * inv_sizes[i]
@@ -526,37 +513,25 @@ def character_table(group: PermGroup, classes: ClassData | None = None,
             raise failure(exc.message, r, *exc.indices) from exc
         if values[0] != d:
             raise failure("identity value disagrees with degree", r)
-        rows[r] = Character(tuple(values), d, kernel, center_z)
-        # The conjugate under zeta -> zeta^u takes chi(g^u) at g.  That is an
-        # identity of algebraic integers, so it holds mod p for the central
-        # characters too.  g^u generates the same cyclic group as g, so the
-        # kernel and the center stay as they are.
-        for perm, u in galois.items():
-            c = row_of.get(tuple(omega[t] for t in perm))
-            if c is None:
-                raise failure("Galois conjugate of a row is not a row", r, u)
-            if rows[c] is None:
-                rows[c] = Character(tuple(values[t] for t in perm), d, kernel, center_z)
+        rows.append(Character(tuple(values), d, kernel, center_z))
 
     shown = {v: v.display() for v in {v for r in rows for v in r.values}}
     rows.sort(key=lambda r: (r.degree, tuple([shown[v] for v in r.values])))
     table = CharTable(group, cd, tuple(rows), p)
-    _self_verify(table, galois)
+    _self_verify(table)
     return table
 
 
-def _galois_maps(cd: ClassData, e: int) -> dict[tuple[int, ...], int]:
-    """The permutations i -> class of rep(i)^r of the classes, for the
-    units r mod the exponent e, each with its least r; the identity
-    permutation is left out.  The Galois conjugate of a row by
-    zeta_e -> zeta_e^r takes at class i the row's value at perm[i]."""
-    k = cd.n_classes
-    powers = [cd.powers(i) for i in range(k)]
-    maps: dict[tuple[int, ...], int] = {}
-    for r in range(2, e):
-        if math.gcd(r, e) == 1:
-            maps.setdefault(tuple([pw[r % len(pw)] for pw in powers]), r)
-    maps.pop(tuple(range(k)), None)
+def _galois_maps(cd: ClassData) -> set[tuple[int, ...]]:
+    """The permutations i -> class of rep(i)^r of the classes, r over the
+    units mod the exponent, the identity permutation left out.  The
+    Galois conjugate of a row by zeta -> zeta^r takes at class i the
+    row's value at perm[i]."""
+    e = math.lcm(*cd.element_orders)
+    powers = [cd.powers(i) for i in range(cd.n_classes)]
+    maps = {tuple([pw[r % len(pw)] for pw in powers])
+            for r in range(2, e) if math.gcd(r, e) == 1}
+    maps.discard(tuple(range(cd.n_classes)))
     return maps
 
 
@@ -630,28 +605,31 @@ def _multiplicities(theta_pow: tuple[int, ...], p: int, wm_inv: int) -> list[int
     return mus
 
 
-def _self_verify(table: CharTable, galois: Iterable[tuple[int, ...]]) -> None:
+def _self_verify(table: CharTable) -> None:
     """Prove the table exactly or raise OrthogonalityFailure.
 
-    With e the lcm of the value conductors (a divisor of the exponent),
-    every value must have denominator 1 (den), and is read as the vector
-    of its integer numerators (num) mod x^e - 1 (zeta_n^j -> x^(j*e/n),
-    complex conjugation negates exponents).  Each relation (inverse class equals
-    conjugate, first orthogonality) is accumulated as one such vector,
-    minus its expected constant, and decided by _vanishes, one remainder
-    by Phi_e (cyclo.power_basis).  The table must be square, so that
-    second orthogonality follows from the first.
+    The table must be square, so that second orthogonality follows from
+    the first.  Every value must have denominator 1 (den).  A value is
+    kept canonical, at its minimal conductor, so equal numbers are equal
+    Cycs, and the conjugate relation, the value at the inverse class is
+    the complex conjugate, is decided by equality, each distinct value
+    conjugated once.  For first orthogonality, with e the lcm of the
+    value conductors (a divisor of the exponent), each value is read as
+    the vector of its integer numerators (num) mod x^e - 1 (zeta_n^j ->
+    x^(j*e/n), complex conjugation negates exponents); each row pair's
+    relation is accumulated as one such vector, minus its expected
+    constant, and decided by _vanishes, one remainder by Phi_e
+    (cyclo.power_basis).
 
-    galois holds class permutations, the power maps of _galois_maps.  A
-    permutation pi that keeps class sizes and commutes with inversion
-    carries each relation to another: the conjugate relation of the row
-    a o pi at class i is that of a at pi(i), and <a o pi, b o pi> =
-    <a, b>.  So where a o pi is row c, c's relations follow from a's.
-    Rows and pairs are walked in order, each one checked unless it is
-    the image of a row or pair already checked; the image is looked up
-    by its coordinate vectors, so a corrupted row is nobody's image and
-    is checked itself.  The first failing relation is thus the one the
-    full check would report.
+    The power maps of _galois_maps that keep class sizes and commute
+    with inversion permute the rows of a true table, and a size-keeping
+    permutation pi keeps the inner product: <a o pi, b o pi> = <a, b>.
+    So where a o pi is row c and b o pi row d, the pair (c, d) follows
+    from (a, b).  Pairs are walked in order, each one checked unless it
+    is the image of a pair already checked; images are looked up by the
+    indices of their values, so a corrupted row is nobody's image and its
+    pairs are checked.  The first failing relation is thus the one the full check
+    would report.
     """
     cd = table.classes
     k = cd.n_classes
@@ -672,49 +650,44 @@ def _self_verify(table: CharTable, galois: Iterable[tuple[int, ...]]) -> None:
     for r, d in enumerate(degs):
         if order % d:
             fail("degree does not divide the order", "degrees", r)
-    # Every value lies in Q(zeta_e), and equality there is equality in
-    # any larger cyclotomic field, such as that of the group exponent.
-    e = math.lcm(*(v.n for r in rows for v in r.values))
-    vec_of: dict[Cyc, tuple[tuple[int, int], ...]] = {}
-    vecs = []
+    # Each distinct value gets an index, and a row is read as the tuple of
+    # its values' indices; values are canonical, so equal indices mean
+    # equal numbers.
+    index: dict[Cyc, int] = {}
+    ids = []
     for r, row in enumerate(rows):
-        vec_row = []
+        id_row = []
         for i, v in enumerate(row.values):
-            vec = vec_of.get(v)
-            if vec is None:
+            n = index.get(v)
+            if n is None:
                 if v.den != 1:
                     fail("value is not an algebraic integer", "integrality", r, i)
-                step = e // v.n
-                vec = vec_of[v] = tuple((j * step, c) for j, c in enumerate(v.num) if c)
-            vec_row.append(vec)
-        vecs.append(vec_row)
-    perms = [perm for perm in galois
+                n = index[v] = len(index)
+            id_row.append(n)
+        ids.append(tuple(id_row))
+    # The relation at (r, inverse(i)) holds exactly when the one at (r, i)
+    # does, so only i <= inverse(i) is decided; a failure at i is met first
+    # at its twin, just as the full check would meet it.
+    # conj[n] is -1 when the conjugate of value n is no value of the table.
+    conj = [index.get(v.conjugate(), -1) for v in index]
+    for r, id_row in enumerate(ids):
+        for i in range(k):
+            if i <= inverse[i] and id_row[inverse[i]] != conj[id_row[i]]:
+                fail("inverse classes are not conjugates", "conjugate", r, i)
+    # Every value lies in Q(zeta_e), and equality there is equality in
+    # any larger cyclotomic field, such as that of the group exponent.
+    e = math.lcm(*(v.n for v in index))
+    vec_of = [tuple((j * (e // v.n), c) for j, c in enumerate(v.num) if c) for v in index]
+    vecs = [[vec_of[n] for n in id_row] for id_row in ids]
+    perms = [perm for perm in _galois_maps(cd)
              if sorted(perm) == list(range(k))
              and all(sizes[perm[i]] == sizes[i] and perm[inverse[i]] == inverse[perm[i]]
                      for i in range(k))]
-    row_of = {tuple(vec_row): r for r, vec_row in enumerate(vecs)}
-    images = [[row_of.get(tuple(vec_row[t] for t in perm)) for perm in perms]
-              for vec_row in vecs]
+    row_of = {id_row: r for r, id_row in enumerate(ids)}
+    images = [[row_of.get(tuple([id_row[t] for t in perm])) for perm in perms]
+              for id_row in ids]
     # Conjugation sends x^y to x^(e - y); acc[x - y] with -e < x - y < e
     # is, by Python's negative indexing, exactly the slot (x - y) mod e.
-    # The relation at (r, inverse(i)) is the complex conjugate of the one
-    # at (r, i), so only i <= inverse(i) is decided; a failure at i is met
-    # first at its twin, just as the full check would meet it.
-    implied_rows: set[int] = set()
-    for r in range(k):
-        if r in implied_rows:
-            continue
-        for i in range(k):
-            if inverse[i] < i:
-                continue
-            acc = [0] * e
-            for x, c in vecs[r][inverse[i]]:
-                acc[x] += c
-            for y, d in vecs[r][i]:
-                acc[-y] -= d
-            if not _vanishes(acc):
-                fail("inverse classes are not conjugates", "conjugate", r, i)
-        implied_rows.update(c for c in images[r] if c is not None)
     implied_pairs: set[tuple[int, int]] = set()
     for a in range(k):
         va = vecs[a]

@@ -102,9 +102,6 @@ class Permutation:
         oi = other.images
         return Permutation(tuple(oi[x] for x in self.images), _check=False)
 
-    def __call__(self, point: int) -> int:
-        return self.images[point]
-
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
         for x, y in enumerate(self.images):

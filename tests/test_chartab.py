@@ -195,10 +195,6 @@ def test_character_tables_construct_no_fraction(monkeypatch):
 
 # --- negative controls: the self-check must reject corrupted tables ---
 
-def _power_maps(cd):
-    return _galois_maps(cd, math.lcm(*cd.element_orders))
-
-
 def _oracle_failure(table: CharTable) -> OrthogonalityFailure:
     with pytest.raises(OrthogonalityFailure) as info:
         H.full_self_verify(table)
@@ -251,7 +247,7 @@ def test_self_verify_rejects_corrupted_tables(name, fault):
     changes, relation = fault(table, cd)
     bad = _with_values(table, changes)
     with pytest.raises(OrthogonalityFailure) as info:
-        _self_verify(bad, _power_maps(cd))
+        _self_verify(bad)
     err = info.value
     assert err.relation == relation
     assert err.order == g.order and err.prime == table.dixon_prime
@@ -265,14 +261,14 @@ def _galois_images(table, cd) -> list[int]:
     rows = [r.values for r in table.rows]
     return [c for c, vals in enumerate(rows)
             if any(tuple(rows[a][t] for t in perm) == vals
-                   for perm in _power_maps(cd) for a in range(c))]
+                   for perm in _galois_maps(cd) for a in range(c))]
 
 
 @pytest.mark.parametrize("fault", ["plus_one", "negate", "duplicate"])
 @pytest.mark.parametrize("name", ["sg_147_4", "sg_81_3", "sg_250_14"])
 def test_self_verify_checks_a_corrupted_galois_image(name, fault):
-    # the reduced proof skips the relations of a row that is the image of
-    # an earlier one; once corrupted, the row is nobody's image
+    # the reduced proof skips the row pairs that are the image of an
+    # earlier pair; once corrupted, the row is nobody's image
     _, g, cd, table, _ = catalog.bundle(name)
     images = _galois_images(table, cd)
     assert images
@@ -285,7 +281,7 @@ def test_self_verify_checks_a_corrupted_galois_image(name, fault):
         changes = {(r, i): values[i] + 1 if fault == "plus_one" else -values[i]}
     bad = _with_values(table, changes)
     with pytest.raises(OrthogonalityFailure) as info:
-        _self_verify(bad, _power_maps(cd))
+        _self_verify(bad)
     assert str(info.value) == str(_oracle_failure(bad))
     assert r in info.value.indices
 
@@ -296,7 +292,7 @@ def test_self_verify_failure_names_the_row_and_class():
     with pytest.raises(OrthogonalityFailure, match=r"^value is not an algebraic "
                        r"integer \(relation=integrality, indices=\((\d+), (\d+)\), "
                        r"order=21, prime=43\)$") as info:
-        _self_verify(_with_values(table, changes), _power_maps(cd))
+        _self_verify(_with_values(table, changes))
     assert info.value.indices == next(iter(changes))
 
 
@@ -307,7 +303,7 @@ def test_self_verify_degree_failure_keeps_the_old_message():
                     + table.rows[1:], table.dixon_prime)
     with pytest.raises(OrthogonalityFailure,
                        match="^degree squares do not sum to the order") as info:
-        _self_verify(bad, _power_maps(cd))
+        _self_verify(bad)
     assert info.value.relation == "degrees"
 
 
@@ -397,7 +393,7 @@ def test_self_verify_rejects_a_table_without_a_row():
     _, g, cd, table, _ = catalog.bundle("sym_4")
     short = CharTable(g, cd, table.rows[:-1], table.dixon_prime)
     with pytest.raises(OrthogonalityFailure, match="^4 rows for 5 classes") as info:
-        _self_verify(short, _power_maps(cd))
+        _self_verify(short)
     assert info.value.relation == "square" and info.value.indices == ()
 
 
@@ -419,22 +415,23 @@ def _units(e: int) -> list[int]:
 
 @pytest.mark.parametrize("name", ["sym_3", "sg_21_1", "sg_147_4"])
 def test_galois_map_off_by_one_is_refused(monkeypatch, name):
-    # r + 1 is not a Galois automorphism: the permuted central character
-    # of some row is no row, and the build must stop, not guess
-    def shifted(cd, e):
-        return {tuple(cd.power_class(i, r + 1) for i in range(cd.n_classes)): r + 1
+    # r + 1 is not a Galois automorphism: the proof may use such a map only
+    # where it keeps class sizes and inverses, and then it still carries
+    # row pairs to row pairs, so true tables pass and corrupted ones fail
+    # at the relation the full check reports
+    def shifted(cd):
+        e = math.lcm(*cd.element_orders)
+        return {tuple(cd.power_class(i, r + 1) for i in range(cd.n_classes))
                 for r in _units(e)}
 
     monkeypatch.setattr(chartab, "_galois_maps", shifted)
-    g = catalog.build(name)
-    with pytest.raises(EigensplitFailure, match="^Galois conjugate of a row "
-                       "is not a row") as info:
-        character_table(g, seed=3)
-    err, cd = info.value, conjugacy_classes(g)
-    assert err.prime == choose_dixon_prime(g, cd) and err.seed == 3
-    row, r = err.indices
-    assert 0 <= row < cd.n_classes
-    assert math.gcd(r - 1, math.lcm(*cd.element_orders)) == 1
+    _, _, cd, table, _ = catalog.bundle(name)
+    _self_verify(table)
+    for fault in (_plus_one, _non_conjugate_at_inverse):
+        bad = _with_values(table, fault(table, cd)[0])
+        with pytest.raises(OrthogonalityFailure) as info:
+            _self_verify(bad)
+        assert str(info.value) == str(_oracle_failure(bad))
 
 
 @pytest.mark.parametrize("name", catalog.names())
@@ -455,8 +452,11 @@ def test_rows_are_closed_under_galois_conjugation(name):
 
 @pytest.mark.parametrize("name", catalog.names())
 def test_lifting_every_row_gives_the_same_table(monkeypatch, name):
+    # every row lifted at every class, without the table's dict of lifted
+    # residue patterns, gives the same values, kernels and centres
     ent, g, cd, table, _ = catalog.bundle(name)
-    monkeypatch.setattr(chartab, "_galois_maps", lambda cd, e: {})
+    lift_row = chartab._lift_row
+    monkeypatch.setattr(chartab, "_lift_row", lambda *args: lift_row(*args[:-1], {}))
     lifted = character_table(g, cd, max_classes=ent.table_guard)
     assert json.dumps(lifted.to_json_dict()) == json.dumps(table.to_json_dict())
     assert [(r.kernel, r.center_z) for r in lifted.rows] == \
@@ -501,9 +501,9 @@ def _count_calls(monkeypatch, *names: str) -> dict[str, int]:
 
 
 @pytest.mark.parametrize("name,lifts,max_charpolys", [
-    ("sg_250_14", 33, 46), ("sg_81_3", 11, 16), ("sg_147_4", 10, 11),
+    ("sg_250_14", 64, 46), ("sg_81_3", 33, 16), ("sg_147_4", 19, 11),
 ])
-def test_lifts_once_per_galois_orbit_and_splits_only_when_not_scalar(
+def test_lifts_once_per_row_and_splits_only_when_not_scalar(
         monkeypatch, name, lifts, max_charpolys):
     ent, g, cd, _, _ = catalog.bundle(name)
     calls = _count_calls(monkeypatch, "_lift_row", "_charpoly")
@@ -516,8 +516,8 @@ def test_lifts_once_per_galois_orbit_and_splits_only_when_not_scalar(
     ("sg_250_14", 9), ("sg_81_3", 21), ("sg_147_4", 10),
 ])
 def test_lifts_each_pattern_of_residues_once_per_table(monkeypatch, name, patterns):
-    # lifting every (row, class) of one row per Galois orbit took 2112,
-    # 363 and 190 calls; the table's dict leaves one per distinct pattern
+    # lifting every (row, class) takes one call each, 4096, 1089 and 361;
+    # the table's dict leaves one per distinct pattern
     ent, g, cd, _, _ = catalog.bundle(name)
     calls = _count_calls(monkeypatch, "_multiplicities")
     character_table(g, cd, max_classes=ent.table_guard)
@@ -569,39 +569,34 @@ def test_a_failing_pattern_is_met_where_the_full_lift_meets_it(monkeypatch):
 
 
 def test_self_verify_checks_one_relation_per_power_map_orbit(monkeypatch):
-    # the full check decides 64 * 64 conjugate relations and 64 * 65 / 2
-    # row pairs on sg_250_14, 6176 in all; one per orbit is 3169
-    _, g, cd, table, _ = catalog.bundle("sg_250_14")
-    calls = _count_calls(monkeypatch, "_vanishes")
-    _self_verify(table, _power_maps(cd))
-    assert 0 < calls["_vanishes"] <= 3300
-
-
-def test_self_verify_decides_one_of_each_conjugate_twin(monkeypatch):
-    # the conjugate relations at classes i and inverse(i) are complex
-    # conjugates; 32 of the 33 classes of sg_81_3 are not self-inverse, so
-    # deciding both took 502 calls
-    _, g, cd, table, _ = catalog.bundle("sg_81_3")
-    calls = _count_calls(monkeypatch, "_vanishes")
-    _self_verify(table, _power_maps(cd))
-    assert 0 < calls["_vanishes"] <= 326
+    # the conjugate relation is decided by equality, without _vanishes; the
+    # full check decides every row pair, 64 * 65 / 2 = 2080 on sg_250_14,
+    # 561 on sg_81_3 and 190 on sg_147_4, and one per orbit is fewer
+    for name, pairs in (("sg_250_14", 1057), ("sg_81_3", 139), ("sg_147_4", 92)):
+        _, g, cd, table, _ = catalog.bundle(name)
+        calls = _count_calls(monkeypatch, "_vanishes")
+        _self_verify(table)
+        assert calls["_vanishes"] == pairs, name
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("name,swap,source", [("sym_4", (1, 3), 2),
                                               ("cyclic_6", (3, 4), 1)])
-def test_self_verify_uses_no_map_that_moves_sizes_or_inverses(name, swap, source):
+def test_self_verify_uses_no_map_that_moves_sizes_or_inverses(monkeypatch, name, swap,
+                                                             source):
     # swapping the classes of sizes 3 and 8 of sym_4, or classes 3 and 4
     # of cyclic_6 (whose inverses are 2 and 5), carries no relation to
-    # another; a last row made the image of a source row under it must be
-    # checked itself
+    # another; the pairs of a last row made the image of a source row under
+    # it must be checked themselves
     _, g, cd, table, _ = catalog.bundle(name)
     k = cd.n_classes
     perm = list(range(k))
     perm[swap[0]], perm[swap[1]] = swap[1], swap[0]
     values = table.rows[source].values
     bad = _with_values(table, {(k - 1, i): values[perm[i]] for i in range(k)})
+    monkeypatch.setattr(chartab, "_galois_maps", lambda cd: {tuple(perm)})
     with pytest.raises(OrthogonalityFailure) as info:
-        _self_verify(bad, [tuple(perm)])
+        _self_verify(bad)
     assert str(info.value) == str(_oracle_failure(bad))
 
 
@@ -626,4 +621,4 @@ def test_self_verify_rejects_swapped_columns_of_one_size_and_order(name):
                                for t in range(cd.n_classes)})
     assert {r.values for r in bad.rows} != {r.values for r in table.rows}
     with pytest.raises(OrthogonalityFailure):
-        _self_verify(bad, _power_maps(cd))
+        _self_verify(bad)
