@@ -5,9 +5,19 @@ eigenvectors of the class-multiplication matrices over F_p, where p = 1
 (mod exponent) and p > 2*sqrt(|G|).  A class matrix is stored sparsely,
 as the (column, value) pairs of each row's nonzero residues.  The
 pending subspaces are kept in reduced echelon form from the moment they
-are made, starting from the identity; a class matrix that is one scalar
-on a subspace is recognised from the images of its basis, and the
-subspace is kept whole without a characteristic polynomial.  Central
+are made, starting from the identity.  A pending subspace is the span
+of the central characters omega mod p that it holds: these form a basis
+of F_p^k on which every class matrix M_i is diagonal, as p does not
+divide |G| and p = 1 (mod exponent).  Each omega is 1 at class 0, and
+(M_i v)[0] = v[i] because C_i C_0 = C_i, so the eigenvalue of M_i on
+omega is omega[i].  Hence the echelon basis of a pending subspace has
+pivot 0 first, and M_i is scalar on it exactly when the basis rows
+after the first are 0 at column i.  Classes are taken by size, then
+index, so the sparse matrices come first; a class matrix is built only
+when this rule shows that it splits a pending subspace, and applied
+only to the subspaces it splits.  The eigenspace order thus follows the
+class sizes, though the eigenspaces themselves do not depend on the
+order of the splits.  Central
 characters, degrees, and values are computed mod p, then the values of
 each row are lifted exactly to cyclotomic integers through root-of-unity
 multiplicities.  The lift also gives each row's kernel and centre: at
@@ -48,9 +58,12 @@ class EigensplitFailure(RuntimeError):
 
     prime is the Dixon prime and seed the splitting seed, so the failure
     can be reproduced.  indices is (i,) for the class whose matrix failed
-    to split the pending subspaces, (row,) for a row without a degree,
-    and (row, class) for a failed lift; rows are numbered in eigenspace
-    order, before the table is sorted.  The helpers raise with what they
+    on a pending subspace: a check of _split_subspace failed, the split
+    left whole a subspace that its echelon basis says the matrix splits,
+    or a piece of dimension above 1 has no pivot at class 0.  It is
+    (row,) for a row without a degree, and (row, class) for a failed
+    lift; rows are numbered in eigenspace order, which follows the class
+    sizes, before the table is sorted.  The helpers raise with what they
     know and character_table adds the rest.
     """
 
@@ -328,16 +341,13 @@ def _split_subspace(space: tuple[list[list[int]], list[int]],
     it: basis[s] is 1 at pivots[s] and 0 at every other pivot, so the
     coordinates of a vector of the subspace are its entries at the
     pivots.  Returns the eigenspaces in the same form, eigenvalues
-    ascending.  When every basis vector is mapped to lam times itself,
-    mat is the scalar lam on the subspace (which proves invariance too)
-    and the subspace is returned whole.
+    ascending.  character_table applies mat only where the echelon rule
+    says it is not scalar, so a single piece comes back only when that
+    rule failed, and the caller refuses it.
     """
     basis, piv = space
     d = len(basis)
     images = [_mat_vec(mat, v, p) for v in basis]
-    lam = images[0][piv[0]]
-    if all(w == [lam * x % p for x in v] for v, w in zip(basis, images)):
-        return [space]
     # coords[t][s]: coefficient of basis[s] in the image of basis[t]
     coords = []
     for w in images:
@@ -412,6 +422,7 @@ class CharTable:
 
     def to_json_dict(self) -> dict:
         cd = self.classes
+        shown = {v: v.display() for v in {v for r in self.rows for v in r.values}}
         return {
             "order": self.group.order,
             "class_count": cd.n_classes,
@@ -427,7 +438,7 @@ class CharTable:
             "rows": [
                 {
                     "degree": r.degree,
-                    "values": [v.display() for v in r.values],
+                    "values": [shown[v] for v in r.values],
                 }
                 for r in self.rows
             ],
@@ -461,19 +472,29 @@ def character_table(group: PermGroup, classes: ClassData | None = None,
         return EigensplitFailure(message, p, seed, indices)
 
     spaces = [([[int(i == j) for j in range(k)] for i in range(k)], list(range(k)))]
-    for i in range(1, k):
+    for i in sorted(range(1, k), key=lambda i: (cd.sizes[i], i)):
         if all(len(basis) == 1 for basis, _ in spaces):
             break
+        # M_i is the scalar basis[0][i] on a pending space unless a later
+        # basis row is nonzero at column i (see the module docstring)
+        splits = [any(row[i] for row in basis[1:]) for basis, _ in spaces]
+        if not any(splits):
+            continue
         mat = _class_matrix(cd, i, p)
         refined = []
-        for space in spaces:
-            if len(space[0]) == 1:
+        for space, split in zip(spaces, splits):
+            if not split:
                 refined.append(space)
                 continue
             try:
-                refined.extend(_split_subspace(space, mat, p, rng))
+                pieces = _split_subspace(space, mat, p, rng)
             except EigensplitFailure as exc:
                 raise failure(exc.message, i) from exc
+            if len(pieces) == 1:
+                raise failure("class matrix left whole a subspace it splits", i)
+            if any(len(piv) > 1 and piv[0] for _, piv in pieces):
+                raise failure("pending subspace has no pivot at the identity class", i)
+            refined.extend(pieces)
         spaces = refined
     if any(len(basis) != 1 for basis, _ in spaces):
         raise failure("class matrices left a subspace unsplit")
@@ -484,6 +505,7 @@ def character_table(group: PermGroup, classes: ClassData | None = None,
     w = pow(_primitive_root(p), (p - 1) // e, p)
     w_inv = pow(w, p - 2, p)
 
+    powers = [cd.powers(i) for i in range(k)]
     lifted: dict[tuple[int, ...], tuple[Cyc, bool, bool]] = {}
     rows: list[Character] = []
     for r, (basis, _) in enumerate(spaces):
@@ -508,7 +530,7 @@ def character_table(group: PermGroup, classes: ClassData | None = None,
             raise failure("no degree d <= sqrt|G| with d^2 = |G|/s mod p", r)
         theta = [d * omega[i] % p * inv_sizes[i] % p for i in range(k)]
         try:
-            values, kernel, center_z = _lift_row(theta, d, cd, p, e, w_inv, lifted)
+            values, kernel, center_z = _lift_row(theta, d, powers, p, e, w_inv, lifted)
         except EigensplitFailure as exc:
             raise failure(exc.message, r, *exc.indices) from exc
         if values[0] != d:
@@ -535,7 +557,8 @@ def _galois_maps(cd: ClassData) -> set[tuple[int, ...]]:
     return maps
 
 
-def _lift_row(theta: list[int], d: int, cd: ClassData, p: int, e: int, w_inv: int,
+def _lift_row(theta: list[int], d: int, powers: list[tuple[int, ...]],
+              p: int, e: int, w_inv: int,
               lifted: dict[tuple[int, ...], tuple[Cyc, bool, bool]]
               ) -> tuple[list[Cyc], int, int]:
     """Lift one row: (values, kernel, center_z), the last two class masks.
@@ -547,6 +570,7 @@ def _lift_row(theta: list[int], d: int, cd: ClassData, p: int, e: int, w_inv: in
     (class i lies in the centre), and it is d itself when that root is 1
     (class i lies in the kernel).
 
+    powers[i] lists the classes of the powers of rep(i), cd.powers(i).
     lifted holds the table's lifts so far, (value, in_centre, in_kernel)
     keyed by theta at the powers of rep(i).  p, e and w_inv are fixed for
     the table; the key's length is m and its first entry theta at the
@@ -555,11 +579,10 @@ def _lift_row(theta: list[int], d: int, cd: ClassData, p: int, e: int, w_inv: in
     key that fails a check raises before it is stored, so the failure
     names the first (row, class) that meets it.
     """
-    k = cd.n_classes
-    values: list[Cyc] = [Cyc.zero()] * k
+    values: list[Cyc] = [Cyc.zero()] * len(powers)
     kernel = center = 0
-    for i in range(k):
-        key = tuple([theta[c] for c in cd.powers(i)])
+    for i, pw in enumerate(powers):
+        key = tuple([theta[c] for c in pw])
         lift = lifted.get(key)
         if lift is None:
             m = len(key)

@@ -11,6 +11,7 @@ them, so they live here rather than in any single test module.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -19,8 +20,12 @@ from charval.chartab import (
     Character,
     CharTable,
     OrthogonalityFailure,
+    _class_matrix,
+    _mat_vec,
+    _split_subspace,
     _vanishes,
     character_table,
+    choose_dixon_prime,
 )
 from charval.cyclo import Cyc, is_prime
 from charval.permcore import (
@@ -119,6 +124,38 @@ def full_self_verify(table: CharTable) -> None:
                 acc[0] -= order
             if not _vanishes(acc):
                 fail("first orthogonality failed", "first", a, b)
+
+
+def index_order_splits(group: PermGroup, cd: ClassData,
+                       seed: int) -> list[tuple[int, bool, bool, int]]:
+    """The eigensplit without the echelon rule: every class matrix in index
+    order, applied to every pending subspace, all of its basis mapped.
+
+    Returns one (class, rule, scalar, pieces) per application: rule is
+    whether a basis row after the first is nonzero at the class's column,
+    scalar whether the images of the basis are one scalar times the
+    basis, and pieces the number of eigenspaces _split_subspace returns.
+    """
+    k = cd.n_classes
+    p = choose_dixon_prime(group, cd)
+    rng = random.Random(seed)
+    spaces = [([[int(i == j) for j in range(k)] for i in range(k)], list(range(k)))]
+    seen = []
+    for i in range(1, k):
+        mat = _class_matrix(cd, i, p)
+        refined = []
+        for basis, piv in spaces:
+            if len(basis) == 1:
+                refined.append((basis, piv))
+                continue
+            images = [_mat_vec(mat, v, p) for v in basis]
+            lam = images[0][piv[0]]
+            scalar = all(w == [lam * x % p for x in v] for v, w in zip(basis, images))
+            pieces = _split_subspace((basis, piv), mat, p, rng)
+            seen.append((i, any(row[i] for row in basis[1:]), scalar, len(pieces)))
+            refined.extend(pieces)
+        spaces = refined
+    return seen
 
 
 def cyc_kernel(row: Character) -> int:

@@ -404,9 +404,10 @@ def test_eigensplit_failure_carries_prime_seed_and_class_matrix(monkeypatch):
     with pytest.raises(EigensplitFailure) as info:
         character_table(catalog.build("sym_3"), seed=5)
     err = info.value
-    assert (err.prime, err.seed, err.indices) == (7, 5, (1,))
+    # class 2, the two 3-cycles, is smaller than class 1 and applied first
+    assert (err.prime, err.seed, err.indices) == (7, 5, (2,))
     assert str(err) == ("restriction is not semisimple "
-                        "(prime=7, seed=5, indices=(1,))")
+                        "(prime=7, seed=5, indices=(2,))")
 
 
 def _units(e: int) -> list[int]:
@@ -480,13 +481,13 @@ def test_lift_rejects_multiplicities_that_miss_the_degree(monkeypatch):
     def bumped(theta_pow, p, wm_inv, _fn=chartab._multiplicities):
         mus = _fn(theta_pow, p, wm_inv)
         seen.append(theta_pow)
-        if len(seen) == 2:  # class 1 of the first row lifted
+        if len(seen) == 2:  # class 1 of the first row lifted, of degree 1
             mus[0] += 1
         return mus
 
     monkeypatch.setattr(chartab, "_multiplicities", bumped)
     with pytest.raises(EigensplitFailure, match=r"^multiplicities at class 1 sum "
-                       r"to 3, not 2 \(prime=7, seed=4, indices=\(0, 1\)\)$"):
+                       r"to 2, not 1 \(prime=7, seed=4, indices=\(0, 1\)\)$"):
         character_table(catalog.build("sym_3"), seed=4)
 
 
@@ -510,6 +511,98 @@ def test_lifts_once_per_row_and_splits_only_when_not_scalar(
     character_table(g, cd, max_classes=ent.table_guard)
     assert calls["_lift_row"] == lifts
     assert 0 < calls["_charpoly"] <= max_charpolys
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_echelon_rule_agrees_with_the_full_application(name):
+    # replayed in index order, so the rule meets spaces that the build's
+    # size order never makes; each application splits exactly where the
+    # echelon basis has a nonzero entry at the class's column after row 0
+    ent, g, cd, _, _ = catalog.bundle(name)
+    for seed in (0, 1):
+        for i, rule, scalar, pieces in H.index_order_splits(g, cd, seed):
+            assert rule == (not scalar) == (pieces > 1), (name, seed, i)
+
+
+@pytest.mark.parametrize("name,matrices,splits,products", [
+    ("sg_250_14", 7, 46, 282), ("sg_81_3", 4, 16, 120), ("sg_147_4", 5, 11, 57),
+])
+def test_class_matrices_are_built_and_applied_only_where_they_split(
+        monkeypatch, name, matrices, splits, products):
+    # every class matrix in index order on every pending space made 19, 15
+    # and 7 matrices, 174, 79 and 15 splits and 950, 423 and 99 products;
+    # the rule alone, in index order, still makes 338 and 67 products on
+    # sg_250_14 and sg_147_4
+    ent, g, cd, _, _ = catalog.bundle(name)
+    calls = _count_calls(monkeypatch, "_class_matrix", "_split_subspace",
+                         "_charpoly", "_mat_vec")
+    character_table(g, cd, max_classes=ent.table_guard)
+    assert calls == {"_class_matrix": matrices, "_split_subspace": splits,
+                     "_charpoly": splits, "_mat_vec": products}
+
+
+def _applied_classes(monkeypatch, g, cd, guard) -> list[int]:
+    applied = []
+    class_matrix = chartab._class_matrix
+    monkeypatch.setattr(chartab, "_class_matrix",
+                        lambda cd, i, p: applied.append(i) or class_matrix(cd, i, p))
+    character_table(g, cd, max_classes=guard)
+    monkeypatch.setattr(chartab, "_class_matrix", class_matrix)
+    return applied
+
+
+@pytest.mark.parametrize("name", ["sym_3", "sg_81_3"])
+def test_a_scalar_class_matrix_is_refused_where_the_rule_says_it_splits(
+        monkeypatch, name):
+    ent, g, cd, _, _ = catalog.bundle(name)
+    applied = _applied_classes(monkeypatch, g, cd, ent.table_guard)
+    assert applied == sorted(applied, key=lambda i: (cd.sizes[i], i))
+    class_matrix = chartab._class_matrix
+    for bad in applied:
+        monkeypatch.setattr(
+            chartab, "_class_matrix",
+            lambda cd, i, p, bad=bad: ([[(j, 3)] for j in range(cd.n_classes)]
+                                       if i == bad else class_matrix(cd, i, p)))
+        with pytest.raises(EigensplitFailure) as info:
+            character_table(g, cd, max_classes=ent.table_guard)
+        assert info.value.message == "class matrix left whole a subspace it splits"
+        assert info.value.indices == (bad,)
+
+
+def test_a_pending_subspace_without_pivot_0_is_refused(monkeypatch):
+    # without its first basis row, a split piece of dimension 3 or more
+    # leaves a pending space whose echelon basis has no pivot at column 0
+    ent, g, cd, _, _ = catalog.bundle("sg_250_14")
+    first = _applied_classes(monkeypatch, g, cd, ent.table_guard)[0]
+    split_subspace = chartab._split_subspace
+
+    def dropped(space, mat, p, rng):
+        return [(basis[1:], piv[1:]) if len(basis) > 2 else (basis, piv)
+                for basis, piv in split_subspace(space, mat, p, rng)]
+
+    monkeypatch.setattr(chartab, "_split_subspace", dropped)
+    with pytest.raises(EigensplitFailure) as info:
+        character_table(g, cd, max_classes=ent.table_guard)
+    assert info.value.message == "pending subspace has no pivot at the identity class"
+    assert info.value.indices == (first,)
+
+
+def test_to_json_dict_formats_each_distinct_value_once(monkeypatch):
+    _, _, _, table, _ = catalog.bundle("sg_250_14")
+    distinct = {v for r in table.rows for v in r.values}
+    calls = 0
+    display = Cyc.display
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        return display(self)
+
+    monkeypatch.setattr(Cyc, "display", counting)
+    shown = table.to_json_dict()
+    assert calls == len(distinct) == 6
+    assert shown["rows"] == [{"degree": r.degree, "values": [v.display() for v in r.values]}
+                             for r in table.rows]
 
 
 @pytest.mark.parametrize("name,patterns", [
