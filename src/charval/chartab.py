@@ -31,18 +31,24 @@ identity), so it fixes the multiplicities, both checks, the value and
 the two bits.  The finished table is then proven exactly: it must have
 one row per class, every value must be an algebraic integer, the value
 at an inverse class must equal the conjugate, and first orthogonality
-must hold, each row pair's relation decided by one exact remainder of
-an integer vector mod x^e - 1 by the e-th cyclotomic polynomial,
-cyclo.power_basis.  The power maps on classes carry row pairs to row
-pairs, so a pair whose rows are the power-map images of a pair already
-checked is not checked again.  For a square table first orthogonality
-implies the second.  Failure raises OrthogonalityFailure instead of
-returning a wrong table.
+must hold.  Each value's integer vector mod x^e - 1 is packed into one
+integer at x = 2^W (Kronecker substitution), so a row pair's relation is
+one exact dot product of packed integers.  The digit width W comes from
+the table's own values: with L the largest sum of |numerators| of a
+value, no digit of a relation exceeds |G| * (L^2 + 1), and 2^(W - 2)
+lies above that, so the digits, folded by x^e = 1, are read back exactly
+and each relation is decided by one remainder by the e-th cyclotomic
+polynomial, cyclo.power_basis.  The power maps on classes carry row
+pairs to row pairs, so a pair whose rows are the power-map images of a
+pair already checked is not checked again.  For a square table first
+orthogonality implies the second.  Failure raises OrthogonalityFailure
+instead of returning a wrong table.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 
 from .cyclo import Cyc, is_prime, power_basis, prime_factors
@@ -639,20 +645,39 @@ def _self_verify(table: CharTable) -> None:
     conjugated once.  For first orthogonality, with e the lcm of the
     value conductors (a divisor of the exponent), each value is read as
     the vector of its integer numerators (num) mod x^e - 1 (zeta_n^j ->
-    x^(j*e/n), complex conjugation negates exponents); each row pair's
-    relation is accumulated as one such vector, minus its expected
-    constant, and decided by _vanishes, one remainder by Phi_e
-    (cyclo.power_basis).
+    x^(j*e/n), complex conjugation negates exponents), and that vector
+    is packed into one integer at x = 2^W: slot t sits at bit W*t, and
+    in the conjugate slot (-t) mod e.  A row pair's relation is then one
+    integer, sum_i |C_i| * packed(a_i) * packed(conj(b_i)), minus |G| on
+    the diagonal, whose base-2^W digits are the relation's 2e - 1
+    coefficients before x^e = 1 is applied.
 
-    The power maps of _galois_maps that keep class sizes and commute
-    with inversion permute the rows of a true table, and a size-keeping
-    permutation pi keeps the inner product: <a o pi, b o pi> = <a, b>.
-    So where a o pi is row c and b o pi row d, the pair (c, d) follows
-    from (a, b).  Pairs are walked in order, each one checked unless it
-    is the image of a pair already checked; images are looked up by the
-    indices of their values, so a corrupted row is nobody's image and its
-    pairs are checked.  The first failing relation is thus the one the full check
-    would report.
+    The digits are signed, and read exactly when W is wide enough.  Let
+    l(v) be the sum of |num| of a value and L the largest l over the
+    table.  A product of two values has coefficients of size at most L^2
+    and the class sizes sum to |G|, so no digit exceeds |G| * (L^2 + 1)
+    in size, and W is the least width with 2^(W - 2) above that bound.
+    A corrupted table thus gets wider digits, never overflowing ones.
+    Reducing the integer mod 2^(W*e) - 1 adds digit t + e to digit t,
+    which is x^e = 1.  A folded digit is at most twice the bound, so at
+    most 2^(W - 1) - 2, and with 2^(W - 1) added to every digit each lies
+    in [1, 2^W - 2]: that biased vector is a positive integer below the
+    modulus, so it is the residue of the relation plus the bias, digit
+    for digit, with no carries.  Its digits are read off by shifts, the
+    bias is taken off, and the vector is decided by _vanishes, one
+    remainder by Phi_e (cyclo.power_basis).
+
+    The power maps of _galois_maps that permute the classes and keep
+    class sizes permute the rows of a true table, and a size-keeping
+    bijection pi keeps the inner product, which conjugates values and
+    does not read inverse classes: <a o pi, b o pi> = sum_i |C_i|
+    a(pi i) conj(b(pi i)) = sum_j |C_j| a(j) conj(b(j)) = <a, b>.  So
+    where a o pi is row c and b o pi row d, the pair (c, d) follows from
+    (a, b).  Pairs are walked in order, each one checked unless it is
+    the image of a pair already checked; images are looked up by the
+    indices of their values, so a corrupted row is nobody's image and
+    its pairs are checked.  The first failing relation is thus the one
+    the full check would report.
     """
     cd = table.classes
     k = cd.n_classes
@@ -700,33 +725,40 @@ def _self_verify(table: CharTable) -> None:
     # Every value lies in Q(zeta_e), and equality there is equality in
     # any larger cyclotomic field, such as that of the group exponent.
     e = math.lcm(*(v.n for v in index))
-    vec_of = [tuple((j * (e // v.n), c) for j, c in enumerate(v.num) if c) for v in index]
-    vecs = [[vec_of[n] for n in id_row] for id_row in ids]
+    # Values are packed width bits a slot; the docstring shows why a
+    # relation's digits, biased by half, are read back exactly.
+    bound = order * (max(sum(map(abs, v.num)) for v in index) ** 2 + 1)
+    width = bound.bit_length() + 2
+    digit, half = (1 << width) - 1, 1 << width - 1
+    modulus = (1 << width * e) - 1
+    bias = modulus // digit * half
+    packed, packed_conj = [], []
+    for v in index:
+        step = e // v.n
+        terms = [(j * step, c) for j, c in enumerate(v.num) if c]
+        packed.append(sum([c << width * x for x, c in terms]))
+        packed_conj.append(sum([c << width * (-x % e) for x, c in terms]))
+    weighted = [[size * packed[n] for size, n in zip(sizes, id_row)] for id_row in ids]
+    conjugated = [[packed_conj[n] for n in id_row] for id_row in ids]
     perms = [perm for perm in _galois_maps(cd)
              if sorted(perm) == list(range(k))
-             and all(sizes[perm[i]] == sizes[i] and perm[inverse[i]] == inverse[perm[i]]
-                     for i in range(k))]
+             and all(sizes[perm[i]] == sizes[i] for i in range(k))]
     row_of = {id_row: r for r, id_row in enumerate(ids)}
     images = [[row_of.get(tuple([id_row[t] for t in perm])) for perm in perms]
               for id_row in ids]
-    # Conjugation sends x^y to x^(e - y); acc[x - y] with -e < x - y < e
-    # is, by Python's negative indexing, exactly the slot (x - y) mod e.
     implied_pairs: set[tuple[int, int]] = set()
     for a in range(k):
-        va = vecs[a]
+        wa = weighted[a]
         for b in range(a, k):
             if (a, b) in implied_pairs:
                 continue
-            vb = vecs[b]
-            acc = [0] * e
-            for i in range(k):
-                size = sizes[i]
-                for x, c in va[i]:
-                    sc = size * c
-                    for y, d in vb[i]:
-                        acc[x - y] += sc * d
+            total = sum(map(operator.mul, wa, conjugated[b]))
             if a == b:
-                acc[0] -= order
+                total -= order
+            # folded == bias exactly when every digit is 0
+            folded = (total + bias) % modulus
+            acc = [0] * e if folded == bias else \
+                [(folded >> width * t & digit) - half for t in range(e)]
             if not _vanishes(acc):
                 fail("first orthogonality failed", "first", a, b)
             # distinct rows with one image are equal rows, whose relation

@@ -286,6 +286,49 @@ def test_self_verify_checks_a_corrupted_galois_image(name, fault):
     assert r in info.value.indices
 
 
+def _failing_relation(monkeypatch, module, check, table) -> tuple[OrthogonalityFailure, list]:
+    """The failure check raises on table, and the coefficient vector mod
+    x^e - 1 of the last relation it handed to module._vanishes."""
+    decided = []
+
+    def recording(acc, _fn=module._vanishes):
+        decided.append(list(acc))
+        return _fn(acc)
+
+    monkeypatch.setattr(module, "_vanishes", recording)
+    with pytest.raises(OrthogonalityFailure) as info:
+        check(table)
+    monkeypatch.undo()
+    return info.value, decided[-1]
+
+
+@pytest.mark.parametrize("t", [6, 7, 14, 15, 30, 31, 62, 63, 64, 200])
+@pytest.mark.parametrize("name", ["sym_5", "sg_147_4", "sg_136_12"])
+def test_self_verify_widens_its_digits_for_a_large_value(monkeypatch, name, t):
+    # 2^t added to the trivial row at its largest self-inverse class keeps
+    # the conjugate relation and fails first orthogonality at once, on the
+    # diagonal pair (0, 0), whose digit near |C_i| * 4^t comes closest to
+    # the width bound; the digits widen with the value, so that relation
+    # is read exactly, coefficient for coefficient, as the full check has it
+    _, g, cd, table, _ = catalog.bundle(name)
+    i = max((i for i in range(cd.n_classes) if cd.inverse_class[i] == i),
+            key=lambda i: (cd.sizes[i], i))
+    bad = _with_values(table, {(0, i): table.rows[0].values[i] + 2 ** t})
+    packed, packed_acc = _failing_relation(monkeypatch, chartab, _self_verify, bad)
+    full, full_acc = _failing_relation(monkeypatch, H, H.full_self_verify, bad)
+    assert packed.relation == "first" and packed.indices == (0, 0)
+    assert str(packed) == str(full)
+    assert packed_acc == full_acc
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", catalog.names("core"))
+def test_packed_proof_and_full_check_accept_every_core_table(name, seed):
+    _, g, cd, table, _ = catalog.bundle(name, seed)
+    _self_verify(table)
+    H.full_self_verify(table)
+
+
 def test_self_verify_failure_names_the_row_and_class():
     _, g, cd, table, _ = catalog.bundle("sg_21_1")
     changes, _ = _half_coordinate(table, cd)
@@ -675,12 +718,12 @@ def test_self_verify_checks_one_relation_per_power_map_orbit(monkeypatch):
 
 @pytest.mark.parametrize("name,swap,source", [("sym_4", (1, 3), 2),
                                               ("cyclic_6", (3, 4), 1)])
-def test_self_verify_uses_no_map_that_moves_sizes_or_inverses(monkeypatch, name, swap,
-                                                             source):
-    # swapping the classes of sizes 3 and 8 of sym_4, or classes 3 and 4
-    # of cyclic_6 (whose inverses are 2 and 5), carries no relation to
-    # another; the pairs of a last row made the image of a source row under
-    # it must be checked themselves
+def test_self_verify_uses_no_map_that_moves_sizes(monkeypatch, name, swap, source):
+    # swapping the classes of sizes 3 and 8 of sym_4 carries no relation to
+    # another, so the pairs of a last row made the image of a source row
+    # under it must be checked themselves; swapping classes 3 and 4 of
+    # cyclic_6 (whose inverses are 2 and 5) keeps sizes, and the last row
+    # made under it fails the conjugate relation, decided on every row
     _, g, cd, table, _ = catalog.bundle(name)
     k = cd.n_classes
     perm = list(range(k))
@@ -690,6 +733,7 @@ def test_self_verify_uses_no_map_that_moves_sizes_or_inverses(monkeypatch, name,
     monkeypatch.setattr(chartab, "_galois_maps", lambda cd: {tuple(perm)})
     with pytest.raises(OrthogonalityFailure) as info:
         _self_verify(bad)
+    assert info.value.relation == ("conjugate" if name == "cyclic_6" else "first")
     assert str(info.value) == str(_oracle_failure(bad))
 
 

@@ -142,6 +142,24 @@ def test_only_cyclo_reads_the_cyclotomic_polynomial():
     assert not found, found
 
 
+def test_chartab_imports_only_the_standard_library():
+    """The table proof packs its relations into Python ints and reads
+    their digits back by shifts, so chartab needs no numeric library:
+    each of its absolute imports is a standard-library module."""
+    path = PACKAGE / "chartab.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [f"{module}:{node.lineno}" for module in modules
+                  if module.split(".")[0] not in sys.stdlib_module_names]
+    assert not found, found
+
+
 def test_import_loads_no_introspection_modules():
     """Records are NamedTuples, not dataclasses, so `import charval` does
     not load dataclasses and the inspect, ast and dis chain behind it."""
