@@ -17,9 +17,15 @@ index, so the sparse matrices come first; a class matrix is built only
 when this rule shows that it splits a pending subspace, and applied
 only to the subspaces it splits.  The eigenspace order thus follows the
 class sizes, though the eigenspaces themselves do not depend on the
-order of the splits.  Central
-characters, degrees, and values are computed mod p, then the values of
-each row are lifted exactly to cyclotomic integers through root-of-unity
+order of the splits.  The eigenvalues on a pending subspace are the
+roots of the minimal polynomial of its coordinate e_0 (pivot 0) under
+the restriction of M_i: as every omega is 1 at class 0, e_0 sees every
+eigenvalue, and that polynomial has one linear factor per eigenspace,
+where the characteristic polynomial has one per dimension.  A
+quadratic is solved in closed form, by a square root mod p; a
+polynomial of higher degree is split at random.  Central characters,
+degrees, and values are computed mod p, then the values of each row
+are lifted exactly to cyclotomic integers through root-of-unity
 multiplicities.  The lift also gives each row's kernel and centre: at
 each class the root multiplicities must sum to the degree, the class
 lies in the centre when one root has them all, and in the kernel when
@@ -199,63 +205,28 @@ def _ppowmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
     return result
 
 
-def _charpoly(mat: list[list[int]], p: int) -> list[int]:
-    """Characteristic polynomial mod p via Hessenberg reduction."""
-    d = len(mat)
-    h = [row[:] for row in mat]
-    for col in range(d - 2):
-        piv = None
-        for r in range(col + 1, d):
-            if h[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != col + 1:
-            h[piv], h[col + 1] = h[col + 1], h[piv]
-            for r in range(d):
-                h[r][piv], h[r][col + 1] = h[r][col + 1], h[r][piv]
-        inv = pow(h[col + 1][col], p - 2, p)
-        for r in range(col + 2, d):
-            factor = h[r][col] * inv % p
-            if factor:
-                hr, hc = h[r], h[col + 1]
-                for c in range(d):
-                    hr[c] = (hr[c] - factor * hc[c]) % p
-                for rr in range(d):
-                    h[rr][col + 1] = (h[rr][col + 1] + factor * h[rr][r]) % p
-    # p_m = charpoly of leading m x m block, by last-column expansion
-    polys = [[1]]
-    for m in range(1, d + 1):
-        term = _pmul(polys[m - 1], [(-h[m - 1][m - 1]) % p, 1], p)
-        prod = 1
-        for s in range(1, m):
-            prod = prod * h[m - s][m - s - 1] % p
-            if prod == 0:
-                break
-            coef = h[m - 1 - s][m - 1] * prod % p
-            if coef:
-                term = _psub(term, [coef * c % p for c in polys[m - 1 - s]], p)
-        polys.append(term)
-    return polys[d]
-
-
 def _distinct_roots(f: list[int], p: int, rng: random.Random) -> list[int]:
-    """All roots in F_p of f, ascending (via gcd with x^p - x, then splitting)."""
-    xp = _ppowmod([0, 1], p, f, p)
-    g = _pgcd(_psub(xp, [0, 1], p), f, p)
+    """The distinct roots in F_p of f, ascending.
+
+    Up to degree 2 the roots come in closed form (_quadratic_roots).
+    Above it, f is first replaced by its gcd with x^p - x, which keeps
+    one linear factor per root, so the random splitting of _split_linear
+    ends (Cantor-Zassenhaus).
+    """
+    if len(f) > 3:
+        f = _pgcd(_psub(_ppowmod([0, 1], p, f, p), [0, 1], p), f, p)
     roots: list[int] = []
-    _split_linear(g, p, rng, roots)
+    _split_linear(f, p, rng, roots)
     roots.sort()
     return roots
 
 
 def _split_linear(g: list[int], p: int, rng: random.Random, out: list[int]) -> None:
+    """Append the roots of g, a product of distinct linear factors, to out;
+    a cubic or more takes a random step (x + a)^((p-1)/2) - 1 per try."""
     d = len(g) - 1
-    if d <= 0:
-        return
-    if d == 1:
-        out.append((-g[0]) % p)
+    if d <= 2:
+        out.extend(_quadratic_roots(g, p))
         return
     while True:
         a = rng.randrange(p)
@@ -268,6 +239,81 @@ def _split_linear(g: list[int], p: int, rng: random.Random, out: list[int]) -> N
             _split_linear(h, p, rng, out)
             _split_linear(cofactor, p, rng, out)
             return
+
+
+def _quadratic_roots(f: list[int], p: int) -> list[int]:
+    """The distinct roots in F_p of f of degree at most 2, ascending.
+
+    For c + b x + a x^2 they are (-b +- r) / 2a with r^2 = b^2 - 4ac:
+    none when the discriminant is a non-residue (Euler's criterion), one
+    when it is 0.  p is odd.
+    """
+    if len(f) < 3:
+        return [-f[0] * pow(f[1], p - 2, p) % p] if len(f) == 2 else []
+    c, b, a = f
+    disc = (b * b - 4 * a * c) % p
+    if disc and pow(disc, (p - 1) // 2, p) != 1:
+        return []
+    r = _sqrt_mod(disc, p) if disc else 0
+    inv = pow(2 * a, p - 2, p)
+    return sorted({(r - b) * inv % p, (-r - b) * inv % p})
+
+
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of a nonzero square a mod an odd prime p (Tonelli-Shanks).
+
+    With p - 1 = q 2^s, q odd, x = a^((q+1)/2) has x^2 = a t for
+    t = a^q, whose order is a power of 2.  A primitive root is a
+    non-residue, so its q-th power z has order 2^s.  While t has order
+    2^i > 1, x is multiplied by b = z^(2^(s-i-1)), of order 2^(i+1),
+    and t by b^2, so x^2 = a t still holds and the order of t drops.
+    """
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    x, t = pow(a, (q + 1) // 2, p), pow(a, q, p)
+    if t != 1:
+        z = pow(_primitive_root(p), q, p)
+        while t != 1:
+            # t has order 2^i, i < s
+            i, u = 0, t
+            while u != 1:
+                u = u * u % p
+                i += 1
+            b = pow(z, 1 << (s - i - 1), p)
+            x, z, s = x * b % p, b * b % p, i
+            t = t * z % p
+    return x
+
+
+def _minimal_polynomial(coords: list[list[int]], p: int) -> list[int]:
+    """The monic minimal polynomial of the coordinate e_0 under the restriction.
+
+    coords[t] holds the coordinates of the image of basis vector t, so
+    the restriction R maps a row vector y to yR, (yR)[t] = sum_s y[s] *
+    coords[t][s].  The rows y_n = e_0 R^n are reduced one by one against
+    the earlier ones, each kept with the polynomial that writes it in
+    the y_j; the first that reduces to 0 gives the monic m of least
+    degree with e_0 m(R) = 0.  _split_subspace shows why its roots are
+    the eigenvalues of R.
+    """
+    y = [1] + [0] * (len(coords) - 1)
+    reduced: list[tuple[int, list[int], list[int]]] = []
+    while True:
+        vec, poly = y, [0] * len(reduced) + [1]
+        for piv, row, row_poly in reduced:
+            f = vec[piv]
+            if f:
+                vec = [(a - f * b) % p for a, b in zip(vec, row)]
+                for j, c in enumerate(row_poly):
+                    poly[j] = (poly[j] - f * c) % p
+        piv = next((t for t, x in enumerate(vec) if x), None)
+        if piv is None:
+            return poly
+        inv = pow(vec[piv], p - 2, p)
+        reduced.append((piv, [x * inv % p for x in vec], [c * inv % p for c in poly]))
+        y = [sum(map(operator.mul, y, row)) % p for row in coords]
 
 
 # --- F_p linear algebra ---
@@ -350,6 +396,18 @@ def _split_subspace(space: tuple[list[list[int]], list[int]],
     ascending.  character_table applies mat only where the echelon rule
     says it is not scalar, so a single piece comes back only when that
     rule failed, and the caller refuses it.
+
+    The eigenvalues are the roots of _minimal_polynomial, the minimal
+    polynomial of the coordinate e_0 under the restriction R.  The space
+    is spanned by central characters omega, each 1 at class 0, and its
+    basis has pivot 0 first, so e_0 S = (1, ..., 1) for the matrix S
+    whose columns are their coordinates, and R = S D S^-1 with D
+    diagonal.  Then e_0 R^n = sum_lam lam^n u_lam, u_lam the sum of the
+    rows of S^-1 at eigenvalue lam; these are nonzero and independent,
+    so the minimal polynomial is prod (x - lam), one factor per
+    eigenspace.  A polynomial that misses an eigenvalue leaves the
+    eigenspaces short of the dimension, which is refused as not
+    semisimple.
     """
     basis, piv = space
     d = len(basis)
@@ -363,7 +421,7 @@ def _split_subspace(space: tuple[list[list[int]], list[int]],
         coords.append(coef)
     # restriction matrix R[s][t] = coefficient of basis[s] in image of basis[t]
     rmat = [[coords[t][s] for t in range(d)] for s in range(d)]
-    roots = _distinct_roots(_charpoly(rmat, p), p, rng)
+    roots = _distinct_roots(_minimal_polynomial(coords, p), p, rng)
     pieces = []
     total = 0
     for lam in roots:

@@ -22,6 +22,8 @@ from charval.chartab import (
     OrthogonalityFailure,
     _class_matrix,
     _mat_vec,
+    _pmul,
+    _psub,
     _split_subspace,
     _vanishes,
     character_table,
@@ -124,6 +126,79 @@ def full_self_verify(table: CharTable) -> None:
                 acc[0] -= order
             if not _vanishes(acc):
                 fail("first orthogonality failed", "first", a, b)
+
+
+def charpoly(mat: list[list[int]], p: int) -> list[int]:
+    """Characteristic polynomial mod p via Hessenberg reduction, ascending
+    coefficients: the eigensplit's earlier polynomial, kept as an oracle
+    for the minimal polynomial it reads now."""
+    d = len(mat)
+    h = [row[:] for row in mat]
+    for col in range(d - 2):
+        piv = None
+        for r in range(col + 1, d):
+            if h[r][col]:
+                piv = r
+                break
+        if piv is None:
+            continue
+        if piv != col + 1:
+            h[piv], h[col + 1] = h[col + 1], h[piv]
+            for r in range(d):
+                h[r][piv], h[r][col + 1] = h[r][col + 1], h[r][piv]
+        inv = pow(h[col + 1][col], p - 2, p)
+        for r in range(col + 2, d):
+            factor = h[r][col] * inv % p
+            if factor:
+                hr, hc = h[r], h[col + 1]
+                for c in range(d):
+                    hr[c] = (hr[c] - factor * hc[c]) % p
+                for rr in range(d):
+                    h[rr][col + 1] = (h[rr][col + 1] + factor * h[rr][r]) % p
+    # p_m = charpoly of leading m x m block, by last-column expansion
+    polys = [[1]]
+    for m in range(1, d + 1):
+        term = _pmul(polys[m - 1], [(-h[m - 1][m - 1]) % p, 1], p)
+        prod = 1
+        for s in range(1, m):
+            prod = prod * h[m - s][m - s - 1] % p
+            if prod == 0:
+                break
+            coef = h[m - 1 - s][m - 1] * prod % p
+            if coef:
+                term = _psub(term, [coef * c % p for c in polys[m - 1 - s]], p)
+        polys.append(term)
+    return polys[d]
+
+
+def linear_product(roots, p: int) -> list[int]:
+    """prod (x - r) over roots mod p, ascending coefficients."""
+    out = [1]
+    for r in roots:
+        out = _pmul(out, [-r % p, 1], p)
+    return out
+
+
+@lru_cache(maxsize=None)
+def psl2(q: int) -> PermGroup:
+    """PSL(2, q), q an odd prime, on the q + 1 points of the projective
+    line (point q is infinity), generated by x -> x + 1 and x -> -1/x."""
+    inf = q
+    shift = [(x + 1) % q for x in range(q)] + [inf]
+    invert = [inf if x == 0 else -pow(x, q - 2, q) % q for x in range(q)] + [0]
+    return PermGroup.from_generators([Permutation(shift), Permutation(invert)])
+
+
+def psl2_degrees(q: int) -> list[int]:
+    """The irreducible degrees of PSL(2, q), q an odd prime >= 5, ascending
+    (Fulton-Harris, Representation Theory, section 5.2): 1 and q once,
+    (q + eps) / 2 twice with eps = (-1)^((q - 1) / 2), and then
+    (q - 5) / 4 of q + 1 and (q - 1) / 4 of q - 1 when q = 1 (mod 4), or
+    (q - 3) / 4 of each when q = 3 (mod 4)."""
+    eps = (-1) ** ((q - 1) // 2)
+    plus, minus = ((q - 5) // 4, (q - 1) // 4) if q % 4 == 1 else \
+        ((q - 3) // 4, (q - 3) // 4)
+    return sorted([1, q] + [(q + eps) // 2] * 2 + [q + 1] * plus + [q - 1] * minus)
 
 
 def index_order_splits(group: PermGroup, cd: ClassData,

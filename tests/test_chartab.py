@@ -15,7 +15,9 @@ from charval.chartab import (
     EigensplitFailure,
     OrthogonalityFailure,
     TooManyClasses,
+    _distinct_roots,
     _galois_maps,
+    _minimal_polynomial,
     _nullspace,
     _pdivmod,
     _pmul,
@@ -426,10 +428,35 @@ def test_pdivmod_is_division_with_remainder(seed):
 
 
 def test_split_linear_rejects_an_inexact_cofactor(monkeypatch):
-    # x^2 + 1 over F_5 is (x - 2)(x - 3); a "factor" x + 1 does not divide it
+    # (x - 1)(x - 2)(x - 3) over F_7; a "factor" x + 1 does not divide it.
+    # A quadratic is solved in closed form and never reaches _pgcd.
     monkeypatch.setattr(chartab, "_pgcd", lambda a, b, p: [1, 1])
     with pytest.raises(EigensplitFailure):
-        _split_linear([1, 0, 1], 5, random.Random(0), [])
+        _split_linear([1, 4, 1, 1], 7, random.Random(0), [])
+
+
+_TWO_ADIC_PRIMES = [257, 7681, 12289]  # p - 1 = 2^8 * 1, 2^9 * 15, 2^12 * 3
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 200) if cyclo.is_prime(p)]
+                         + _TWO_ADIC_PRIMES)
+def test_quadratic_roots_match_brute_force_square_roots(p):
+    roots: dict[int, list[int]] = {a: [] for a in range(p)}
+    for x in range(p):
+        roots[x * x % p].append(x)
+    rng = random.Random(0)
+    for a in range(p):
+        assert _distinct_roots([-a % p, 0, 1], p, rng) == roots[a], (p, a)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_quadratic_roots_match_brute_force_on_every_quadratic(p):
+    rng = random.Random(0)
+    for a, b, c in itertools.product(range(1, p), range(p), range(p)):
+        expected = [x for x in range(p) if (a * x * x + b * x + c) % p == 0]
+        assert _distinct_roots([c, b, a], p, rng) == expected, (p, a, b, c)
+    for a, c in itertools.product(range(1, p), range(p)):
+        assert _distinct_roots([c, a], p, rng) == [-c * pow(a, -1, p) % p]
 
 
 def test_self_verify_rejects_a_table_without_a_row():
@@ -451,6 +478,15 @@ def test_eigensplit_failure_carries_prime_seed_and_class_matrix(monkeypatch):
     assert (err.prime, err.seed, err.indices) == (7, 5, (2,))
     assert str(err) == ("restriction is not semisimple "
                         "(prime=7, seed=5, indices=(2,))")
+
+
+def test_a_minimal_polynomial_without_roots_is_not_semisimple(monkeypatch):
+    # x^2 + 1 has no root over F_7, as 7 = 3 (mod 4)
+    monkeypatch.setattr(chartab, "_minimal_polynomial", lambda coords, p: [1, 0, 1])
+    with pytest.raises(EigensplitFailure) as info:
+        character_table(catalog.build("sym_3"), seed=5)
+    assert str(info.value) == ("restriction is not semisimple "
+                               "(prime=7, seed=5, indices=(2,))")
 
 
 def _units(e: int) -> list[int]:
@@ -544,16 +580,16 @@ def _count_calls(monkeypatch, *names: str) -> dict[str, int]:
     return calls
 
 
-@pytest.mark.parametrize("name,lifts,max_charpolys", [
+@pytest.mark.parametrize("name,lifts,max_polys", [
     ("sg_250_14", 64, 46), ("sg_81_3", 33, 16), ("sg_147_4", 19, 11),
 ])
 def test_lifts_once_per_row_and_splits_only_when_not_scalar(
-        monkeypatch, name, lifts, max_charpolys):
+        monkeypatch, name, lifts, max_polys):
     ent, g, cd, _, _ = catalog.bundle(name)
-    calls = _count_calls(monkeypatch, "_lift_row", "_charpoly")
+    calls = _count_calls(monkeypatch, "_lift_row", "_minimal_polynomial")
     character_table(g, cd, max_classes=ent.table_guard)
     assert calls["_lift_row"] == lifts
-    assert 0 < calls["_charpoly"] <= max_charpolys
+    assert 0 < calls["_minimal_polynomial"] <= max_polys
 
 
 @pytest.mark.parametrize("name", catalog.names())
@@ -578,10 +614,92 @@ def test_class_matrices_are_built_and_applied_only_where_they_split(
     # sg_250_14 and sg_147_4
     ent, g, cd, _, _ = catalog.bundle(name)
     calls = _count_calls(monkeypatch, "_class_matrix", "_split_subspace",
-                         "_charpoly", "_mat_vec")
+                         "_minimal_polynomial", "_mat_vec")
     character_table(g, cd, max_classes=ent.table_guard)
     assert calls == {"_class_matrix": matrices, "_split_subspace": splits,
-                     "_charpoly": splits, "_mat_vec": products}
+                     "_minimal_polynomial": splits, "_mat_vec": products}
+
+
+@pytest.mark.parametrize("name", catalog.names(tier="core"))
+def test_minimal_polynomial_is_the_product_over_the_charpoly_roots(
+        monkeypatch, name):
+    # on every split of the build, e_0's minimal polynomial has one linear
+    # factor per distinct root of the Hessenberg characteristic polynomial
+    ent, g, cd, _, _ = catalog.bundle(name)
+    p = choose_dixon_prime(g, cd)
+    seen = []
+    minimal_polynomial = chartab._minimal_polynomial
+    monkeypatch.setattr(chartab, "_minimal_polynomial",
+                        lambda coords, p: seen.append(coords)
+                        or minimal_polynomial(coords, p))
+    for seed in (0, 1):
+        character_table(g, cd, seed=seed, max_classes=ent.table_guard)
+    assert seen or cd.n_classes == 1
+    rng = random.Random(0)
+    for coords in seen:
+        rmat = [list(col) for col in zip(*coords)]
+        roots = _distinct_roots(H.charpoly(rmat, p), p, rng)
+        assert minimal_polynomial(coords, p) == H.linear_product(roots, p)
+
+
+def _random_invertible(rng: random.Random, d: int, p: int, first_row: list[int]):
+    while True:
+        mat = [first_row] + [[rng.randrange(p) for _ in range(d)] for _ in range(d - 1)]
+        if len(_rref(mat, p)[1]) == d:
+            return mat
+
+
+def _diagonalised(rng: random.Random, lams: list[int], p: int, first_row: list[int]):
+    # the coordinates (transposed rows) of R = S D S^-1, S's first row given
+    d = len(lams)
+    s = _random_invertible(rng, d, p, first_row)
+    s_inv = [row[d:] for row in _rref([row + [int(i == j) for j in range(d)]
+                                      for i, row in enumerate(s)], p)[0]]
+    rmat = [[sum(s[i][j] * lams[j] * s_inv[j][t] for j in range(d)) % p
+             for t in range(d)] for i in range(d)]
+    return rmat, [list(col) for col in zip(*rmat)]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_minimal_polynomial_of_a_cyclic_e0_is_the_charpoly(seed):
+    # R = S D S^-1 with distinct eigenvalues; e_0 R^n = sum_j (e_0 S)_j
+    # lam_j^n (row j of S^-1), so with e_0 S all ones, as for central
+    # characters, the minimal polynomial of e_0 is the characteristic one
+    rng = random.Random(seed)
+    p = rng.choice([7, 13, 31, 331, 3673])
+    d = rng.randint(1, min(p, 8))
+    lams = rng.sample(range(p), d)
+    rmat, coords = _diagonalised(rng, lams, p, [1] * d)
+    expected = H.linear_product(lams, p)
+    assert H.charpoly(rmat, p) == expected
+    assert _minimal_polynomial(coords, p) == expected
+    if d > 1:
+        # a zero in e_0 S hides that eigenvalue from e_0, and the split
+        # then finds too few eigenspaces
+        hidden = rng.randrange(d)
+        rmat, coords = _diagonalised(
+            rng, lams, p, [int(j != hidden) for j in range(d)])
+        assert _minimal_polynomial(coords, p) == \
+            H.linear_product(lams[:hidden] + lams[hidden + 1:], p)
+
+
+@pytest.mark.parametrize("q,prime", [
+    (5, 31), (7, 337), (11, 331), (13, 547), (17, 3673),
+])
+def test_psl2_tables_at_large_dixon_primes(monkeypatch, q, prime):
+    # no catalog prime exceeds 331; q = 13 and 17 split at p = 547
+    # (p - 1 = 2 * 273) and p = 3673 (p - 1 = 2^3 * 459), under the
+    # default order bound, and q = 7 and 11 take the q = 3 (mod 4) degrees
+    g = H.psl2(q)
+    table = character_table(g)
+    assert (g.order, table.dixon_prime) == (q * (q * q - 1) // 2, prime)
+    assert list(table.degrees) == H.psl2_degrees(q)
+    H.full_self_verify(table)
+    # splitting by the characteristic polynomial gives the same table
+    monkeypatch.setattr(chartab, "_minimal_polynomial", lambda coords, p:
+                        H.charpoly([list(col) for col in zip(*coords)], p))
+    assert json.dumps(character_table(g, seed=1).to_json_dict()) == \
+        json.dumps(table.to_json_dict())
 
 
 def _applied_classes(monkeypatch, g, cd, guard) -> list[int]:
