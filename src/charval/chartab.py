@@ -3,7 +3,7 @@
 The table of a group with k classes is recovered from the common
 eigenvectors of the class-multiplication matrices over F_p, where p = 1
 (mod exponent) and p > 2*sqrt(|G|).  A class matrix is stored sparsely,
-as the (column, value) pairs of each row's nonzero residues.  The
+as the (column, count) pairs of each row's nonzero counts.  The
 pending subspaces are kept in reduced echelon form from the moment they
 are made, starting from the identity.  A pending subspace is the span
 of the central characters omega mod p that it holds: these form a basis
@@ -34,21 +34,11 @@ character at the powers of a class representative, is lifted once per
 table: with the prime and the root of unity fixed, the pattern fixes
 the class order (its length) and the degree (its entry at the
 identity), so it fixes the multiplicities, both checks, the value and
-the two bits.  The finished table is then proven exactly: it must have
-one row per class, every value must be an algebraic integer, the value
-at an inverse class must equal the conjugate, and first orthogonality
-must hold.  Each value's integer vector mod x^e - 1 is packed into one
-integer at x = 2^W (Kronecker substitution), so a row pair's relation is
-one exact dot product of packed integers.  The digit width W comes from
-the table's own values: with L the largest sum of |numerators| of a
-value, no digit of a relation exceeds |G| * (L^2 + 1), and 2^(W - 2)
-lies above that, so the digits, folded by x^e = 1, are read back exactly
-and each relation is decided by one remainder by the e-th cyclotomic
-polynomial, cyclo.power_basis.  The power maps on classes carry row
-pairs to row pairs, so a pair whose rows are the power-map images of a
-pair already checked is not checked again.  For a square table first
-orthogonality implies the second.  Failure raises OrthogonalityFailure
-instead of returning a wrong table.
+the two bits.  The finished table is then proven to be the group's
+table (_self_verify): its central characters must be eigenvectors of
+one class-algebra element with distinct eigenvalues, decided modulo a
+power of the Dixon prime, with the split's class matrices and kernel,
+_mat_vecs.  Failure raises OrthogonalityFailure, never a wrong table.
 """
 
 from __future__ import annotations
@@ -57,7 +47,7 @@ import math
 import operator
 import random
 
-from .cyclo import Cyc, is_prime, power_basis, prime_factors
+from .cyclo import Cyc, is_prime, prime_factors
 from .permcore import ClassData, PermGroup, conjugacy_classes, mask_size
 
 
@@ -92,12 +82,12 @@ class OrthogonalityFailure(RuntimeError):
     """A finished table failed its exact self-verification.
 
     relation names the violated check: "square", "degrees",
-    "integrality", "conjugate" or "first".  indices is the offending row
-    pair (first) or (row, class) pair (integrality, conjugate); for
-    degrees it is the row whose degree does not divide the order, or
-    empty when the squares miss the order; for square (a row count other
-    than the class count) it is empty.  order is |G| and prime the
-    table's Dixon prime, so the failure can be reproduced.
+    "integrality", "galois", "first", "separation" or "class_algebra".
+    indices is () for square and the degree square sum, (row,) for other
+    degrees failures and a row without its Galois image, (row, class) for
+    integrality, a conductor not dividing p - 1 and class_algebra, (row,
+    row) for first and the two rows of one eigenvalue for separation.
+    order is |G| and prime the Dixon prime, to reproduce the failure.
     """
 
     def __init__(self, message: str, relation: str, indices: tuple[int, ...],
@@ -133,10 +123,9 @@ def choose_dixon_prime(group: PermGroup, classes: ClassData | None = None) -> in
     raise PrimeSearchExhausted(f"no prime = 1 mod {e} below {_PRIME_CAP}")
 
 
-def _class_matrix(classes: ClassData, i: int, p: int) -> list[list[tuple[int, int]]]:
-    """Row j holds the pairs (t, a[i][j][t] mod p) with a nonzero residue."""
-    return [[(t, x % p) for t, x in enumerate(row) if x % p]
-            for row in classes.product_rows(i)]
+def _class_matrix(classes: ClassData, i: int) -> list[list[tuple[int, int]]]:
+    """Row j holds the pairs (t, a[i][j][t]) with a nonzero count."""
+    return [[(t, x) for t, x in enumerate(row) if x] for row in classes.product_rows(i)]
 
 
 # --- polynomial arithmetic over F_p (ascending coefficient lists) ---
@@ -318,8 +307,20 @@ def _minimal_polynomial(coords: list[list[int]], p: int) -> list[int]:
 
 # --- F_p linear algebra ---
 
-def _mat_vec(mat: list[list[tuple[int, int]]], vec: list[int], p: int) -> list[int]:
-    return [sum([a * vec[t] for t, a in row]) % p for row in mat]
+def _mat_vecs(mat: list[list[tuple[int, int]]], vecs: list[list[int]],
+              p: int) -> list[list[int]]:
+    """[mat v mod p for v in vecs], mat nonnegative, vecs in [0, p):
+    coordinate t of every vector is packed into one int, vector s at bit
+    W*s, W holding mat's largest row sum times p - 1, so nothing carries."""
+    width = (max(sum([a for _, a in row]) for row in mat) * (p - 1)).bit_length() or 1
+    cols = [sum([x << width * s for s, x in enumerate(col)]) for col in zip(*vecs)]
+    mask = (1 << width) - 1
+    shifts = range(0, width * len(vecs), width)
+    images = []
+    for row in mat:
+        x = sum([a * cols[t] for t, a in row])
+        images.append([(x >> shift & mask) % p for shift in shifts])
+    return [list(v) for v in zip(*images)]
 
 
 def _combine(coefs: list[int], basis: list[list[int]], p: int) -> list[int]:
@@ -411,7 +412,7 @@ def _split_subspace(space: tuple[list[list[int]], list[int]],
     """
     basis, piv = space
     d = len(basis)
-    images = [_mat_vec(mat, v, p) for v in basis]
+    images = _mat_vecs(mat, basis, p)
     # coords[t][s]: coefficient of basis[s] in the image of basis[t]
     coords = []
     for w in images:
@@ -536,6 +537,7 @@ def character_table(group: PermGroup, classes: ClassData | None = None,
         return EigensplitFailure(message, p, seed, indices)
 
     spaces = [([[int(i == j) for j in range(k)] for i in range(k)], list(range(k)))]
+    matrices: dict[int, list[list[tuple[int, int]]]] = {}
     for i in sorted(range(1, k), key=lambda i: (cd.sizes[i], i)):
         if all(len(basis) == 1 for basis, _ in spaces):
             break
@@ -544,7 +546,7 @@ def character_table(group: PermGroup, classes: ClassData | None = None,
         splits = [any(row[i] for row in basis[1:]) for basis, _ in spaces]
         if not any(splits):
             continue
-        mat = _class_matrix(cd, i, p)
+        mat = matrices[i] = _class_matrix(cd, i)
         refined = []
         for space, split in zip(spaces, splits):
             if not split:
@@ -604,21 +606,8 @@ def character_table(group: PermGroup, classes: ClassData | None = None,
     shown = {v: v.display() for v in {v for r in rows for v in r.values}}
     rows.sort(key=lambda r: (r.degree, tuple([shown[v] for v in r.values])))
     table = CharTable(group, cd, tuple(rows), p)
-    _self_verify(table)
+    _self_verify(table, matrices)
     return table
-
-
-def _galois_maps(cd: ClassData) -> set[tuple[int, ...]]:
-    """The permutations i -> class of rep(i)^r of the classes, r over the
-    units mod the exponent, the identity permutation left out.  The
-    Galois conjugate of a row by zeta -> zeta^r takes at class i the
-    row's value at perm[i]."""
-    e = math.lcm(*cd.element_orders)
-    powers = [cd.powers(i) for i in range(cd.n_classes)]
-    maps = {tuple([pw[r % len(pw)] for pw in powers])
-            for r in range(2, e) if math.gcd(r, e) == 1}
-    maps.discard(tuple(range(cd.n_classes)))
-    return maps
 
 
 def _lift_row(theta: list[int], d: int, powers: list[tuple[int, ...]],
@@ -692,143 +681,156 @@ def _multiplicities(theta_pow: tuple[int, ...], p: int, wm_inv: int) -> list[int
     return mus
 
 
-def _self_verify(table: CharTable) -> None:
-    """Prove the table exactly or raise OrthogonalityFailure.
+def _unit_generators(e: int) -> list[int]:
+    """Generators of the units mod e: per prime power q^a exactly dividing
+    e, those mod q^a (a primitive root g mod q, or g + q if g^(q-1) = 1
+    mod q^2; -1 and 5 for q = 2), each lifted to 1 mod e / q^a."""
+    gens = []
+    for q in prime_factors(e):
+        qa = math.gcd(e, q ** e.bit_length())
+        if q > 2:
+            g = _primitive_root(q)
+            local = [g + q if pow(g, q - 1, q * q) == 1 else g]
+        else:
+            local = [-1, 5][:(qa > 2) + (qa > 4)]
+        gens += [(1 + (g - 1) * (e // qa) * pow(e // qa, -1, qa)) % e for g in local]
+    return gens
 
-    The table must be square, so that second orthogonality follows from
-    the first.  Every value must have denominator 1 (den).  A value is
-    kept canonical, at its minimal conductor, so equal numbers are equal
-    Cycs, and the conjugate relation, the value at the inverse class is
-    the complex conjugate, is decided by equality, each distinct value
-    conjugated once.  For first orthogonality, with e the lcm of the
-    value conductors (a divisor of the exponent), each value is read as
-    the vector of its integer numerators (num) mod x^e - 1 (zeta_n^j ->
-    x^(j*e/n), complex conjugation negates exponents), and that vector
-    is packed into one integer at x = 2^W: slot t sits at bit W*t, and
-    in the conjugate slot (-t) mod e.  A row pair's relation is then one
-    integer, sum_i |C_i| * packed(a_i) * packed(conj(b_i)), minus |G| on
-    the diagonal, whose base-2^W digits are the relation's 2e - 1
-    coefficients before x^e = 1 is applied.
 
-    The digits are signed, and read exactly when W is wide enough.  Let
-    l(v) be the sum of |num| of a value and L the largest l over the
-    table.  A product of two values has coefficients of size at most L^2
-    and the class sizes sum to |G|, so no digit exceeds |G| * (L^2 + 1)
-    in size, and W is the least width with 2^(W - 2) above that bound.
-    A corrupted table thus gets wider digits, never overflowing ones.
-    Reducing the integer mod 2^(W*e) - 1 adds digit t + e to digit t,
-    which is x^e = 1.  A folded digit is at most twice the bound, so at
-    most 2^(W - 1) - 2, and with 2^(W - 1) added to every digit each lies
-    in [1, 2^W - 2]: that biased vector is a positive integer below the
-    modulus, so it is the residue of the relation plus the bias, digit
-    for digit, with no carries.  Its digits are read off by shifts, the
-    bias is taken off, and the vector is decided by _vanishes, one
-    remainder by Phi_e (cyclo.power_basis).
+def _proof_modulus(p: int, bound: int) -> int:
+    """The least power of p above bound."""
+    return p ** next(m for m in range(1, bound.bit_length() + 1) if p ** m > bound)
 
-    The power maps of _galois_maps that permute the classes and keep
-    class sizes permute the rows of a true table, and a size-keeping
-    bijection pi keeps the inner product, which conjugates values and
-    does not read inverse classes: <a o pi, b o pi> = sum_i |C_i|
-    a(pi i) conj(b(pi i)) = sum_j |C_j| a(j) conj(b(j)) = <a, b>.  So
-    where a o pi is row c and b o pi row d, the pair (c, d) follows from
-    (a, b).  Pairs are walked in order, each one checked unless it is
-    the image of a pair already checked; images are looked up by the
-    indices of their values, so a corrupted row is nobody's image and
-    its pairs are checked.  The first failing relation is thus the one
-    the full check would report.
+
+def _self_verify(table: CharTable,
+                 matrices: dict[int, list[list[tuple[int, int]]]] | None = None) -> None:
+    """Prove that the rows are the group's irreducible characters, or
+    raise OrthogonalityFailure; missing class matrices are built.
+
+    The checks, in order: square (k rows); degrees (each d_r >= 1
+    divides |G|, the squares sum to |G|, X_r[0] = d_r); integrality;
+    galois (e, the lcm of the value conductors, divides p - 1 for the
+    Dixon prime p, and the rows are closed under zeta -> zeta^u, value
+    by value, u over generators of the units mod e); first (<X_r, X_r> =
+    |G|); separation and class_algebra.  Classes are taken by (size,
+    index), and class i joins M = sum c_i M_i when it splits rows left
+    with one lambda_r = sum c_i omega_r[i], omega_r[t] = |C_t| X_r[t] /
+    d_r, c_i the least value in 1..k^2 that keeps every split; the
+    lambda_r must end distinct, and M omega_r = lambda_r omega_r.  So
+    M's eigenspaces are lines, and each true central character, an
+    eigenvector of M that is 1 at class 0, is one omega_r: X_r = (d_r /
+    chi(1)) chi for a bijection r <-> chi, and the norm gives d_r = chi(1).
+
+    The last three checks are decided mod P, the least power of p above
+    B = max(k^2 |G| max|C| (d L + L^2), |G| (L^2 + 1)), d the largest
+    degree and L the largest sum of |numerators| of a value, at zeta_e
+    -> w = pow(w_p, P // p, P), the Teichmueller lift of a primitive
+    e-th root of unity w_p mod p.  Times d_r^2, a relation is an alpha in
+    Z[zeta_e], d_r sum_t M[j][t] |C_t| X_r[t] - (sum_i c_i |C_i| X_r[i])
+    |C_j| X_r[j] or sum_t |C_t| |X_r[t]|^2 - |G|, whose conjugates are
+    at most B in size, as sum_t a[i][j][t] |C_t| = |C_i| |C_j|.  As e
+    divides p - 1, Phi_e has distinct roots w^u mod p^m, u a unit mod e,
+    so Z[zeta_e] / (P) is the product of phi(e) copies of Z / P.  By the
+    Galois closure alpha at row r under w^u is alpha at row sigma_u(X_r)
+    under w, so an alpha that passes lies in P Z[zeta_e], and its norm,
+    a multiple of P^phi(e) below B^phi(e) < P^phi(e) in size, is 0.
     """
     cd = table.classes
     k = cd.n_classes
     order = table.group.order
     rows = table.rows
-    sizes, inverse = cd.sizes, cd.inverse_class
+    sizes = cd.sizes
 
     def fail(message: str, relation: str, *indices: int):
         raise OrthogonalityFailure(message, relation, indices, order, table.dixon_prime)
 
-    # With k rows, first orthogonality X D X* = |G| I makes X invertible
-    # and gives X* X = |G| D^-1, which is second orthogonality.
     if len(rows) != k:
         fail(f"{len(rows)} rows for {k} classes", "square")
     degs = [r.degree for r in rows]
     if sum(d * d for d in degs) != order:
         fail("degree squares do not sum to the order", "degrees")
     for r, d in enumerate(degs):
-        if order % d:
-            fail("degree does not divide the order", "degrees", r)
-    # Each distinct value gets an index, and a row is read as the tuple of
-    # its values' indices; values are canonical, so equal indices mean
-    # equal numbers.
+        if d < 1 or order % d:
+            fail("degree is not a positive divisor of the order", "degrees", r)
+    p = choose_dixon_prime(table.group, cd)
+    # A row is read as the indices of its (canonical) values, each checked
+    # once; rows share value objects (the lift's memo): identity goes first.
     index: dict[Cyc, int] = {}
+    by_object: dict[int, int] = {}
     ids = []
     for r, row in enumerate(rows):
         id_row = []
         for i, v in enumerate(row.values):
-            n = index.get(v)
+            n = by_object.get(id(v))
             if n is None:
-                if v.den != 1:
-                    fail("value is not an algebraic integer", "integrality", r, i)
-                n = index[v] = len(index)
+                n = index.get(v)
+                if n is None:
+                    if v.den != 1:
+                        fail("value is not an algebraic integer", "integrality", r, i)
+                    if (p - 1) % v.n:
+                        fail(f"value conductor does not divide {p} - 1", "galois", r, i)
+                    n = index[v] = len(index)
+                by_object[id(v)] = n
             id_row.append(n)
+        if row.values[0] != degs[r]:
+            fail("identity value is not the degree", "degrees", r)
         ids.append(tuple(id_row))
-    # The relation at (r, inverse(i)) holds exactly when the one at (r, i)
-    # does, so only i <= inverse(i) is decided; a failure at i is met first
-    # at its twin, just as the full check would meet it.
-    # conj[n] is -1 when the conjugate of value n is no value of the table.
-    conj = [index.get(v.conjugate(), -1) for v in index]
-    for r, id_row in enumerate(ids):
-        for i in range(k):
-            if i <= inverse[i] and id_row[inverse[i]] != conj[id_row[i]]:
-                fail("inverse classes are not conjugates", "conjugate", r, i)
-    # Every value lies in Q(zeta_e), and equality there is equality in
-    # any larger cyclotomic field, such as that of the group exponent.
     e = math.lcm(*(v.n for v in index))
-    # Values are packed width bits a slot; the docstring shows why a
-    # relation's digits, biased by half, are read back exactly.
-    bound = order * (max(sum(map(abs, v.num)) for v in index) ** 2 + 1)
-    width = bound.bit_length() + 2
-    digit, half = (1 << width) - 1, 1 << width - 1
-    modulus = (1 << width * e) - 1
-    bias = modulus // digit * half
-    packed, packed_conj = [], []
-    for v in index:
-        step = e // v.n
-        terms = [(j * step, c) for j, c in enumerate(v.num) if c]
-        packed.append(sum([c << width * x for x, c in terms]))
-        packed_conj.append(sum([c << width * (-x % e) for x, c in terms]))
-    weighted = [[size * packed[n] for size, n in zip(sizes, id_row)] for id_row in ids]
-    conjugated = [[packed_conj[n] for n in id_row] for id_row in ids]
-    perms = [perm for perm in _galois_maps(cd)
-             if sorted(perm) == list(range(k))
-             and all(sizes[perm[i]] == sizes[i] for i in range(k))]
-    row_of = {id_row: r for r, id_row in enumerate(ids)}
-    images = [[row_of.get(tuple([id_row[t] for t in perm])) for perm in perms]
-              for id_row in ids]
-    implied_pairs: set[tuple[int, int]] = set()
-    for a in range(k):
-        wa = weighted[a]
-        for b in range(a, k):
-            if (a, b) in implied_pairs:
-                continue
-            total = sum(map(operator.mul, wa, conjugated[b]))
-            if a == b:
-                total -= order
-            # folded == bias exactly when every digit is 0
-            folded = (total + bias) % modulus
-            acc = [0] * e if folded == bias else \
-                [(folded >> width * t & digit) - half for t in range(e)]
-            if not _vanishes(acc):
-                fail("first orthogonality failed", "first", a, b)
-            # distinct rows with one image are equal rows, whose relation
-            # expects 0 where the image's own expects |G|
-            for ia, ib in zip(images[a], images[b]):
-                if ia is not None and ib is not None and (ia == ib) == (a == b):
-                    implied_pairs.add((min(ia, ib), max(ia, ib)))
+    id_rows = set(ids)
+    for u in _unit_generators(e):
+        image = [index.get(v.galois(u), -1) for v in index]
+        for r, id_row in enumerate(ids):
+            if tuple([image[n] for n in id_row]) not in id_rows:
+                fail(f"row's image under zeta -> zeta^{u} is not a row", "galois", r)
 
+    big = max(sum(map(abs, v.num)) for v in index)
+    modulus = _proof_modulus(p, max(
+        k * k * order * max(sizes) * (max(degs) * big + big * big),
+        order * (big * big + 1)))
+    w = pow(pow(_primitive_root(p), (p - 1) // e, p), modulus // p, modulus)
+    w_pow = [pow(w, t, modulus) for t in range(e)]
+    residue, residue_conj = (   # at w, and at w^-1 for the complex conjugate
+        [sum([c * w_pow[sign * j * (e // v.n)] for j, c in enumerate(v.num)]) % modulus
+         for v in index] for sign in (1, -1))
+    for r, id_row in enumerate(ids):
+        norm = sum([size * residue[n] * residue_conj[n] for size, n in zip(sizes, id_row)])
+        if (norm - order) % modulus:
+            fail("first orthogonality failed", "first", r, r)
 
-def _vanishes(acc: list[int]) -> bool:
-    """True iff sum(acc[t] * zeta_e^t) == 0, e = len(acc)."""
-    return not any(acc) or not any(power_basis(acc, len(acc)))
+    omegas = [[size * residue[n] * inv % modulus for size, n in zip(sizes, id_row)]
+              for inv, id_row in zip([pow(d, -1, modulus) for d in degs], ids)]
+    lam = [0] * k
+    coefs: dict[int, int] = {}
+    for i in sorted(range(1, k), key=lambda i: (sizes[i], i)):
+        blocks = len(set(lam))
+        if blocks == k:
+            break
+        col = [omega[i] for omega in omegas]
+        refined = len(set(zip(lam, col)))
+        if refined == blocks:
+            continue
+        # fewer than k^2 pairs of rows, each meeting again at one c at most
+        c = next(c for c in range(1, k * k + 1)
+                 if len({(x + c * y) % modulus for x, y in zip(lam, col)}) == refined)
+        coefs[i] = c
+        lam = [(x + c * y) % modulus for x, y in zip(lam, col)]
+    if len(set(lam)) < k:
+        r, s = next((r, s) for s in range(k) for r in range(s) if lam[r] == lam[s])
+        fail("no class separates the rows", "separation", r, s)
+
+    combined = [[0] * k for _ in range(k)]
+    for i, c in coefs.items():
+        mat = matrices[i] if matrices and i in matrices else _class_matrix(cd, i)
+        for acc, mat_row in zip(combined, mat):
+            for t, a in mat_row:
+                acc[t] += c * a
+    images = _mat_vecs([[(t, a) for t, a in enumerate(acc) if a] for acc in combined],
+                       omegas, modulus)
+    for r, (x, omega, image) in enumerate(zip(lam, omegas, images)):
+        expected = [x * y % modulus for y in omega]
+        if image != expected:
+            j = next(j for j in range(k) if image[j] != expected[j])
+            fail("class algebra relation failed", "class_algebra", r, j)
 
 
 def codegree(table: CharTable, row: int) -> int:

@@ -21,15 +21,14 @@ from charval.chartab import (
     CharTable,
     OrthogonalityFailure,
     _class_matrix,
-    _mat_vec,
+    _mat_vecs,
     _pmul,
     _psub,
     _split_subspace,
-    _vanishes,
     character_table,
     choose_dixon_prime,
 )
-from charval.cyclo import Cyc, is_prime
+from charval.cyclo import Cyc, is_prime, power_basis
 from charval.permcore import (
     ClassData,
     PermGroup,
@@ -76,10 +75,19 @@ def exactness_failures(label: str, group: PermGroup, cd: ClassData,
 # the library's earlier, unreduced definitions, kept as oracles
 
 
+def vanishes(acc: list[int]) -> bool:
+    """True iff sum(acc[t] * zeta_e^t) == 0, e = len(acc): one remainder
+    by Phi_e."""
+    return not any(acc) or not any(power_basis(acc, len(acc)))
+
+
 def full_self_verify(table: CharTable) -> None:
-    """The table proof without power-map reduction: the conjugate relation
-    at every (row, class) and first orthogonality at every pair of rows,
-    in order, raising OrthogonalityFailure at the first that fails."""
+    """The table proof as it stood before the class-algebra certificate:
+    the conjugate relation at every (row, class) and first orthogonality
+    at every pair of rows, exactly in Z[zeta_e], in order, raising
+    OrthogonalityFailure at the first that fails.  These relations do not
+    tie a column to its class, so a table may pass them and still not
+    be the group's."""
     cd = table.classes
     k = cd.n_classes
     order = table.group.order
@@ -113,7 +121,7 @@ def full_self_verify(table: CharTable) -> None:
                 acc[x] += c
             for y, d in vecs[r][i]:
                 acc[-y] -= d
-            if not _vanishes(acc):
+            if not vanishes(acc):
                 fail("inverse classes are not conjugates", "conjugate", r, i)
     for a in range(len(rows)):
         for b in range(a, len(rows)):
@@ -124,7 +132,7 @@ def full_self_verify(table: CharTable) -> None:
                         acc[x - y] += cd.sizes[i] * c * d
             if a == b:
                 acc[0] -= order
-            if not _vanishes(acc):
+            if not vanishes(acc):
                 fail("first orthogonality failed", "first", a, b)
 
 
@@ -180,13 +188,15 @@ def linear_product(roots, p: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def psl2(q: int) -> PermGroup:
+def psl2(q: int, bound: int = 2500) -> PermGroup:
     """PSL(2, q), q an odd prime, on the q + 1 points of the projective
-    line (point q is infinity), generated by x -> x + 1 and x -> -1/x."""
+    line (point q is infinity), generated by x -> x + 1 and x -> -1/x;
+    bound is the order bound of the closure."""
     inf = q
     shift = [(x + 1) % q for x in range(q)] + [inf]
     invert = [inf if x == 0 else -pow(x, q - 2, q) % q for x in range(q)] + [0]
-    return PermGroup.from_generators([Permutation(shift), Permutation(invert)])
+    return PermGroup.from_generators([Permutation(shift), Permutation(invert)],
+                                     bound=bound)
 
 
 def psl2_degrees(q: int) -> list[int]:
@@ -217,13 +227,13 @@ def index_order_splits(group: PermGroup, cd: ClassData,
     spaces = [([[int(i == j) for j in range(k)] for i in range(k)], list(range(k)))]
     seen = []
     for i in range(1, k):
-        mat = _class_matrix(cd, i, p)
+        mat = _class_matrix(cd, i)
         refined = []
         for basis, piv in spaces:
             if len(basis) == 1:
                 refined.append((basis, piv))
                 continue
-            images = [_mat_vec(mat, v, p) for v in basis]
+            images = _mat_vecs(mat, basis, p)
             lam = images[0][piv[0]]
             scalar = all(w == [lam * x % p for x in v] for v, w in zip(basis, images))
             pieces = _split_subspace((basis, piv), mat, p, rng)

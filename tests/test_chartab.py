@@ -15,8 +15,8 @@ from charval.chartab import (
     EigensplitFailure,
     OrthogonalityFailure,
     TooManyClasses,
+    _class_matrix,
     _distinct_roots,
-    _galois_maps,
     _minimal_polynomial,
     _nullspace,
     _pdivmod,
@@ -24,7 +24,7 @@ from charval.chartab import (
     _rref,
     _self_verify,
     _split_linear,
-    _vanishes,
+    _unit_generators,
     character_table,
     choose_dixon_prime,
     codegree,
@@ -215,15 +215,17 @@ def _with_values(table: CharTable, changes: dict) -> CharTable:
 
 
 def _plus_one(table, cd):
+    # at a self-inverse class the row's norm moves; at the others of these
+    # entries the value is irrational, and the row loses its Galois images
     r, i = len(table.rows) - 1, cd.n_classes - 1
-    relation = "first" if cd.inverse_class[i] == i else "conjugate"
+    relation = "first" if cd.inverse_class[i] == i else "galois"
     return {(r, i): table.rows[r].values[i] + 1}, relation
 
 
 def _swap_rows_in_column(table, cd):
     last = len(table.rows) - 1
     first_col, last_col = table.rows[0].values[0], table.rows[last].values[0]
-    return {(0, 0): last_col, (last, 0): first_col}, "first"
+    return {(0, 0): last_col, (last, 0): first_col}, "degrees"
 
 
 def _non_conjugate_at_inverse(table, cd):
@@ -231,7 +233,7 @@ def _non_conjugate_at_inverse(table, cd):
     e = math.lcm(*cd.element_orders)
     m = next(d for d in range(3, e + 1) if e % d == 0)  # zeta_m is not real
     wrong = table.rows[r].values[i].conjugate() + zeta(m)
-    return {(r, cd.inverse_class[i]): wrong}, "conjugate"
+    return {(r, cd.inverse_class[i]): wrong}, "galois"
 
 
 def _half_coordinate(table, cd):
@@ -254,23 +256,26 @@ def test_self_verify_rejects_corrupted_tables(name, fault):
     assert err.relation == relation
     assert err.order == g.order and err.prime == table.dixon_prime
     assert f"relation={relation}, indices={err.indices}" in str(err)
-    assert str(err) == str(_oracle_failure(bad))
+    _oracle_failure(bad)
     assert H.exactness_failures(name, g, cd, bad)
 
 
 def _galois_images(table, cd) -> list[int]:
     """Rows equal to a power-map image of an earlier row."""
+    k = cd.n_classes
+    perms = [[cd.power_class(i, u) for i in range(k)]
+             for u in _units(math.lcm(*cd.element_orders))]
     rows = [r.values for r in table.rows]
     return [c for c, vals in enumerate(rows)
             if any(tuple(rows[a][t] for t in perm) == vals
-                   for perm in _galois_maps(cd) for a in range(c))]
+                   for perm in perms for a in range(c))]
 
 
 @pytest.mark.parametrize("fault", ["plus_one", "negate", "duplicate"])
 @pytest.mark.parametrize("name", ["sg_147_4", "sg_81_3", "sg_250_14"])
 def test_self_verify_checks_a_corrupted_galois_image(name, fault):
-    # the reduced proof skips the row pairs that are the image of an
-    # earlier pair; once corrupted, the row is nobody's image
+    # a row that is the Galois image of an earlier row, once corrupted,
+    # is refused by the proof and by the full check
     _, g, cd, table, _ = catalog.bundle(name)
     images = _galois_images(table, cd)
     assert images
@@ -284,43 +289,72 @@ def test_self_verify_checks_a_corrupted_galois_image(name, fault):
     bad = _with_values(table, changes)
     with pytest.raises(OrthogonalityFailure) as info:
         _self_verify(bad)
-    assert str(info.value) == str(_oracle_failure(bad))
-    assert r in info.value.indices
+    assert info.value.relation in ("galois", "first", "separation")
+    _oracle_failure(bad)
 
 
-def _failing_relation(monkeypatch, module, check, table) -> tuple[OrthogonalityFailure, list]:
-    """The failure check raises on table, and the coefficient vector mod
-    x^e - 1 of the last relation it handed to module._vanishes."""
-    decided = []
+def _trivial_row(table: CharTable) -> int:
+    return next(r for r, row in enumerate(table.rows) if all(v == 1 for v in row.values))
 
-    def recording(acc, _fn=module._vanishes):
-        decided.append(list(acc))
-        return _fn(acc)
 
-    monkeypatch.setattr(module, "_vanishes", recording)
-    with pytest.raises(OrthogonalityFailure) as info:
-        check(table)
-    monkeypatch.undo()
-    return info.value, decided[-1]
+def _recorded_moduli(monkeypatch) -> list[tuple[int, int]]:
+    """(bound, modulus) of every _proof_modulus call from now on."""
+    seen = []
+    proof_modulus = chartab._proof_modulus
+
+    def recording(p, bound):
+        seen.append((bound, proof_modulus(p, bound)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(chartab, "_proof_modulus", recording)
+    return seen
 
 
 @pytest.mark.parametrize("t", [6, 7, 14, 15, 30, 31, 62, 63, 64, 200])
 @pytest.mark.parametrize("name", ["sym_5", "sg_147_4", "sg_136_12"])
 def test_self_verify_widens_its_digits_for_a_large_value(monkeypatch, name, t):
-    # 2^t added to the trivial row at its largest self-inverse class keeps
-    # the conjugate relation and fails first orthogonality at once, on the
-    # diagonal pair (0, 0), whose digit near |C_i| * 4^t comes closest to
-    # the width bound; the digits widen with the value, so that relation
-    # is read exactly, coefficient for coefficient, as the full check has it
+    # 2^t added to the trivial row at its largest class other than the
+    # identity keeps the row rational and fails first orthogonality on
+    # its diagonal; the modulus widens with the value, past |G| (L^2 + 1)
+    # for L = 2^t + 1, so that relation, near |C_i| * 4^t, is decided mod
+    # a modulus above it.  The full check refuses the table too, by the
+    # conjugate relation where the class is not self-inverse.
     _, g, cd, table, _ = catalog.bundle(name)
-    i = max((i for i in range(cd.n_classes) if cd.inverse_class[i] == i),
-            key=lambda i: (cd.sizes[i], i))
-    bad = _with_values(table, {(0, i): table.rows[0].values[i] + 2 ** t})
-    packed, packed_acc = _failing_relation(monkeypatch, chartab, _self_verify, bad)
-    full, full_acc = _failing_relation(monkeypatch, H, H.full_self_verify, bad)
-    assert packed.relation == "first" and packed.indices == (0, 0)
-    assert str(packed) == str(full)
-    assert packed_acc == full_acc
+    r = _trivial_row(table)
+    i = max(range(1, cd.n_classes), key=lambda i: (cd.sizes[i], i))
+    bad = _with_values(table, {(r, i): table.rows[r].values[i] + 2 ** t})
+    moduli = _recorded_moduli(monkeypatch)
+    with pytest.raises(OrthogonalityFailure) as info:
+        _self_verify(bad)
+    assert info.value.relation == "first" and info.value.indices == (r, r)
+    full = _oracle_failure(bad)
+    assert full.relation == ("first" if cd.inverse_class[i] == i else "conjugate")
+    assert r in full.indices
+    [(bound, modulus)] = moduli
+    assert g.order * ((2 ** t + 1) ** 2 + 1) <= bound < modulus
+    assert cyclo.is_p_power(modulus, table.dixon_prime)
+    assert modulus // table.dixon_prime <= bound
+
+
+@pytest.mark.parametrize("name", ["sym_5", "sg_147_4", "sg_136_12", "sg_250_14"])
+def test_self_verify_needs_its_full_modulus(monkeypatch, name):
+    # P = p^m is the least power of p above the bound; p^(m - 1) added to
+    # the trivial row at its last class leaves every residue mod p^(m - 1)
+    # as it was, so with m - 1 forced the table passes, and with the
+    # real m it is refused
+    _, g, cd, table, _ = catalog.bundle(name)
+    moduli = _recorded_moduli(monkeypatch)
+    _self_verify(table)
+    [(_, modulus)] = moduli
+    r, i = _trivial_row(table), cd.n_classes - 1
+    lower = modulus // table.dixon_prime
+    bad = _with_values(table, {(r, i): table.rows[r].values[i] + lower})
+    monkeypatch.setattr(chartab, "_proof_modulus", lambda p, bound: lower)
+    _self_verify(bad)
+    monkeypatch.undo()
+    with pytest.raises(OrthogonalityFailure) as info:
+        _self_verify(bad)
+    assert info.value.relation == "first" and info.value.indices == (r, r)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -341,6 +375,22 @@ def test_self_verify_failure_names_the_row_and_class():
     assert info.value.indices == next(iter(changes))
 
 
+@pytest.mark.parametrize("name", ["sym_4", "alt_5", "sg_81_3"])
+def test_self_verify_refuses_a_negated_row(name):
+    # -chi with degree -chi(1) keeps every relation of the full check and
+    # every eigenvector of the class algebra; only d >= 1 tells
+    _, g, cd, table, _ = catalog.bundle(name)
+    r = max(r for r, row in enumerate(table.rows) if all(v.is_rational() for v in row.values))
+    row = table.rows[r]
+    negated = Character(tuple(-v for v in row.values), -row.degree, row.kernel, row.center_z)
+    bad = CharTable(g, cd, table.rows[:r] + (negated,) + table.rows[r + 1:],
+                    table.dixon_prime)
+    H.full_self_verify(bad)
+    with pytest.raises(OrthogonalityFailure) as info:
+        _self_verify(bad)
+    assert (info.value.relation, info.value.indices) == ("degrees", (r,))
+
+
 def test_self_verify_degree_failure_keeps_the_old_message():
     _, g, cd, table, _ = catalog.bundle("sym_3")
     row = table.rows[0]
@@ -353,20 +403,20 @@ def test_self_verify_degree_failure_keeps_the_old_message():
 
 
 def test_vanishes_takes_one_remainder_by_phi_e():
-    assert _vanishes([1, 1, 1])                             # 1 + z3 + z3^2 = 0
+    assert H.vanishes([1, 1, 1])                            # 1 + z3 + z3^2 = 0
     assert power_basis([1, 1, 1], 3) == [0, 0]
-    assert not _vanishes([1, 1, 0])                         # 1 + z3 = -z3^2
+    assert not H.vanishes([1, 1, 0])                        # 1 + z3 = -z3^2
     assert power_basis([1, 1, 0], 3) == [1, 1]
-    assert not _vanishes([3, 1, 1])                         # 2 + (1 + z3 + z3^2)
+    assert not H.vanishes([3, 1, 1])                        # 2 + (1 + z3 + z3^2)
     assert power_basis([3, 1, 1], 3) == [2, 0]
-    assert _vanishes([0] * 420)
+    assert H.vanishes([0] * 420)
     assert power_basis([0] * 420, 420) == [0] * 96
     acc = [0] * 420
     acc[0] = acc[140] = acc[280] = 5
-    assert _vanishes(list(acc))
+    assert H.vanishes(list(acc))
     assert not any(power_basis(list(acc), 420))
     acc[280] = 4                                            # 5 + 5 z3 + 4 z3^2
-    assert not _vanishes(list(acc))
+    assert not H.vanishes(list(acc))
     assert power_basis(acc[::140], 3) == [1, 1]
     assert power_basis(list(acc), 420) == power_basis([1] + [0] * 139 + [1], 420)
 
@@ -493,25 +543,41 @@ def _units(e: int) -> list[int]:
     return [r for r in range(2, e) if math.gcd(r, e) == 1]
 
 
-@pytest.mark.parametrize("name", ["sym_3", "sg_21_1", "sg_147_4"])
-def test_galois_map_off_by_one_is_refused(monkeypatch, name):
-    # r + 1 is not a Galois automorphism: the proof may use such a map only
-    # where it keeps class sizes and inverses, and then it still carries
-    # row pairs to row pairs, so true tables pass and corrupted ones fail
-    # at the relation the full check reports
-    def shifted(cd):
-        e = math.lcm(*cd.element_orders)
-        return {tuple(cd.power_class(i, r + 1) for i in range(cd.n_classes))
-                for r in _units(e)}
+@pytest.mark.parametrize("e", [1, 2, 4, 8, 9, 16, 27, 49, 136, 250, 420, 504, 1000, 3045])
+def test_unit_generators_generate_every_unit(e):
+    # the proof checks Galois closure only under these generators
+    gens = _unit_generators(e)
+    assert all(math.gcd(u, e) == 1 for u in gens)
+    reached, frontier = {1 % e}, [1 % e]
+    while frontier:
+        x = frontier.pop()
+        for u in gens:
+            if x * u % e not in reached:
+                reached.add(x * u % e)
+                frontier.append(x * u % e)
+    assert reached == {u for u in range(e) if math.gcd(u, e) == 1}
 
-    monkeypatch.setattr(chartab, "_galois_maps", shifted)
+
+@pytest.mark.parametrize("name", ["sym_3", "sg_21_1", "sg_147_4"])
+def test_galois_map_off_by_one_is_refused(name):
+    # reading a row through the power map of r + 1, for r a unit mod the
+    # exponent, is no Galois conjugation; each table where such a reading
+    # replaces a row is refused, by the proof and by the full check
     _, _, cd, table, _ = catalog.bundle(name)
-    _self_verify(table)
-    for fault in (_plus_one, _non_conjugate_at_inverse):
-        bad = _with_values(table, fault(table, cd)[0])
-        with pytest.raises(OrthogonalityFailure) as info:
-            _self_verify(bad)
-        assert str(info.value) == str(_oracle_failure(bad))
+    k = cd.n_classes
+    refused = 0
+    for r in _units(math.lcm(*cd.element_orders)):
+        perm = [cd.power_class(i, r + 1) for i in range(k)]
+        for c, row in enumerate(table.rows):
+            image = [row.values[perm[i]] for i in range(k)]
+            if tuple(image) == row.values:
+                continue
+            bad = _with_values(table, {(c, i): v for i, v in enumerate(image)})
+            with pytest.raises(OrthogonalityFailure):
+                _self_verify(bad)
+            _oracle_failure(bad)
+            refused += 1
+    assert refused
 
 
 @pytest.mark.parametrize("name", catalog.names())
@@ -614,10 +680,23 @@ def test_class_matrices_are_built_and_applied_only_where_they_split(
     # sg_250_14 and sg_147_4
     ent, g, cd, _, _ = catalog.bundle(name)
     calls = _count_calls(monkeypatch, "_class_matrix", "_split_subspace",
-                         "_minimal_polynomial", "_mat_vec")
+                         "_minimal_polynomial")
+    # products counts the vectors the split hands to _mat_vecs; the proof
+    # makes its own product with the split's matrices, and builds none
+    vectors = []
+    mat_vecs, self_verify = chartab._mat_vecs, chartab._self_verify
+
+    def proving(table, matrices):
+        monkeypatch.setattr(chartab, "_mat_vecs", mat_vecs)
+        self_verify(table, matrices)
+
+    monkeypatch.setattr(chartab, "_mat_vecs", lambda mat, vecs, p:
+                        vectors.append(len(vecs)) or mat_vecs(mat, vecs, p))
+    monkeypatch.setattr(chartab, "_self_verify", proving)
     character_table(g, cd, max_classes=ent.table_guard)
     assert calls == {"_class_matrix": matrices, "_split_subspace": splits,
-                     "_minimal_polynomial": splits, "_mat_vec": products}
+                     "_minimal_polynomial": splits}
+    assert sum(vectors) == products
 
 
 @pytest.mark.parametrize("name", catalog.names(tier="core"))
@@ -702,11 +781,29 @@ def test_psl2_tables_at_large_dixon_primes(monkeypatch, q, prime):
         json.dumps(table.to_json_dict())
 
 
+def test_psl2_29_is_proven_without_a_remainder_by_phi_3045(monkeypatch):
+    # the values of PSL(2, 29) have conductors 5, 7, 15 and 29, so the
+    # exact relations live in Q(zeta_3045); the proof decides them mod a
+    # power of p = 6091 and reduces no vector by Phi_3045
+    g = H.psl2(29, bound=12180)
+    reduced, proving = [], []
+    power_basis, self_verify = cyclo.power_basis, chartab._self_verify
+    monkeypatch.setattr(cyclo, "power_basis", lambda acc, n: (
+        proving and reduced.append(len(acc))) or power_basis(acc, n))
+    monkeypatch.setattr(chartab, "_self_verify", lambda table, matrices: (
+        proving.append(True), self_verify(table, matrices), proving.clear()))
+    table = character_table(g)
+    assert g.order == 12180 and table.dixon_prime == 6091
+    assert list(table.degrees) == H.psl2_degrees(29)
+    assert math.lcm(*(v.n for r in table.rows for v in r.values)) == 3045
+    assert reduced and 3045 not in reduced
+
+
 def _applied_classes(monkeypatch, g, cd, guard) -> list[int]:
     applied = []
     class_matrix = chartab._class_matrix
     monkeypatch.setattr(chartab, "_class_matrix",
-                        lambda cd, i, p: applied.append(i) or class_matrix(cd, i, p))
+                        lambda cd, i: applied.append(i) or class_matrix(cd, i))
     character_table(g, cd, max_classes=guard)
     monkeypatch.setattr(chartab, "_class_matrix", class_matrix)
     return applied
@@ -722,8 +819,8 @@ def test_a_scalar_class_matrix_is_refused_where_the_rule_says_it_splits(
     for bad in applied:
         monkeypatch.setattr(
             chartab, "_class_matrix",
-            lambda cd, i, p, bad=bad: ([[(j, 3)] for j in range(cd.n_classes)]
-                                       if i == bad else class_matrix(cd, i, p)))
+            lambda cd, i, bad=bad: ([[(j, 3)] for j in range(cd.n_classes)]
+                                    if i == bad else class_matrix(cd, i)))
         with pytest.raises(EigensplitFailure) as info:
             character_table(g, cd, max_classes=ent.table_guard)
         assert info.value.message == "class matrix left whole a subspace it splits"
@@ -822,58 +919,93 @@ def test_a_failing_pattern_is_met_where_the_full_lift_meets_it(monkeypatch):
     assert cached.value.message.startswith(f"multiplicities at class {where[0][1]} sum")
 
 
-def test_self_verify_checks_one_relation_per_power_map_orbit(monkeypatch):
-    # the conjugate relation is decided by equality, without _vanishes; the
-    # full check decides every row pair, 64 * 65 / 2 = 2080 on sg_250_14,
-    # 561 on sg_81_3 and 190 on sg_147_4, and one per orbit is fewer
-    for name, pairs in (("sg_250_14", 1057), ("sg_81_3", 139), ("sg_147_4", 92)):
+def test_self_verify_applies_one_class_algebra_element(monkeypatch):
+    # the proof combines a few classes into one element M and applies M
+    # once, to every row, mod a power of the Dixon prime; here it combines
+    # as many classes as the split applies, and given the split's
+    # matrices it builds none
+    # (test_class_matrices_are_built_and_applied_only_where_they_split)
+    for name, combined in (("sg_250_14", 7), ("sg_81_3", 4), ("sg_147_4", 5)):
         _, g, cd, table, _ = catalog.bundle(name)
-        calls = _count_calls(monkeypatch, "_vanishes")
+        calls = _count_calls(monkeypatch, "_class_matrix")
+        products = []
+        mat_vecs = chartab._mat_vecs
+        monkeypatch.setattr(chartab, "_mat_vecs", lambda mat, vecs, p:
+                            products.append((len(vecs), p)) or mat_vecs(mat, vecs, p))
         _self_verify(table)
-        assert calls["_vanishes"] == pairs, name
+        assert calls["_class_matrix"] == combined, name
+        [(vectors, modulus)] = products
+        assert vectors == cd.n_classes
+        assert modulus > table.dixon_prime
+        assert cyclo.is_p_power(modulus, table.dixon_prime)
         monkeypatch.undo()
 
 
 @pytest.mark.parametrize("name,swap,source", [("sym_4", (1, 3), 2),
                                               ("cyclic_6", (3, 4), 1)])
-def test_self_verify_uses_no_map_that_moves_sizes(monkeypatch, name, swap, source):
-    # swapping the classes of sizes 3 and 8 of sym_4 carries no relation to
-    # another, so the pairs of a last row made the image of a source row
-    # under it must be checked themselves; swapping classes 3 and 4 of
-    # cyclic_6 (whose inverses are 2 and 5) keeps sizes, and the last row
-    # made under it fails the conjugate relation, decided on every row
+def test_self_verify_uses_no_map_that_moves_sizes(name, swap, source):
+    # the last row made the image of a source row under a swap of two
+    # columns, of sizes 3 and 8 on sym_4 and of sizes 1 and 1 on cyclic_6
+    # (whose inverse classes are 2 and 5), is refused by the proof and by
+    # the full check
     _, g, cd, table, _ = catalog.bundle(name)
     k = cd.n_classes
     perm = list(range(k))
     perm[swap[0]], perm[swap[1]] = swap[1], swap[0]
     values = table.rows[source].values
     bad = _with_values(table, {(k - 1, i): values[perm[i]] for i in range(k)})
-    monkeypatch.setattr(chartab, "_galois_maps", lambda cd: {tuple(perm)})
     with pytest.raises(OrthogonalityFailure) as info:
         _self_verify(bad)
-    assert info.value.relation == ("conjugate" if name == "cyclic_6" else "first")
-    assert str(info.value) == str(_oracle_failure(bad))
+    # on sym_4 the last row (degree 3) takes the source row's degree 2 at
+    # the identity
+    assert info.value.relation == ("galois" if name == "cyclic_6" else "degrees")
+    _oracle_failure(bad)
 
 
-@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
-                   reason="open proof gap: orthogonality and the power-map "
-                   "relations do not tie a column to its class; the "
-                   "class-algebra certificate would reject this swap")
-@pytest.mark.parametrize("name", ["cyclic_5", "elab_2_3", "sym_6"])
+def _swapped(table: CharTable, i: int, j: int) -> CharTable:
+    """table with columns i and j swapped, and their inverse columns."""
+    cd = table.classes
+    perm = list(range(cd.n_classes))
+    for a, b in ((i, j), (cd.inverse_class[i], cd.inverse_class[j])):
+        perm[a], perm[b] = b, a
+    return _with_values(table, {(r, t): row.values[perm[t]]
+                                for r, row in enumerate(table.rows)
+                                for t in range(cd.n_classes)})
+
+
+@pytest.mark.parametrize("name", ["cyclic_5", "cyclic_7", "cyclic_9", "elab_2_3",
+                                  "sym_6"])
 def test_self_verify_rejects_swapped_columns_of_one_size_and_order(name):
     # swapping columns 1 and 2, of equal class size and element order,
-    # and their inverse columns with them, keeps every relation
-    # _self_verify checks, but the rows are no longer the group's characters
+    # and their inverse columns with them, keeps every relation of the
+    # full check, but the rows are no longer the group's characters, and
+    # the class algebra tells
     _, g, cd, table, _ = catalog.bundle(name)
     i, j = 1, 2
     assert cd.sizes[i] == cd.sizes[j]
     assert cd.element_orders[i] == cd.element_orders[j]
-    perm = list(range(cd.n_classes))
-    for a, b in ((i, j), (cd.inverse_class[i], cd.inverse_class[j])):
-        perm[a], perm[b] = b, a
-    bad = _with_values(table, {(r, t): row.values[perm[t]]
-                               for r, row in enumerate(table.rows)
-                               for t in range(cd.n_classes)})
+    bad = _swapped(table, i, j)
     assert {r.values for r in bad.rows} != {r.values for r in table.rows}
-    with pytest.raises(OrthogonalityFailure):
+    H.full_self_verify(bad)
+    with pytest.raises(OrthogonalityFailure) as info:
         _self_verify(bad)
+    assert info.value.relation == "class_algebra"
+
+
+@pytest.mark.parametrize("name", catalog.names("core"))
+def test_self_verify_rejects_every_swap_of_one_size_and_order(name):
+    # every swap of two columns of equal size and element order, with
+    # their inverse columns, that changes the row set is refused; 1552
+    # such swaps over the core entries
+    _, g, cd, table, _ = catalog.bundle(name)
+    k = cd.n_classes
+    matrices = {i: _class_matrix(cd, i) for i in range(1, k)}
+    rows = {r.values for r in table.rows}
+    for i, j in itertools.combinations(range(1, k), 2):
+        if (cd.sizes[i], cd.element_orders[i]) != (cd.sizes[j], cd.element_orders[j]):
+            continue
+        bad = _swapped(table, i, j)
+        if {r.values for r in bad.rows} == rows:
+            continue
+        with pytest.raises(OrthogonalityFailure):
+            _self_verify(bad, matrices)

@@ -142,10 +142,28 @@ def test_only_cyclo_reads_the_cyclotomic_polynomial():
     assert not found, found
 
 
+def test_chartab_reaches_no_remainder_by_phi_n():
+    """The table proof decides its relations mod a power of the Dixon
+    prime, at one root of unity, so chartab neither imports nor calls
+    cyclo.power_basis."""
+    path = PACKAGE / "chartab.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, (ast.Attribute, ast.Name)):
+            names = [node.attr if isinstance(node, ast.Attribute) else node.id]
+        else:
+            continue
+        if "power_basis" in names:
+            found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 def test_chartab_imports_only_the_standard_library():
-    """The table proof packs its relations into Python ints and reads
-    their digits back by shifts, so chartab needs no numeric library:
-    each of its absolute imports is a standard-library module."""
+    """Class matrices are applied to vectors packed into Python ints, and
+    the proof's residues are Python ints, so chartab needs no numeric
+    library: each of its absolute imports is a standard-library module."""
     path = PACKAGE / "chartab.py"
     found = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
