@@ -2,8 +2,8 @@
 
 The table of a group with k classes is recovered from the common
 eigenvectors of the class-multiplication matrices over F_p, where p = 1
-(mod exponent) and p > 2*sqrt(|G|).  A class matrix is stored sparsely,
-as the (column, count) pairs of each row's nonzero counts.  The
+(mod exponent) and p > 2*sqrt(|G|).  A class matrix is the sparse rows
+of (column, count) pairs that ClassData.class_matrix builds once.  The
 pending subspaces are kept in reduced echelon form from the moment they
 are made, starting from the identity.  A pending subspace is the span
 of the central characters omega mod p that it holds: these form a basis
@@ -112,8 +112,11 @@ _PRIME_CAP = 10 ** 7
 
 
 def choose_dixon_prime(group: PermGroup, classes: ClassData | None = None) -> int:
-    """Smallest prime p = 1 (mod exponent) with p > 2*sqrt(|G|), strictly."""
+    """Smallest prime p = 1 (mod exponent) with p > 2*sqrt(|G|), strictly;
+    ValueError if classes belong to another group object."""
     cd = classes if classes is not None else conjugacy_classes(group)
+    if cd.group is not group:
+        raise ValueError("classes belong to another group")
     e = math.lcm(*cd.element_orders)
     p = e + 1
     while p <= _PRIME_CAP:
@@ -121,11 +124,6 @@ def choose_dixon_prime(group: PermGroup, classes: ClassData | None = None) -> in
             return p
         p += e
     raise PrimeSearchExhausted(f"no prime = 1 mod {e} below {_PRIME_CAP}")
-
-
-def _class_matrix(classes: ClassData, i: int) -> list[list[tuple[int, int]]]:
-    """Row j holds the pairs (t, a[i][j][t]) with a nonzero count."""
-    return [[(t, x) for t, x in enumerate(row) if x] for row in classes.product_rows(i)]
 
 
 # --- polynomial arithmetic over F_p (ascending coefficient lists) ---
@@ -516,12 +514,13 @@ def character_table(group: PermGroup, classes: ClassData | None = None,
 
     Args:
       group: fully enumerated permutation group.
-      classes: precomputed class data (recomputed if omitted).
+      classes: this group object's class data (computed if omitted).
       seed: PRNG seed for the equal-degree splitting steps; any seed
         yields the same table, only the internal search path differs.
       max_classes: guard on the class count.
 
     Raises:
+      ValueError: classes belong to another group object.
       TooManyClasses: class count exceeds the guard.
       EigensplitFailure, OrthogonalityFailure: internal invariant broken
         (never expected on a correct build).
@@ -537,7 +536,6 @@ def character_table(group: PermGroup, classes: ClassData | None = None,
         return EigensplitFailure(message, p, seed, indices)
 
     spaces = [([[int(i == j) for j in range(k)] for i in range(k)], list(range(k)))]
-    matrices: dict[int, list[list[tuple[int, int]]]] = {}
     for i in sorted(range(1, k), key=lambda i: (cd.sizes[i], i)):
         if all(len(basis) == 1 for basis, _ in spaces):
             break
@@ -546,7 +544,7 @@ def character_table(group: PermGroup, classes: ClassData | None = None,
         splits = [any(row[i] for row in basis[1:]) for basis, _ in spaces]
         if not any(splits):
             continue
-        mat = matrices[i] = _class_matrix(cd, i)
+        mat = cd.class_matrix(i)
         refined = []
         for space, split in zip(spaces, splits):
             if not split:
@@ -606,7 +604,7 @@ def character_table(group: PermGroup, classes: ClassData | None = None,
     shown = {v: v.display() for v in {v for r in rows for v in r.values}}
     rows.sort(key=lambda r: (r.degree, tuple([shown[v] for v in r.values])))
     table = CharTable(group, cd, tuple(rows), p)
-    _self_verify(table, matrices)
+    _self_verify(table)
     return table
 
 
@@ -702,10 +700,9 @@ def _proof_modulus(p: int, bound: int) -> int:
     return p ** next(m for m in range(1, bound.bit_length() + 1) if p ** m > bound)
 
 
-def _self_verify(table: CharTable,
-                 matrices: dict[int, list[list[tuple[int, int]]]] | None = None) -> None:
+def _self_verify(table: CharTable) -> None:
     """Prove that the rows are the group's irreducible characters, or
-    raise OrthogonalityFailure; missing class matrices are built.
+    raise OrthogonalityFailure; it reads the class matrices ClassData keeps.
 
     The checks, in order: square (k rows); degrees (each d_r >= 1
     divides |G|, the squares sum to |G|, X_r[0] = d_r); integrality;
@@ -820,8 +817,7 @@ def _self_verify(table: CharTable,
 
     combined = [[0] * k for _ in range(k)]
     for i, c in coefs.items():
-        mat = matrices[i] if matrices and i in matrices else _class_matrix(cd, i)
-        for acc, mat_row in zip(combined, mat):
+        for acc, mat_row in zip(combined, cd.class_matrix(i)):
             for t, a in mat_row:
                 acc[t] += c * a
     images = _mat_vecs([[(t, a) for t, a in enumerate(acc) if a] for acc in combined],

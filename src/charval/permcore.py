@@ -18,14 +18,15 @@ order, which makes every downstream computation deterministic.
 The enumeration keeps the products it computes: right[s][y] is the index
 of y*g_s for every element y and generator g_s.  Any product by a fixed
 element is then read off these tables by replaying the BFS tree
-(PermGroup.left_mult), so conjugacy classes, inverses, class products
-and quotients take integer lookups, not permutation compositions.
+(PermGroup.left_mult): conjugacy classes, inverses, quotients and the
+class matrices ClassData keeps are integer lookups, not compositions.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from functools import reduce
 from operator import and_, or_
 from typing import TYPE_CHECKING, NamedTuple
@@ -408,11 +409,12 @@ class ClassData:
 
     Classes are sorted by (element order of representative, class size,
     image tuple of the representative); the identity class is index 0.
-    The representative of a class is its least element index.
+    The representative of a class is its least element index.  powers
+    and class_matrix build on first use and keep one copy per class.
     """
 
     __slots__ = ("group", "classes", "reps", "sizes", "element_orders",
-                 "elt_class", "inverse_class", "_powers")
+                 "elt_class", "inverse_class", "_powers", "_matrices")
 
     def __init__(self, group: PermGroup):
         self.group = group
@@ -451,6 +453,7 @@ class ClassData:
         self.inverse_class = tuple(
             self.elt_class[group.inverse_index(r)] for r in self.reps)
         self._powers: dict[int, tuple[int, ...]] = {}
+        self._matrices: dict[int, tuple[tuple[tuple[int, int], ...], ...]] = {}
 
     @property
     def n_classes(self) -> int:
@@ -479,30 +482,27 @@ class ClassData:
         powers = self.powers(i)
         return powers[t % len(powers)]
 
-    def product_rows(self, i: int) -> list[list[int]]:
-        """rows[j][t] = a[i][j][t], the class-algebra structure constants.
-
-        a[i][j][t] counts pairs (x, y) with x in C_i, y in C_j and xy equal
-        to one fixed element of C_t; it is #{y in C_j : rep_i * y in C_t}
-        scaled by |C_i| / |C_t|.
-        """
-        k = self.n_classes
-        rows = [[0] * k for _ in range(k)]
-        elt_class = self.elt_class
-        for cy, cz in zip(elt_class, map(elt_class.__getitem__,
-                                         self.group.left_mult(self.reps[i]))):
-            rows[cy][cz] += 1
-        size_i = self.sizes[i]
-        for row in rows:
-            for t in range(k):
-                if row[t]:
-                    num, rem = divmod(row[t] * size_i, self.sizes[t])
+    def class_matrix(self, i: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """M_i as sparse rows: row j holds (t, a[i][j][t]) for each nonzero
+        a[i][j][t], t ascending, the number of pairs in C_i x C_j whose
+        product is one fixed element of C_t: #{y in C_j : rep_i y in C_t}
+        |C_i| / |C_t|.  Counted once, from group.left_mult(rep_i), and kept
+        as tuples, which no caller can change."""
+        mat = self._matrices.get(i)
+        if mat is None:
+            left = self.group.left_mult(self.reps[i])
+            rows: list[list[tuple[int, int]]] = [[] for _ in self.classes]
+            size_i = self.sizes[i]
+            for row, cls in zip(rows, self.classes):
+                counts = Counter(map(self.elt_class.__getitem__, map(left.__getitem__, cls)))
+                for t, count in sorted(counts.items()):
+                    num, rem = divmod(count * size_i, self.sizes[t])
                     if rem:
-                        raise InvariantViolation(
-                            f"class product count {row[t]} * {size_i} not "
-                            f"divisible by class size {self.sizes[t]}")
-                    row[t] = num
-        return rows
+                        raise InvariantViolation(f"class product count {count} * {size_i} "
+                                                 f"not divisible by class size {self.sizes[t]}")
+                    row.append((t, num))
+            mat = self._matrices[i] = tuple(map(tuple, rows))
+        return mat
 
 
 def conjugacy_classes(group: PermGroup) -> ClassData:

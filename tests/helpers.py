@@ -20,7 +20,6 @@ from charval.chartab import (
     Character,
     CharTable,
     OrthogonalityFailure,
-    _class_matrix,
     _mat_vecs,
     _pmul,
     _psub,
@@ -227,7 +226,7 @@ def index_order_splits(group: PermGroup, cd: ClassData,
     spaces = [([[int(i == j) for j in range(k)] for i in range(k)], list(range(k)))]
     seen = []
     for i in range(1, k):
-        mat = _class_matrix(cd, i)
+        mat = cd.class_matrix(i)
         refined = []
         for basis, piv in spaces:
             if len(basis) == 1:
@@ -370,8 +369,8 @@ def naive_class_data(group: PermGroup) -> dict:
 
 
 def naive_product_rows(classes: ClassData, i: int) -> list[list[int]]:
-    """product_rows(i) counted with mult_index: #{y in C_j : rep_i y in C_t}
-    scaled by |C_i| / |C_t|."""
+    """class_matrix(i) as dense rows, counted with mult_index: #{y in C_j :
+    rep_i y in C_t} scaled by |C_i| / |C_t|."""
     group, k = classes.group, classes.n_classes
     counts = [[0] * k for _ in range(k)]
     for y in range(group.order):
@@ -401,9 +400,17 @@ def class_mult_coeffs(classes: ClassData) -> list[list[list[int]]]:
 
     a[i][j][k] counts pairs (x, y) with x in C_i, y in C_j and xy equal
     to one fixed representative of C_k; the count is independent of the
-    representative.
+    representative.  They are read off the sparse class_matrix(i) rows.
     """
-    return [classes.product_rows(i) for i in range(classes.n_classes)]
+    k = classes.n_classes
+    coeffs = []
+    for i in range(k):
+        rows = [[0] * k for _ in range(k)]
+        for row, mat_row in zip(rows, classes.class_matrix(i)):
+            for t, a in mat_row:
+                row[t] = a
+        coeffs.append(rows)
+    return coeffs
 
 
 def exponent(group: PermGroup) -> int:

@@ -15,7 +15,6 @@ from charval.chartab import (
     EigensplitFailure,
     OrthogonalityFailure,
     TooManyClasses,
-    _class_matrix,
     _distinct_roots,
     _minimal_polynomial,
     _nullspace,
@@ -31,8 +30,10 @@ from charval.chartab import (
 )
 from charval.cyclo import Cyc, power_basis, zeta
 from charval.permcore import (
+    ClassData,
     conjugacy_classes,
     direct_product,
+    parse_group_file,
 )
 from tests import helpers as H
 
@@ -45,6 +46,19 @@ def test_dixon_prime_choices(name, prime):
     _, g, cd, table, _ = catalog.bundle(name)
     assert choose_dixon_prime(g, cd) == prime
     assert table.dixon_prime == prime
+
+
+def test_classes_of_another_group_are_refused():
+    # the same S4 with its generators swapped lists its elements in another
+    # order; taking its classes gave a table that passed the proof but named
+    # the wrong representatives, class 1 of size 3 as (1 3 4)
+    a = parse_group_file("degree 4\n(1 2)\n(1 2 3 4)\n")
+    b = parse_group_file("degree 4\n(1 2 3 4)\n(1 2)\n")
+    for call in (character_table, choose_dixon_prime):
+        with pytest.raises(ValueError, match="^classes belong to another group$"):
+            call(a, conjugacy_classes(b))
+    shown = character_table(a, conjugacy_classes(a)).to_json_dict()["classes"][1]
+    assert shown == {"size": 3, "element_order": 2, "representative": "(1 3)(2 4)"}
 
 
 def test_class_mult_coeffs_identity_and_counting():
@@ -678,25 +692,34 @@ def test_class_matrices_are_built_and_applied_only_where_they_split(
     # and 7 matrices, 174, 79 and 15 splits and 950, 423 and 99 products;
     # the rule alone, in index order, still makes 338 and 67 products on
     # sg_250_14 and sg_147_4
-    ent, g, cd, _, _ = catalog.bundle(name)
-    calls = _count_calls(monkeypatch, "_class_matrix", "_split_subspace",
-                         "_minimal_polynomial")
+    # on a fresh ClassData, whose memo holds no matrix yet
+    ent = catalog.entry(name)
+    g = catalog.build(name)
+    cd = conjugacy_classes(g)
+    calls = _count_calls(monkeypatch, "_split_subspace", "_minimal_polynomial")
     # products counts the vectors the split hands to _mat_vecs; the proof
     # makes its own product with the split's matrices, and builds none
-    vectors = []
+    vectors, applied, memo = [], set(), []
     mat_vecs, self_verify = chartab._mat_vecs, chartab._self_verify
+    class_matrix = ClassData.class_matrix
 
-    def proving(table, matrices):
+    def proving(table):
         monkeypatch.setattr(chartab, "_mat_vecs", mat_vecs)
-        self_verify(table, matrices)
+        monkeypatch.setattr(ClassData, "class_matrix", class_matrix)
+        memo.append(set(cd._matrices))
+        self_verify(table)
+        memo.append(set(cd._matrices))
 
     monkeypatch.setattr(chartab, "_mat_vecs", lambda mat, vecs, p:
                         vectors.append(len(vecs)) or mat_vecs(mat, vecs, p))
+    monkeypatch.setattr(ClassData, "class_matrix",
+                        lambda cd, i: applied.add(i) or class_matrix(cd, i))
     monkeypatch.setattr(chartab, "_self_verify", proving)
     character_table(g, cd, max_classes=ent.table_guard)
-    assert calls == {"_class_matrix": matrices, "_split_subspace": splits,
-                     "_minimal_polynomial": splits}
+    assert calls == {"_split_subspace": splits, "_minimal_polynomial": splits}
     assert sum(vectors) == products
+    assert len(applied) == matrices
+    assert memo == [applied, applied]
 
 
 @pytest.mark.parametrize("name", catalog.names(tier="core"))
@@ -790,8 +813,8 @@ def test_psl2_29_is_proven_without_a_remainder_by_phi_3045(monkeypatch):
     power_basis, self_verify = cyclo.power_basis, chartab._self_verify
     monkeypatch.setattr(cyclo, "power_basis", lambda acc, n: (
         proving and reduced.append(len(acc))) or power_basis(acc, n))
-    monkeypatch.setattr(chartab, "_self_verify", lambda table, matrices: (
-        proving.append(True), self_verify(table, matrices), proving.clear()))
+    monkeypatch.setattr(chartab, "_self_verify", lambda table: (
+        proving.append(True), self_verify(table), proving.clear()))
     table = character_table(g)
     assert g.order == 12180 and table.dixon_prime == 6091
     assert list(table.degrees) == H.psl2_degrees(29)
@@ -800,12 +823,16 @@ def test_psl2_29_is_proven_without_a_remainder_by_phi_3045(monkeypatch):
 
 
 def _applied_classes(monkeypatch, g, cd, guard) -> list[int]:
+    # the classes whose matrices the split reads, in order; the proof,
+    # which reads them again, is left out
     applied = []
-    class_matrix = chartab._class_matrix
-    monkeypatch.setattr(chartab, "_class_matrix",
+    class_matrix, self_verify = ClassData.class_matrix, chartab._self_verify
+    monkeypatch.setattr(ClassData, "class_matrix",
                         lambda cd, i: applied.append(i) or class_matrix(cd, i))
+    monkeypatch.setattr(chartab, "_self_verify", lambda table: None)
     character_table(g, cd, max_classes=guard)
-    monkeypatch.setattr(chartab, "_class_matrix", class_matrix)
+    monkeypatch.setattr(ClassData, "class_matrix", class_matrix)
+    monkeypatch.setattr(chartab, "_self_verify", self_verify)
     return applied
 
 
@@ -815,11 +842,11 @@ def test_a_scalar_class_matrix_is_refused_where_the_rule_says_it_splits(
     ent, g, cd, _, _ = catalog.bundle(name)
     applied = _applied_classes(monkeypatch, g, cd, ent.table_guard)
     assert applied == sorted(applied, key=lambda i: (cd.sizes[i], i))
-    class_matrix = chartab._class_matrix
+    class_matrix = ClassData.class_matrix
     for bad in applied:
         monkeypatch.setattr(
-            chartab, "_class_matrix",
-            lambda cd, i, bad=bad: ([[(j, 3)] for j in range(cd.n_classes)]
+            ClassData, "class_matrix",
+            lambda cd, i, bad=bad: (tuple(((j, 3),) for j in range(cd.n_classes))
                                     if i == bad else class_matrix(cd, i)))
         with pytest.raises(EigensplitFailure) as info:
             character_table(g, cd, max_classes=ent.table_guard)
@@ -922,18 +949,19 @@ def test_a_failing_pattern_is_met_where_the_full_lift_meets_it(monkeypatch):
 def test_self_verify_applies_one_class_algebra_element(monkeypatch):
     # the proof combines a few classes into one element M and applies M
     # once, to every row, mod a power of the Dixon prime; here it combines
-    # as many classes as the split applies, and given the split's
-    # matrices it builds none
-    # (test_class_matrices_are_built_and_applied_only_where_they_split)
+    # as many classes as the split applies, and after the split it builds
+    # none (test_class_matrices_are_built_and_applied_only_where_they_split);
+    # alone, on a fresh ClassData, it builds the matrices it combines
     for name, combined in (("sg_250_14", 7), ("sg_81_3", 4), ("sg_147_4", 5)):
-        _, g, cd, table, _ = catalog.bundle(name)
-        calls = _count_calls(monkeypatch, "_class_matrix")
+        _, g, _, table, _ = catalog.bundle(name)
+        cd = conjugacy_classes(g)
+        fresh = CharTable(g, cd, table.rows, table.dixon_prime)
         products = []
         mat_vecs = chartab._mat_vecs
         monkeypatch.setattr(chartab, "_mat_vecs", lambda mat, vecs, p:
                             products.append((len(vecs), p)) or mat_vecs(mat, vecs, p))
-        _self_verify(table)
-        assert calls["_class_matrix"] == combined, name
+        _self_verify(fresh)
+        assert len(cd._matrices) == combined, name
         [(vectors, modulus)] = products
         assert vectors == cd.n_classes
         assert modulus > table.dixon_prime
@@ -999,7 +1027,6 @@ def test_self_verify_rejects_every_swap_of_one_size_and_order(name):
     # such swaps over the core entries
     _, g, cd, table, _ = catalog.bundle(name)
     k = cd.n_classes
-    matrices = {i: _class_matrix(cd, i) for i in range(1, k)}
     rows = {r.values for r in table.rows}
     for i, j in itertools.combinations(range(1, k), 2):
         if (cd.sizes[i], cd.element_orders[i]) != (cd.sizes[j], cd.element_orders[j]):
@@ -1008,4 +1035,4 @@ def test_self_verify_rejects_every_swap_of_one_size_and_order(name):
         if {r.values for r in bad.rows} == rows:
             continue
         with pytest.raises(OrthogonalityFailure):
-            _self_verify(bad, matrices)
+            _self_verify(bad)

@@ -411,6 +411,13 @@ def test_verify_claim_filter_json(capsys):
     assert rows[0]["status"] == "pass"
 
 
+def test_verify_all_is_the_default(capsys):
+    # --all names the default run, core tier plus corpus scans; it adds
+    # no entry
+    assert run_ok(capsys, ["verify", "--all", "--json"]) == \
+        run_ok(capsys, ["verify", "--json"])
+
+
 def test_verify_json_deterministic(capsys):
     argv = ["verify", "--group", "sym_4", "--json"]
     first = run_ok(capsys, argv)

@@ -11,6 +11,7 @@ from charval.chartab import character_table
 from charval.cyclo import is_p_power
 from charval.permcore import (
     MAX_DEGREE,
+    InvariantViolation,
     NotNormal,
     OrderBoundExceeded,
     ParseError,
@@ -280,7 +281,10 @@ def _assert_matches_element_level_oracle(g: PermGroup, cd) -> None:
     assert {key: getattr(cd, key) for key in oracle} == oracle
     assert [g.inverse_index(x) for x in range(g.order)] == H.naive_inverses(g)
     for i in range(cd.n_classes):
-        assert cd.product_rows(i) == H.naive_product_rows(cd, i), i
+        mat = cd.class_matrix(i)
+        assert mat == tuple(tuple((t, a) for t, a in enumerate(row) if a)
+                            for row in H.naive_product_rows(cd, i)), i
+        assert cd.class_matrix(i) is mat, i
 
 
 @pytest.mark.parametrize("name", catalog.names())
@@ -342,9 +346,21 @@ def test_classes_and_products_make_no_element_products(monkeypatch):
                         counting("mult_index", PermGroup.mult_index))
     monkeypatch.setattr(Permutation, "__mul__", counting("mul", Permutation.__mul__))
     cd = conjugacy_classes(g)
-    rows = [cd.product_rows(i) for i in range(cd.n_classes)]
-    assert (cd.n_classes, len(rows)) == (15, 15)
+    mats = [cd.class_matrix(i) for i in range(cd.n_classes)]
+    assert (cd.n_classes, len(mats)) == (15, 15)
     assert calls == {"mult_index": 0, "mul": 0}
+
+
+@pytest.mark.parametrize("i", [0, 1, 2, 4])
+def test_class_matrix_refuses_a_count_its_class_size_does_not_divide(i):
+    # on sym_4 (class sizes 1, 3, 6, 8, 6) every column of every class
+    # matrix has a nonzero count, and a count times |C_i| is at most 8 * 8,
+    # so class 3 given size 997 divides none of them
+    cd = conjugacy_classes(catalog.build("sym_4"))
+    cd.sizes = cd.sizes[:3] + (997,) + cd.sizes[4:]
+    with pytest.raises(InvariantViolation, match="not divisible by class size 997$"):
+        cd.class_matrix(i)
+    assert cd._matrices == {}
 
 
 def test_power_class_multiplies_once_per_new_power(monkeypatch):

@@ -142,6 +142,21 @@ def test_only_cyclo_reads_the_cyclotomic_polynomial():
     assert not found, found
 
 
+def test_only_permcore_multiplies_by_a_class_representative():
+    """One builder of class products: ClassData.class_matrix reads them
+    off PermGroup.left_mult and keeps them, and the split and the proof
+    both call it.  No other module reaches left_mult, so none can count
+    its own copy of a class matrix."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "permcore":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "left_mult":
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 def test_chartab_reaches_no_remainder_by_phi_n():
     """The table proof decides its relations mod a power of the Dixon
     prime, at one root of unity, so chartab neither imports nor calls
