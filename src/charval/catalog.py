@@ -45,7 +45,6 @@ class CatalogEntry(NamedTuple):
     source: str
     tier: str = "core"  # core | large | optional
     builder: Callable[[], PermGroup] = None
-    table_guard: int = 60       # guard for table construction
     expected: Mapping = MappingProxyType({})  # shared, so read-only
 
 
@@ -362,7 +361,6 @@ def _register_all() -> None:
                       tier="optional",
                       builder=partial(_vector_group, 5, 3,
                                       _shifts(3) + [_scale(-1)], 250),
-                      table_guard=70,
                       expected={"four_value_nonlinear": True, "cd": (1, 2),
                                 "deg2_rows": 62,
                                 "exists_normal_with_frobenius_cyclic_quotient": True}))
@@ -429,7 +427,7 @@ def _bundle_cached(resolved: str, seed: int) -> tuple[
     ent = _REGISTRY[resolved]
     g = build(resolved)
     cd = conjugacy_classes(g)
-    table = character_table(g, cd, seed=seed, max_classes=ent.table_guard)
+    table = character_table(g, cd, seed=seed)
     rep = report(table)
     return ent, g, cd, table, rep
 

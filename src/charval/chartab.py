@@ -23,7 +23,8 @@ the restriction of M_i: as every omega is 1 at class 0, e_0 sees every
 eigenvalue, and that polynomial has one linear factor per eigenspace,
 where the characteristic polynomial has one per dimension.  A
 quadratic is solved in closed form, by a square root mod p; a
-polynomial of higher degree is split at random.  Central characters,
+polynomial of higher degree is split at random.  Each eigenspace is
+read off one row reduction (_split_subspace).  Central characters,
 degrees, and values are computed mod p, then the values of each row
 are lifted exactly to cyclotomic integers through root-of-unity
 multiplicities.  The lift also gives each row's kernel and centre: at
@@ -366,23 +367,6 @@ def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     return m[:len(pivots)], pivots
 
 
-def _nullspace(mat: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of the right nullspace, deterministic (free vars ascending)."""
-    reduced, pivots = _rref(mat, p)
-    n = len(mat[0])
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        v = [0] * n
-        v[free] = 1
-        for row, c in zip(reduced, pivots):
-            v[c] = (-row[free]) % p
-        basis.append(v)
-    return basis
-
-
 def _split_subspace(space: tuple[list[list[int]], list[int]],
                     mat: list[list[tuple[int, int]]], p: int,
                     rng: random.Random) -> list[tuple[list[list[int]], list[int]]]:
@@ -407,6 +391,16 @@ def _split_subspace(space: tuple[list[list[int]], list[int]],
     eigenspace.  A polynomial that misses an eigenvalue leaves the
     eigenspaces short of the dimension, which is refused as not
     semisimple.
+
+    Each eigenspace takes one _rref, of R - lam I with its columns in
+    reverse order, so a reduced row with pivot at coordinate t is 0 after
+    t.  The null vector of a free coordinate f, 1 at f and 0 at the other
+    free ones, is then nonzero only at f and at bound coordinates after
+    f: these vectors N are in reduced echelon form, so independent.  So
+    is N B for the echelon basis B: its row for f is 0 before pivots[f]
+    and 1 there, and at each other pivots[f'] it reads N's 0 at f'.
+    Reduced echelon form is unique, so the pieces are what _rref of them
+    would return.
     """
     basis, piv = space
     d = len(basis)
@@ -418,23 +412,25 @@ def _split_subspace(space: tuple[list[list[int]], list[int]],
         if _combine(coef, basis, p) != w:
             raise EigensplitFailure("subspace not invariant under class matrix", p)
         coords.append(coef)
-    # restriction matrix R[s][t] = coefficient of basis[s] in image of basis[t]
-    rmat = [[coords[t][s] for t in range(d)] for s in range(d)]
     roots = _distinct_roots(_minimal_polynomial(coords, p), p, rng)
     pieces = []
-    total = 0
     for lam in roots:
-        shifted = [[(rmat[i][j] - (lam if i == j else 0)) % p for j in range(d)]
-                   for i in range(d)]
-        null = _nullspace(shifted, p)
-        if not null:
+        # R - lam I, R[s][t] = coords[t][s], with coordinate t in column d - 1 - t
+        reduced, rpiv = _rref([[(coords[t][s] - (lam if s == t else 0)) % p
+                                for t in reversed(range(d))] for s in range(d)], p)
+        bound = {d - 1 - c: row for row, c in zip(reduced, rpiv)}
+        free = [f for f in range(d) if f not in bound]
+        if not free:
             raise EigensplitFailure("eigenvalue without eigenvector", p)
-        piece = _rref([_combine(cvec, basis, p) for cvec in null], p)
-        if len(piece[1]) != len(null):
-            raise EigensplitFailure("subspace basis is dependent", p)
-        pieces.append(piece)
-        total += len(null)
-    if total != d:
+        vecs = []
+        for f in free:
+            v = [0] * d
+            v[f] = 1
+            for t, row in bound.items():
+                v[t] = -row[d - 1 - f] % p
+            vecs.append(_combine(v, basis, p))
+        pieces.append((vecs, [piv[f] for f in free]))
+    if sum(len(pivots) for _, pivots in pieces) != d:
         raise EigensplitFailure("restriction is not semisimple", p)
     return pieces
 
@@ -509,7 +505,7 @@ class CharTable:
 
 
 def character_table(group: PermGroup, classes: ClassData | None = None,
-                    seed: int = 0, max_classes: int = 60) -> CharTable:
+                    seed: int = 0, max_classes: int = 130) -> CharTable:
     """Compute the full irreducible character table, exactly.
 
     Args:

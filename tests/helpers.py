@@ -681,7 +681,7 @@ def quotient_value_failures(name: str) -> list[str]:
     bad = []
     for nsub in proper_normals(name):
         q = quotient_group(g, nsub)
-        qt = character_table(q, max_classes=ent.table_guard)
+        qt = character_table(q)
         q_cv: set[Cyc] = set()
         q_ncv: set[Cyc] = set()
         for row in qt.rows:

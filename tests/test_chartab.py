@@ -17,12 +17,12 @@ from charval.chartab import (
     TooManyClasses,
     _distinct_roots,
     _minimal_polynomial,
-    _nullspace,
     _pdivmod,
     _pmul,
     _rref,
     _self_verify,
     _split_linear,
+    _split_subspace,
     _unit_generators,
     character_table,
     choose_dixon_prime,
@@ -166,9 +166,8 @@ def test_codegree_examples():
 
 def test_table_is_seed_independent():
     for name in ("sym_4", "sg_27_3"):
-        ent, g, cd, t0, _ = catalog.bundle(name, seed=0)
-        t1 = character_table(catalog.build(name), seed=987,
-                             max_classes=ent.table_guard)
+        t0 = catalog.bundle(name, seed=0)[3]
+        t1 = character_table(catalog.build(name), seed=987)
         assert json.dumps(t0.to_json_dict()) == json.dumps(t1.to_json_dict())
 
 
@@ -455,11 +454,7 @@ def test_rref_and_nullspace_agree_with_brute_force(seed):
     assert _span(reduced, p, n) == _span(mat, p, n)
     kernel = {v for v in itertools.product(range(p), repeat=n)
               if all(sum(a * x for a, x in zip(row, v)) % p == 0 for row in mat)}
-    basis = _nullspace(mat, p)
-    assert len(basis) == n - rank
-    assert all(tuple(v) in kernel for v in basis)
     assert len(kernel) == p ** (n - rank)
-    assert len(_span(basis, p, n)) == len(kernel)
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -614,10 +609,10 @@ def test_rows_are_closed_under_galois_conjugation(name):
 def test_lifting_every_row_gives_the_same_table(monkeypatch, name):
     # every row lifted at every class, without the table's dict of lifted
     # residue patterns, gives the same values, kernels and centres
-    ent, g, cd, table, _ = catalog.bundle(name)
+    _, g, cd, table, _ = catalog.bundle(name)
     lift_row = chartab._lift_row
     monkeypatch.setattr(chartab, "_lift_row", lambda *args: lift_row(*args[:-1], {}))
-    lifted = character_table(g, cd, max_classes=ent.table_guard)
+    lifted = character_table(g, cd)
     assert json.dumps(lifted.to_json_dict()) == json.dumps(table.to_json_dict())
     assert [(r.kernel, r.center_z) for r in lifted.rows] == \
         [(r.kernel, r.center_z) for r in table.rows]
@@ -665,9 +660,9 @@ def _count_calls(monkeypatch, *names: str) -> dict[str, int]:
 ])
 def test_lifts_once_per_row_and_splits_only_when_not_scalar(
         monkeypatch, name, lifts, max_polys):
-    ent, g, cd, _, _ = catalog.bundle(name)
+    _, g, cd, _, _ = catalog.bundle(name)
     calls = _count_calls(monkeypatch, "_lift_row", "_minimal_polynomial")
-    character_table(g, cd, max_classes=ent.table_guard)
+    character_table(g, cd)
     assert calls["_lift_row"] == lifts
     assert 0 < calls["_minimal_polynomial"] <= max_polys
 
@@ -677,26 +672,28 @@ def test_echelon_rule_agrees_with_the_full_application(name):
     # replayed in index order, so the rule meets spaces that the build's
     # size order never makes; each application splits exactly where the
     # echelon basis has a nonzero entry at the class's column after row 0
-    ent, g, cd, _, _ = catalog.bundle(name)
+    _, g, cd, _, _ = catalog.bundle(name)
     for seed in (0, 1):
         for i, rule, scalar, pieces in H.index_order_splits(g, cd, seed):
             assert rule == (not scalar) == (pieces > 1), (name, seed, i)
 
 
-@pytest.mark.parametrize("name,matrices,splits,products", [
-    ("sg_250_14", 7, 46, 282), ("sg_81_3", 4, 16, 120), ("sg_147_4", 5, 11, 57),
+@pytest.mark.parametrize("name,matrices,splits,products,reductions", [
+    ("sg_250_14", 7, 46, 282, 109), ("sg_81_3", 4, 16, 120, 48),
+    ("sg_147_4", 5, 11, 57, 29),
 ])
 def test_class_matrices_are_built_and_applied_only_where_they_split(
-        monkeypatch, name, matrices, splits, products):
+        monkeypatch, name, matrices, splits, products, reductions):
     # every class matrix in index order on every pending space made 19, 15
     # and 7 matrices, 174, 79 and 15 splits and 950, 423 and 99 products;
     # the rule alone, in index order, still makes 338 and 67 products on
     # sg_250_14 and sg_147_4
     # on a fresh ClassData, whose memo holds no matrix yet
-    ent = catalog.entry(name)
     g = catalog.build(name)
     cd = conjugacy_classes(g)
-    calls = _count_calls(monkeypatch, "_split_subspace", "_minimal_polynomial")
+    # one _rref per eigenspace; reducing each piece again in F_p^k would
+    # make 218, 96 and 58
+    calls = _count_calls(monkeypatch, "_split_subspace", "_minimal_polynomial", "_rref")
     # products counts the vectors the split hands to _mat_vecs; the proof
     # makes its own product with the split's matrices, and builds none
     vectors, applied, memo = [], set(), []
@@ -715,8 +712,9 @@ def test_class_matrices_are_built_and_applied_only_where_they_split(
     monkeypatch.setattr(ClassData, "class_matrix",
                         lambda cd, i: applied.add(i) or class_matrix(cd, i))
     monkeypatch.setattr(chartab, "_self_verify", proving)
-    character_table(g, cd, max_classes=ent.table_guard)
-    assert calls == {"_split_subspace": splits, "_minimal_polynomial": splits}
+    character_table(g, cd)
+    assert calls == {"_split_subspace": splits, "_minimal_polynomial": splits,
+                     "_rref": reductions}
     assert sum(vectors) == products
     assert len(applied) == matrices
     assert memo == [applied, applied]
@@ -727,7 +725,7 @@ def test_minimal_polynomial_is_the_product_over_the_charpoly_roots(
         monkeypatch, name):
     # on every split of the build, e_0's minimal polynomial has one linear
     # factor per distinct root of the Hessenberg characteristic polynomial
-    ent, g, cd, _, _ = catalog.bundle(name)
+    _, g, cd, _, _ = catalog.bundle(name)
     p = choose_dixon_prime(g, cd)
     seen = []
     minimal_polynomial = chartab._minimal_polynomial
@@ -735,7 +733,7 @@ def test_minimal_polynomial_is_the_product_over_the_charpoly_roots(
                         lambda coords, p: seen.append(coords)
                         or minimal_polynomial(coords, p))
     for seed in (0, 1):
-        character_table(g, cd, seed=seed, max_classes=ent.table_guard)
+        character_table(g, cd, seed=seed)
     assert seen or cd.n_classes == 1
     rng = random.Random(0)
     for coords in seen:
@@ -752,14 +750,15 @@ def _random_invertible(rng: random.Random, d: int, p: int, first_row: list[int])
 
 
 def _diagonalised(rng: random.Random, lams: list[int], p: int, first_row: list[int]):
-    # the coordinates (transposed rows) of R = S D S^-1, S's first row given
+    # R = S D S^-1, S's first row given: R, its coordinates (transposed
+    # rows) and S, whose column j is an eigenvector at lams[j]
     d = len(lams)
     s = _random_invertible(rng, d, p, first_row)
     s_inv = [row[d:] for row in _rref([row + [int(i == j) for j in range(d)]
                                       for i, row in enumerate(s)], p)[0]]
     rmat = [[sum(s[i][j] * lams[j] * s_inv[j][t] for j in range(d)) % p
              for t in range(d)] for i in range(d)]
-    return rmat, [list(col) for col in zip(*rmat)]
+    return rmat, [list(col) for col in zip(*rmat)], s
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -771,7 +770,7 @@ def test_minimal_polynomial_of_a_cyclic_e0_is_the_charpoly(seed):
     p = rng.choice([7, 13, 31, 331, 3673])
     d = rng.randint(1, min(p, 8))
     lams = rng.sample(range(p), d)
-    rmat, coords = _diagonalised(rng, lams, p, [1] * d)
+    rmat, coords, _ = _diagonalised(rng, lams, p, [1] * d)
     expected = H.linear_product(lams, p)
     assert H.charpoly(rmat, p) == expected
     assert _minimal_polynomial(coords, p) == expected
@@ -779,10 +778,51 @@ def test_minimal_polynomial_of_a_cyclic_e0_is_the_charpoly(seed):
         # a zero in e_0 S hides that eigenvalue from e_0, and the split
         # then finds too few eigenspaces
         hidden = rng.randrange(d)
-        rmat, coords = _diagonalised(
+        rmat, coords, _ = _diagonalised(
             rng, lams, p, [int(j != hidden) for j in range(d)])
         assert _minimal_polynomial(coords, p) == \
             H.linear_product(lams[:hidden] + lams[hidden + 1:], p)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_split_returns_each_eigenspace_in_echelon_form(seed):
+    # R = S D S^-1 with repeated eigenvalues and S's first row all ones, as
+    # for central characters; split on the whole space, the piece at each
+    # eigenvalue, ascending, is _rref of S's columns at that eigenvalue
+    rng = random.Random(seed)
+    p = rng.choice([7, 13, 31, 331])
+    d = rng.randint(2, 8)
+    distinct = rng.sample(range(p), rng.randint(1, min(p, d - 1)))
+    lams = distinct + [rng.choice(distinct) for _ in range(d - len(distinct))]
+    rng.shuffle(lams)
+    rmat, _, s = _diagonalised(rng, lams, p, [1] * d)
+    mat = [[(t, x) for t, x in enumerate(row) if x] for row in rmat]
+    identity = [[int(i == j) for j in range(d)] for i in range(d)]
+    pieces = _split_subspace((identity, list(range(d))), mat, p, rng)
+    assert pieces == [_rref([[row[j] for row in s] for j in range(d) if lams[j] == lam], p)
+                      for lam in sorted(distinct)]
+
+
+def test_split_refuses_a_subspace_that_is_not_invariant():
+    # class 1 of sym_3 holds the transpositions, and C_1 C_1 = 3 C_0 + 3 C_2,
+    # so the span of e_0 and e_1 is not invariant under its matrix
+    _, g, cd, _, _ = catalog.bundle("sym_3")
+    p = choose_dixon_prime(g, cd)
+    space = ([[1, 0, 0], [0, 1, 0]], [0, 1])
+    with pytest.raises(EigensplitFailure) as info:
+        _split_subspace(space, cd.class_matrix(1), p, random.Random(0))
+    assert (p, info.value.message) == (7, "subspace not invariant under class matrix")
+
+
+def test_split_refuses_an_eigenvalue_without_eigenvector(monkeypatch):
+    # sym_3 splits first by class 2, the 3-cycles, whose eigenvalues 2 and
+    # -1 miss 0, so R - 0 I has full rank
+    distinct_roots = chartab._distinct_roots
+    monkeypatch.setattr(chartab, "_distinct_roots", lambda f, p, rng:
+                        sorted(set(distinct_roots(f, p, rng)) | {0}))
+    with pytest.raises(EigensplitFailure, match=r"^eigenvalue without eigenvector "
+                       r"\(prime=7, seed=5, indices=\(2,\)\)$"):
+        character_table(catalog.build("sym_3"), seed=5)
 
 
 @pytest.mark.parametrize("q,prime", [
@@ -822,7 +862,7 @@ def test_psl2_29_is_proven_without_a_remainder_by_phi_3045(monkeypatch):
     assert reduced and 3045 not in reduced
 
 
-def _applied_classes(monkeypatch, g, cd, guard) -> list[int]:
+def _applied_classes(monkeypatch, g, cd) -> list[int]:
     # the classes whose matrices the split reads, in order; the proof,
     # which reads them again, is left out
     applied = []
@@ -830,7 +870,7 @@ def _applied_classes(monkeypatch, g, cd, guard) -> list[int]:
     monkeypatch.setattr(ClassData, "class_matrix",
                         lambda cd, i: applied.append(i) or class_matrix(cd, i))
     monkeypatch.setattr(chartab, "_self_verify", lambda table: None)
-    character_table(g, cd, max_classes=guard)
+    character_table(g, cd)
     monkeypatch.setattr(ClassData, "class_matrix", class_matrix)
     monkeypatch.setattr(chartab, "_self_verify", self_verify)
     return applied
@@ -839,8 +879,8 @@ def _applied_classes(monkeypatch, g, cd, guard) -> list[int]:
 @pytest.mark.parametrize("name", ["sym_3", "sg_81_3"])
 def test_a_scalar_class_matrix_is_refused_where_the_rule_says_it_splits(
         monkeypatch, name):
-    ent, g, cd, _, _ = catalog.bundle(name)
-    applied = _applied_classes(monkeypatch, g, cd, ent.table_guard)
+    _, g, cd, _, _ = catalog.bundle(name)
+    applied = _applied_classes(monkeypatch, g, cd)
     assert applied == sorted(applied, key=lambda i: (cd.sizes[i], i))
     class_matrix = ClassData.class_matrix
     for bad in applied:
@@ -849,7 +889,7 @@ def test_a_scalar_class_matrix_is_refused_where_the_rule_says_it_splits(
             lambda cd, i, bad=bad: (tuple(((j, 3),) for j in range(cd.n_classes))
                                     if i == bad else class_matrix(cd, i)))
         with pytest.raises(EigensplitFailure) as info:
-            character_table(g, cd, max_classes=ent.table_guard)
+            character_table(g, cd)
         assert info.value.message == "class matrix left whole a subspace it splits"
         assert info.value.indices == (bad,)
 
@@ -857,8 +897,8 @@ def test_a_scalar_class_matrix_is_refused_where_the_rule_says_it_splits(
 def test_a_pending_subspace_without_pivot_0_is_refused(monkeypatch):
     # without its first basis row, a split piece of dimension 3 or more
     # leaves a pending space whose echelon basis has no pivot at column 0
-    ent, g, cd, _, _ = catalog.bundle("sg_250_14")
-    first = _applied_classes(monkeypatch, g, cd, ent.table_guard)[0]
+    _, g, cd, _, _ = catalog.bundle("sg_250_14")
+    first = _applied_classes(monkeypatch, g, cd)[0]
     split_subspace = chartab._split_subspace
 
     def dropped(space, mat, p, rng):
@@ -867,7 +907,7 @@ def test_a_pending_subspace_without_pivot_0_is_refused(monkeypatch):
 
     monkeypatch.setattr(chartab, "_split_subspace", dropped)
     with pytest.raises(EigensplitFailure) as info:
-        character_table(g, cd, max_classes=ent.table_guard)
+        character_table(g, cd)
     assert info.value.message == "pending subspace has no pivot at the identity class"
     assert info.value.indices == (first,)
 
@@ -896,9 +936,9 @@ def test_to_json_dict_formats_each_distinct_value_once(monkeypatch):
 def test_lifts_each_pattern_of_residues_once_per_table(monkeypatch, name, patterns):
     # lifting every (row, class) takes one call each, 4096, 1089 and 361;
     # the table's dict leaves one per distinct pattern
-    ent, g, cd, _, _ = catalog.bundle(name)
+    _, g, cd, _, _ = catalog.bundle(name)
     calls = _count_calls(monkeypatch, "_multiplicities")
-    character_table(g, cd, max_classes=ent.table_guard)
+    character_table(g, cd)
     assert calls["_multiplicities"] == patterns
 
 
@@ -906,7 +946,7 @@ def test_a_failing_pattern_is_met_where_the_full_lift_meets_it(monkeypatch):
     # corrupt one pattern of residues that sg_250_14 meets at many classes
     # of several rows, first after other rows were lifted: the build stops
     # at its first (row, class), as a lift without the table's dict would
-    ent, g, cd, _, _ = catalog.bundle("sg_250_14")
+    _, g, cd, _, _ = catalog.bundle("sg_250_14")
     lift_row, multiplicities = chartab._lift_row, chartab._multiplicities
     met: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     lifts = 0
@@ -919,7 +959,7 @@ def test_a_failing_pattern_is_met_where_the_full_lift_meets_it(monkeypatch):
         return lift_row(theta, *args)
 
     monkeypatch.setattr(chartab, "_lift_row", recording)
-    character_table(g, cd, max_classes=ent.table_guard)
+    character_table(g, cd)
     bad, where = next((key, where) for key, where in met.items()
                       if where[0][0] > 0 and len({n for n, _ in where}) > 1
                       and len({i for _, i in where}) > 1)
@@ -936,11 +976,11 @@ def test_a_failing_pattern_is_met_where_the_full_lift_meets_it(monkeypatch):
     monkeypatch.setattr(chartab, "_multiplicities", bumped)
     monkeypatch.setattr(chartab, "_lift_row", lift_row)
     with pytest.raises(EigensplitFailure) as cached:
-        character_table(g, cd, max_classes=ent.table_guard)
+        character_table(g, cd)
     assert corrupted == 1
     monkeypatch.setattr(chartab, "_lift_row", lambda *args: lift_row(*args[:-1], {}))
     with pytest.raises(EigensplitFailure) as full:
-        character_table(g, cd, max_classes=ent.table_guard)
+        character_table(g, cd)
     assert str(cached.value) == str(full.value)
     assert cached.value.indices[1] == where[0][1]
     assert cached.value.message.startswith(f"multiplicities at class {where[0][1]} sum")

@@ -546,13 +546,25 @@ def test_missing_group_file(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def _transpositions_file(tmp_path, n: int):
+    # C2^n: n disjoint transpositions, 2^n classes
+    path = tmp_path / f"c2_{n}.txt"
+    path.write_text(f"degree {2 * n}\n" + "".join(
+        f"({2 * i + 1} {2 * i + 2})\n" for i in range(n)))
+    return path
+
+
+def test_group_file_table_past_60_classes(capsys, tmp_path):
+    d = json.loads(run_ok(capsys, ["table", "--group",
+                                   str(_transpositions_file(tmp_path, 6)), "--json"]))
+    assert len(d["classes"]) == 64
+    assert [r["degree"] for r in d["rows"]] == [1] * 64
+
+
 def test_group_file_past_the_class_guard(capsys, tmp_path):
-    # C2^6: six disjoint transpositions, 64 classes against a guard of 60
-    path = tmp_path / "c2_6.txt"
-    path.write_text("degree 12\n" + "".join(
-        f"({2 * i + 1} {2 * i + 2})\n" for i in range(6)))
-    err = run_err(capsys, ["table", "--group", str(path)])
-    assert err.startswith("error:") and len(err.splitlines()) == 1
+    # C2^8: 256 classes against a guard of 130
+    err = run_err(capsys, ["table", "--group", str(_transpositions_file(tmp_path, 8))])
+    assert err == "error: 256 classes exceeds guard 130\n"
 
 
 def test_group_file_invariants_past_25_classes(capsys, tmp_path):
