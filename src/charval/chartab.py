@@ -5,10 +5,20 @@ eigenvectors of the class-multiplication matrices over F_p, where p = 1
 (mod exponent) and p > 2*sqrt(|G|).  A class matrix is the sparse rows
 of (column, count) pairs that ClassData.class_matrix builds once.  The
 pending subspaces are kept in reduced echelon form from the moment they
-are made, starting from the identity.  A pending subspace is the span
-of the central characters omega mod p that it holds: these form a basis
-of F_p^k on which every class matrix M_i is diagonal, as p does not
-divide |G| and p = 1 (mod exponent).  Each omega is 1 at class 0, and
+are made.  A pending subspace is the span of the central characters
+omega mod p that it holds: these form a basis of F_p^k on which every
+class matrix M_i is diagonal, as p does not divide |G| and p = 1 (mod
+exponent).  The split starts from the linear characters, each one line,
+and one space W.  The linear characters are those of G/G', read off the
+cosets of G' (ClassData.derived_cosets, _linear_characters), and their
+omega is |C_i| lambda(g_i).  W = {v : sum of v[i] over the classes i
+of X is 0, for every coset X of G'} holds the omega of every non-linear
+chi, since the sum of chi over a coset of G' is 0: it is |G| / |G : G'|
+times sum_lambda conj(lambda(x)) <chi, conj(lambda)>.  W has dimension
+k - |G : G'|, the number of non-linear chi, so they span it.  Its
+reduced echelon basis needs no reduction: for each coset X = {i_1 <
+... < i_m} the rows e_(i_j) - e_(i_m), j < m, sorted by pivot, with
+pivot 0 first when G' > 1.  Each omega is 1 at class 0, and
 (M_i v)[0] = v[i] because C_i C_0 = C_i, so the eigenvalue of M_i on
 omega is omega[i].  Hence the echelon basis of a pending subspace has
 pivot 0 first, and M_i is scalar on it exactly when the basis rows
@@ -60,14 +70,18 @@ class EigensplitFailure(RuntimeError):
     """Common-eigenspace refinement or the lift broke an internal invariant.
 
     prime is the Dixon prime and seed the splitting seed, so the failure
-    can be reproduced.  indices is (i,) for the class whose matrix failed
-    on a pending subspace: a check of _split_subspace failed, the split
-    left whole a subspace that its echelon basis says the matrix splits,
-    or a piece of dimension above 1 has no pivot at class 0.  It is
-    (row,) for a row without a degree, and (row, class) for a failed
-    lift; rows are numbered in eigenspace order, which follows the class
-    sizes, before the table is sorted.  The helpers raise with what they
-    know and character_table adds the rest.
+    can be reproduced.  indices is () when the cosets of G' are no
+    group's (_linear_characters): they differ in size, a generator has
+    no power a^n with n <= |G : G'| in the subgroup reached, or the
+    characters cannot be extended over it; and when the class matrices
+    leave a subspace unsplit.  It is (i,) for the class whose matrix
+    failed on a pending subspace: a check of _split_subspace failed, the
+    split left whole a subspace that its echelon basis says the matrix
+    splits, or a piece of dimension above 1 has no pivot at class 0.  It
+    is (row,) for a row without a degree, and (row, class) for a failed
+    lift; rows are numbered linear rows first, then in eigenspace order,
+    which follows the class sizes, before the table is sorted.  The
+    helpers raise with what they know and character_table adds the rest.
     """
 
     def __init__(self, message: str, prime: int | None = None,
@@ -515,11 +529,18 @@ def character_table(group: PermGroup, classes: ClassData | None = None,
         yields the same table, only the internal search path differs.
       max_classes: guard on the class count.
 
+    The linear rows are read off G/G' and numbered first; the
+    non-linear ones come from splitting W, the vectors whose sums over
+    the cosets of G' vanish, which their central characters span (see
+    the module docstring).  Every row is lifted and the table proven.
+
     Raises:
       ValueError: classes belong to another group object.
       TooManyClasses: class count exceeds the guard.
       EigensplitFailure, OrthogonalityFailure: internal invariant broken
-        (never expected on a correct build).
+        (never expected on a correct build), among them cosets of G' that
+        are no group's: of unequal sizes, or with a generator whose walk
+        to a power in the subgroup reached passes |G : G'| steps.
     """
     cd = classes if classes is not None else conjugacy_classes(group)
     k = cd.n_classes
@@ -531,7 +552,22 @@ def character_table(group: PermGroup, classes: ClassData | None = None,
     def failure(message: str, *indices: int) -> EigensplitFailure:
         return EigensplitFailure(message, p, seed, indices)
 
-    spaces = [([[int(i == j) for j in range(k)] for i in range(k)], list(range(k)))]
+    e = math.lcm(*cd.element_orders)
+    w = pow(_primitive_root(p), (p - 1) // e, p)
+    w_pow = [pow(w, x, p) for x in range(e)]
+    try:
+        coset_of, linear = _linear_characters(cd, e)
+    except EigensplitFailure as exc:
+        raise failure(exc.message) from exc
+    # each linear central character is a line; W, the vectors whose sum
+    # over every coset of G' is 0, holds the rest (see the module docstring)
+    spaces = [([[size * w_pow[lam[x]] % p for size, x in zip(cd.sizes, coset_of)]], [0])
+              for lam in linear]
+    last = {x: i for i, x in enumerate(coset_of)}
+    pivots = [i for i, x in enumerate(coset_of) if last[x] != i]
+    if pivots:
+        spaces.append(([[1 if t == i else p - 1 if t == last[coset_of[i]] else 0
+                         for t in range(k)] for i in pivots], pivots))
     for i in sorted(range(1, k), key=lambda i: (cd.sizes[i], i)):
         if all(len(basis) == 1 for basis, _ in spaces):
             break
@@ -561,8 +597,6 @@ def character_table(group: PermGroup, classes: ClassData | None = None,
 
     order = group.order
     inv_sizes = [pow(sz, p - 2, p) for sz in cd.sizes]
-    e = math.lcm(*cd.element_orders)
-    w = pow(_primitive_root(p), (p - 1) // e, p)
     w_inv = pow(w, p - 2, p)
 
     powers = [cd.powers(i) for i in range(k)]
@@ -602,6 +636,73 @@ def character_table(group: PermGroup, classes: ClassData | None = None,
     table = CharTable(group, cd, tuple(rows), p)
     _self_verify(table)
     return table
+
+
+def _linear_characters(cd: ClassData, e: int) -> tuple[tuple[int, ...], list[list[int]]]:
+    """(coset_of, chars): the class-to-coset map of ClassData.derived_cosets
+    and each character lambda of A = G/G', as the exponents x mod e with
+    lambda = zeta_e^x, one per coset.
+
+    The characters are extended over the images a_s of the generators.
+    A character lambda of a subgroup S extends to S<a_s> as follows: with
+    n least such that a_s^n lies in S, the cosets a_s^t S for t < n are
+    distinct and cover S<a_s>, and mu(a_s^t y) = t m + lambda(y) for each
+    of the n solutions m of n m = lambda(a_s^n) (mod e).  There are n, as
+    n divides the order o of a_s, which divides e, and lambda(a_s^n),
+    whose order divides o / n, is a multiple of n e / o.
+
+    Products that are no group's must fail, not loop: every coset must
+    have one size, the walk to a_s^n stops after |A| steps, and the
+    extensions must be defined and reach every coset; each check raises
+    EigensplitFailure.
+    """
+    coset_of, moves = cd.derived_cosets()
+    n_cosets = max(coset_of) + 1
+    sizes = [0] * n_cosets
+    for x, size in zip(coset_of, cd.sizes):
+        sizes[x] += size
+    if len(set(sizes)) > 1:
+        raise EigensplitFailure(f"cosets of G' have sizes {sorted(set(sizes))}")
+    # members: the cosets of S, in the order reached; chars: each
+    # character of S, as its exponents at members
+    members, chars = [0], [[0]]
+    for move in moves:
+        in_s = set(members)
+        x, n = move[0], 1
+        while x not in in_s:
+            if n == n_cosets:
+                raise EigensplitFailure(f"no power a^n of a generator with n <= {n_cosets} "
+                                        f"lies in the subgroup reached")
+            x, n = move[x], n + 1
+        if n == 1:
+            continue
+        if e % n:
+            raise EigensplitFailure(f"a generator's power a^{n} is the first in the "
+                                    f"subgroup reached, but {n} does not divide {e}")
+        top = members.index(x)
+        layers = [members]
+        for _ in range(1, n):
+            layers.append([move[y] for y in layers[-1]])
+        members = [y for layer in layers for y in layer]
+        if len(set(members)) != len(members):
+            raise EigensplitFailure(f"the cosets a^t S of a generator a, t < {n}, "
+                                    f"are not distinct")
+        extended = []
+        for lam in chars:
+            if lam[top] % n:
+                raise EigensplitFailure(f"lambda(a^{n}) = {lam[top]} mod {e} "
+                                        f"is not a multiple of {n}")
+            for j in range(n):
+                m = lam[top] // n + j * (e // n)
+                extended.append([(t * m + v) % e for t in range(n) for v in lam])
+        chars = extended
+    if len(members) != n_cosets:
+        raise EigensplitFailure(f"the generators reach {len(members)} of "
+                                f"{n_cosets} cosets of G'")
+    position = [0] * n_cosets
+    for t, x in enumerate(members):
+        position[x] = t
+    return coset_of, [[lam[t] for t in position] for lam in chars]
 
 
 def _lift_row(theta: list[int], d: int, powers: list[tuple[int, ...]],

@@ -18,8 +18,9 @@ order, which makes every downstream computation deterministic.
 The enumeration keeps the products it computes: right[s][y] is the index
 of y*g_s for every element y and generator g_s.  Any product by a fixed
 element is then read off these tables by replaying the BFS tree
-(PermGroup.left_mult): conjugacy classes, inverses, quotients and the
-class matrices ClassData keeps are integer lookups, not compositions.
+(PermGroup.left_mult): conjugacy classes, inverses, quotients, the
+class matrices ClassData keeps and the cosets of G' are integer
+lookups, not compositions.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 import re
 from collections import Counter
 from functools import reduce
-from operator import and_, or_
+from operator import add, and_, or_
 from typing import TYPE_CHECKING, NamedTuple
 
 from .cyclo import is_p_power, prime_factors
@@ -504,6 +505,51 @@ class ClassData:
             mat = self._matrices[i] = tuple(map(tuple, rows))
         return mat
 
+    def derived_cosets(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """The cosets of G' as unions of classes: (coset_of, moves).
+
+        coset_of[i] is the coset of class i, cosets numbered by their least
+        class, so coset 0 is G'.  moves[s][x] is the coset of y*g_s for y
+        in coset x, read from right[s] at the representative of its least
+        class.
+
+        G' is the normal closure of the commutators c = [g_a, g_b] of the
+        generators.  For every element y and generators a < b that do not
+        commute, the class of z = y g_b g_a is merged with the class of
+        y g_a g_b = z c, by union-find over classes; both products are
+        lookups in right, and z runs over G as y does.  z c is conjugate to
+        c z, so z is joined to c z, and then to n z for every n in G': c^g z
+        is conjugate to c (g z g^-1), which is joined to g z g^-1, in the
+        class of z.  No merge leaves a coset, as c lies in G' and G/G' is
+        abelian, so each block is one coset.
+        """
+        elt_class, k = self.elt_class, self.n_classes
+        right = self.group._right
+        shifted = [i * k for i in elt_class]
+        edges: set[int] = set()   # class(y g_b g_a) * k + class(y g_a g_b)
+        for b, rb in enumerate(right):
+            for ra in right[:b]:
+                if ra[rb[0]] != rb[ra[0]]:
+                    edges.update(map(add, map(shifted.__getitem__, map(ra.__getitem__, rb)),
+                                     map(elt_class.__getitem__, map(rb.__getitem__, ra))))
+        root = list(range(k))
+
+        def find(i: int) -> int:
+            while root[i] != i:
+                root[i] = i = root[root[i]]
+            return i
+
+        for edge in edges:
+            a, b = map(find, divmod(edge, k))
+            if a != b:
+                root[max(a, b)] = min(a, b)
+        least = sorted({find(i) for i in range(k)})
+        number = {i: x for x, i in enumerate(least)}
+        coset_of = tuple(number[find(i)] for i in range(k))
+        moves = tuple(tuple(coset_of[elt_class[row[self.reps[i]]]] for i in least)
+                      for row in right)
+        return coset_of, moves
+
 
 def conjugacy_classes(group: PermGroup) -> ClassData:
     return ClassData(group)
@@ -767,22 +813,28 @@ def is_abelian_section(classes: ClassData, mask: int, below: int = 1) -> bool:
     The representative of class i of K is tested against the classes
     j >= i of K: x^g commutes with y modulo N iff x commutes with
     y^(g^-1), and commuting is symmetric, so every pair of classes is
-    covered from the side of its smaller index.
+    covered from the side of its smaller index.  Both products are
+    lookups in left_mult(rep), taken once per representative: rep*y, and
+    y*rep = (rep^-1 y^-1)^-1, with rep^-1 z read off its inverse.
     """
     group = classes.group
+    inv = group._inverses()
     for i, rep in enumerate(classes.reps):
         if not mask >> i & 1:
             continue
+        left, left_inv = group.left_mult(rep), [0] * group.order
+        for y, ry in enumerate(left):
+            left_inv[ry] = y
         for j in range(i, classes.n_classes):
             if not mask >> j & 1:
                 continue
             for y in classes.classes[j]:
-                ry, yr = group.mult_index(rep, y), group.mult_index(y, rep)
+                ry, yr = left[y], inv[left_inv[inv[y]]]
                 if ry == yr:
                     continue
                 # (yr)^-1 ry = [rep, y], which is not 1; below == 1 is N = 1
                 if below == 1 or not below >> classes.elt_class[
-                        group.mult_index(group.inverse_index(yr), ry)] & 1:
+                        group.mult_index(inv[yr], ry)] & 1:
                     return False
     return True
 

@@ -1,9 +1,11 @@
 """Exact character tables: prime choice, class algebra, orthogonality."""
 
+import contextlib
 import itertools
 import json
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -529,23 +531,26 @@ def test_self_verify_rejects_a_table_without_a_row():
 # --- the split and lift path: failures, Galois-conjugate rows, counts ---
 
 def test_eigensplit_failure_carries_prime_seed_and_class_matrix(monkeypatch):
+    # on sym_3 the space W left after the linear rows is a line, which no
+    # class matrix splits; on sym_4 it is 3-dimensional
     monkeypatch.setattr(chartab, "_distinct_roots", lambda f, p, rng: [])
     with pytest.raises(EigensplitFailure) as info:
-        character_table(catalog.build("sym_3"), seed=5)
+        character_table(catalog.build("sym_4"), seed=5)
     err = info.value
-    # class 2, the two 3-cycles, is smaller than class 1 and applied first
-    assert (err.prime, err.seed, err.indices) == (7, 5, (2,))
+    # class 1, the three double transpositions, is the smallest after the
+    # identity and applied first
+    assert (err.prime, err.seed, err.indices) == (13, 5, (1,))
     assert str(err) == ("restriction is not semisimple "
-                        "(prime=7, seed=5, indices=(2,))")
+                        "(prime=13, seed=5, indices=(1,))")
 
 
 def test_a_minimal_polynomial_without_roots_is_not_semisimple(monkeypatch):
-    # x^2 + 1 has no root over F_7, as 7 = 3 (mod 4)
-    monkeypatch.setattr(chartab, "_minimal_polynomial", lambda coords, p: [1, 0, 1])
+    # x^2 - 2 has no root over F_13, as 2 is not a square mod 13
+    monkeypatch.setattr(chartab, "_minimal_polynomial", lambda coords, p: [11, 0, 1])
     with pytest.raises(EigensplitFailure) as info:
-        character_table(catalog.build("sym_3"), seed=5)
+        character_table(catalog.build("sym_4"), seed=5)
     assert str(info.value) == ("restriction is not semisimple "
-                               "(prime=7, seed=5, indices=(2,))")
+                               "(prime=13, seed=5, indices=(1,))")
 
 
 def _units(e: int) -> list[int]:
@@ -679,23 +684,24 @@ def test_echelon_rule_agrees_with_the_full_application(name):
 
 
 @pytest.mark.parametrize("name,matrices,splits,products,reductions", [
-    ("sg_250_14", 7, 46, 282, 109), ("sg_81_3", 4, 16, 120, 48),
-    ("sg_147_4", 5, 11, 57, 29),
+    ("sg_250_14", 6, 45, 274, 106), ("sg_81_3", 2, 4, 12, 9),
+    ("sg_147_4", 4, 10, 48, 25),
 ])
 def test_class_matrices_are_built_and_applied_only_where_they_split(
         monkeypatch, name, matrices, splits, products, reductions):
     # every class matrix in index order on every pending space made 19, 15
     # and 7 matrices, 174, 79 and 15 splits and 950, 423 and 99 products;
-    # the rule alone, in index order, still makes 338 and 67 products on
-    # sg_250_14 and sg_147_4
+    # the rule from the identity basis of F_p^k made 7, 4 and 5 matrices,
+    # 46, 16 and 11 splits, 282, 120 and 57 products and 109, 48 and 29
+    # reductions; from the linear rows and W, which on sg_81_3 leaves 6 of
+    # 33 dimensions, the rule makes the counts below
     # on a fresh ClassData, whose memo holds no matrix yet
     g = catalog.build(name)
     cd = conjugacy_classes(g)
-    # one _rref per eigenspace; reducing each piece again in F_p^k would
-    # make 218, 96 and 58
     calls = _count_calls(monkeypatch, "_split_subspace", "_minimal_polynomial", "_rref")
     # products counts the vectors the split hands to _mat_vecs; the proof
-    # makes its own product with the split's matrices, and builds none
+    # makes its own product, and builds only the matrices of the classes
+    # it combines that the split did not apply
     vectors, applied, memo = [], set(), []
     mat_vecs, self_verify = chartab._mat_vecs, chartab._self_verify
     class_matrix = ClassData.class_matrix
@@ -712,12 +718,14 @@ def test_class_matrices_are_built_and_applied_only_where_they_split(
     monkeypatch.setattr(ClassData, "class_matrix",
                         lambda cd, i: applied.add(i) or class_matrix(cd, i))
     monkeypatch.setattr(chartab, "_self_verify", proving)
-    character_table(g, cd)
+    table = character_table(g, cd)
     assert calls == {"_split_subspace": splits, "_minimal_polynomial": splits,
                      "_rref": reductions}
     assert sum(vectors) == products
     assert len(applied) == matrices
-    assert memo == [applied, applied]
+    fresh = conjugacy_classes(g)
+    self_verify(CharTable(g, fresh, table.rows, table.dixon_prime))
+    assert memo == [applied, applied | set(fresh._matrices)]
 
 
 @pytest.mark.parametrize("name", catalog.names(tier="core"))
@@ -725,7 +733,7 @@ def test_minimal_polynomial_is_the_product_over_the_charpoly_roots(
         monkeypatch, name):
     # on every split of the build, e_0's minimal polynomial has one linear
     # factor per distinct root of the Hessenberg characteristic polynomial
-    _, g, cd, _, _ = catalog.bundle(name)
+    _, g, cd, table, _ = catalog.bundle(name)
     p = choose_dixon_prime(g, cd)
     seen = []
     minimal_polynomial = chartab._minimal_polynomial
@@ -734,7 +742,8 @@ def test_minimal_polynomial_is_the_product_over_the_charpoly_roots(
                         or minimal_polynomial(coords, p))
     for seed in (0, 1):
         character_table(g, cd, seed=seed)
-    assert seen or cd.n_classes == 1
+    # W, the span of the non-linear rows, is split only when it is not a line
+    assert seen or sum(d > 1 for d in table.degrees) <= 1
     rng = random.Random(0)
     for coords in seen:
         rmat = [list(col) for col in zip(*coords)]
@@ -815,14 +824,14 @@ def test_split_refuses_a_subspace_that_is_not_invariant():
 
 
 def test_split_refuses_an_eigenvalue_without_eigenvector(monkeypatch):
-    # sym_3 splits first by class 2, the 3-cycles, whose eigenvalues 2 and
-    # -1 miss 0, so R - 0 I has full rank
+    # sym_4 splits W first by class 1, the double transpositions, whose
+    # eigenvalues 3 and -1 on W miss 0, so R - 0 I has full rank
     distinct_roots = chartab._distinct_roots
     monkeypatch.setattr(chartab, "_distinct_roots", lambda f, p, rng:
                         sorted(set(distinct_roots(f, p, rng)) | {0}))
     with pytest.raises(EigensplitFailure, match=r"^eigenvalue without eigenvector "
-                       r"\(prime=7, seed=5, indices=\(2,\)\)$"):
-        character_table(catalog.build("sym_3"), seed=5)
+                       r"\(prime=13, seed=5, indices=\(1,\)\)$"):
+        character_table(catalog.build("sym_4"), seed=5)
 
 
 @pytest.mark.parametrize("q,prime", [
@@ -876,12 +885,13 @@ def _applied_classes(monkeypatch, g, cd) -> list[int]:
     return applied
 
 
-@pytest.mark.parametrize("name", ["sym_3", "sg_81_3"])
+@pytest.mark.parametrize("name", ["sym_4", "sg_81_3"])
 def test_a_scalar_class_matrix_is_refused_where_the_rule_says_it_splits(
         monkeypatch, name):
+    # on sym_3 the split applies no matrix, as W is a line
     _, g, cd, _, _ = catalog.bundle(name)
     applied = _applied_classes(monkeypatch, g, cd)
-    assert applied == sorted(applied, key=lambda i: (cd.sizes[i], i))
+    assert applied and applied == sorted(applied, key=lambda i: (cd.sizes[i], i))
     class_matrix = ClassData.class_matrix
     for bad in applied:
         monkeypatch.setattr(
@@ -910,6 +920,100 @@ def test_a_pending_subspace_without_pivot_0_is_refused(monkeypatch):
         character_table(g, cd)
     assert info.value.message == "pending subspace has no pivot at the identity class"
     assert info.value.indices == (first,)
+
+
+# --- the linear rows, read off G/G', and the space W left to split ---
+
+def _spy_linear_and_splits(monkeypatch) -> tuple[list, list[int]]:
+    # the (coset_of, chars) of each _linear_characters call, and the
+    # dimension of each space handed to _split_subspace
+    linear, dims = [], []
+    linear_characters, split_subspace = chartab._linear_characters, chartab._split_subspace
+    monkeypatch.setattr(chartab, "_linear_characters", lambda cd, e: (
+        linear.append(linear_characters(cd, e)) or linear[-1]))
+    monkeypatch.setattr(chartab, "_split_subspace", lambda space, mat, p, rng: (
+        dims.append(len(space[0])) or split_subspace(space, mat, p, rng)))
+    return linear, dims
+
+
+@pytest.mark.parametrize("name", catalog.names("core"))
+def test_linear_rows_are_the_characters_of_g_over_its_derived_subgroup(
+        monkeypatch, name):
+    # the characters read off the cosets of G' are the table's degree-1
+    # rows, |G : G'| of them with G' closed from every commutator; only W,
+    # of dimension k - |G : G'|, is split, and not at all when it is a line
+    _, g, cd, table, _ = catalog.bundle(name)
+    derived = H.naive_derived_series(g)
+    index = g.order // len(derived[1] if len(derived) > 1 else derived[0])
+    e = math.lcm(*cd.element_orders)
+    linear_rows = {r.values for r in table.rows if r.degree == 1}
+    for seed in (0, 1):
+        linear, dims = _spy_linear_and_splits(monkeypatch)
+        character_table(g, cd, seed=seed)
+        [(coset_of, chars)] = linear
+        assert len(chars) == index == len(linear_rows), (name, seed)
+        assert {tuple(zeta(e, lam[x]) for x in coset_of) for lam in chars} == linear_rows
+        w_dim = cd.n_classes - index
+        assert dims[:1] == ([w_dim] if w_dim > 1 else []), (name, seed)
+        monkeypatch.undo()
+
+
+def test_sg_81_3_splits_only_the_six_dimensions_of_w():
+    # 27 of the 33 rows are linear
+    _, g, cd, _, _ = catalog.bundle("sg_81_3")
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        linear, dims = _spy_linear_and_splits(monkeypatch)
+        character_table(g, cd)
+    assert len(linear[0][1]) == 27 and dims[0] == 6
+
+
+@contextlib.contextmanager
+def _ends_within(seconds: int):
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("name", ["sym_3", "sym_4", "sg_81_3"])
+def test_corrupted_generator_products_raise_at_once(name):
+    # with every generator's products replaced by the first one's, the
+    # generators commute, no class is merged and the cosets of "G'" are
+    # the classes, of unequal sizes: refused before any walk over them
+    g = catalog.build(name)
+    cd = conjugacy_classes(g)
+    g._right = (g._right[0],) * len(g._right)
+    with _ends_within(20), pytest.raises(EigensplitFailure) as info:
+        character_table(g, cd, seed=3)
+    err = info.value
+    assert err.message.startswith("cosets of G' have sizes [1, ")
+    assert (err.prime, err.seed, err.indices) == (choose_dixon_prime(g, cd), 3, ())
+
+
+@pytest.mark.parametrize("name,moves,message", [
+    ("cyclic_4", ((1, 2, 3, 3),), "no power a^n of a generator with n <= 4 lies"),
+    ("cyclic_4", ((1, 2, 0, 3),), "a generator's power a^3 is the first"),
+    ("cyclic_4", ((1, 0, 3, 2),), "the generators reach 2 of 4 cosets"),
+    ("cyclic_4", ((1, 0, 3, 2), (2, 2, 1, 0)), "the cosets a^t S of a generator"),
+    ("elab_2_2", ((1, 0, 3, 2), (2, 3, 1, 0)), "lambda(a^2) = 1 mod 2 is not"),
+])
+def test_generator_moves_that_are_no_group_action_are_refused(
+        monkeypatch, name, moves, message):
+    # each coset of the trivial G' is one class of size 1; the moves are
+    # each generator's action on the cosets, made not to be a group's
+    g = catalog.build(name)
+    cd = conjugacy_classes(g)
+    monkeypatch.setattr(ClassData, "derived_cosets", lambda cd: ((0, 1, 2, 3), moves))
+    with _ends_within(20), pytest.raises(EigensplitFailure) as info:
+        character_table(g, cd, seed=2)
+    assert info.value.message.startswith(message)
+    assert (info.value.seed, info.value.indices) == (2, ())
 
 
 def test_to_json_dict_formats_each_distinct_value_once(monkeypatch):
@@ -989,8 +1093,9 @@ def test_a_failing_pattern_is_met_where_the_full_lift_meets_it(monkeypatch):
 def test_self_verify_applies_one_class_algebra_element(monkeypatch):
     # the proof combines a few classes into one element M and applies M
     # once, to every row, mod a power of the Dixon prime; here it combines
-    # as many classes as the split applies, and after the split it builds
-    # none (test_class_matrices_are_built_and_applied_only_where_they_split);
+    # 7, 4 and 5 classes where the split applies 6, 2 and 4, and after the
+    # split it builds only the ones the split did not apply
+    # (test_class_matrices_are_built_and_applied_only_where_they_split);
     # alone, on a fresh ClassData, it builds the matrices it combines
     for name, combined in (("sg_250_14", 7), ("sg_81_3", 4), ("sg_147_4", 5)):
         _, g, _, table, _ = catalog.bundle(name)

@@ -332,7 +332,7 @@ def test_tables_hold_on_edge_case_generator_lists(name):
 
 def test_classes_and_products_make_no_element_products(monkeypatch):
     # the generator products come from the enumeration; after it, classes,
-    # inverses and every class product are integer lookups
+    # inverses, every class product and the cosets of G' are integer lookups
     g = parse_group_file("degree 7\n(1 2)\n(1 2 3 4 5 6 7)\n", bound=5040)
     calls = {"mult_index": 0, "mul": 0}
 
@@ -348,6 +348,8 @@ def test_classes_and_products_make_no_element_products(monkeypatch):
     cd = conjugacy_classes(g)
     mats = [cd.class_matrix(i) for i in range(cd.n_classes)]
     assert (cd.n_classes, len(mats)) == (15, 15)
+    coset_of, moves = cd.derived_cosets()
+    assert (max(coset_of), len(moves)) == (1, 2)
     assert calls == {"mult_index": 0, "mul": 0}
 
 

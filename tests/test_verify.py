@@ -141,14 +141,28 @@ def test_core_verify_stays_at_class_level(monkeypatch):
     # with the bundles warm, the core checkers made 10 127 products when
     # they built quotient tables and compared elements pairwise, and 6 200
     # when class representatives were tested against whole subgroups;
-    # testing each pair of classes from one side makes 3 716
+    # testing each pair of classes from one side made 3 716, and reading
+    # both products of a pair off left_mult leaves the 8 of the Sylow
+    # 2-subgroup test of check_nonnilpotent_cdc3
     for name in catalog.names("core"):
         catalog.bundle(name)
     calls: dict[str, int] = {}
     monkeypatch.setattr(permcore.PermGroup, "mult_index",
                         _counting(calls, "mult_index", permcore.PermGroup.mult_index))
     verify.verify_names()
-    assert 0 < calls["mult_index"] < 4000
+    assert 0 < calls["mult_index"] < 100
+
+
+def test_abelian_sections_of_a_non_nilpotent_entry_are_lookups(monkeypatch):
+    # sg_147_4 = C7^2 : C3 is not nilpotent; its checkers made 914
+    # products in is_abelian_section, which reads them off left_mult
+    assert not catalog.bundle("sg_147_4")[4].flags.is_nilpotent
+    calls: dict[str, int] = {}
+    monkeypatch.setattr(permcore.PermGroup, "mult_index",
+                        _counting(calls, "mult_index", permcore.PermGroup.mult_index))
+    verdicts = verify.check_group("sg_147_4")
+    assert [v.status for v in verdicts if v.hypothesis_met]
+    assert calls.get("mult_index", 0) == 0
 
 
 @pytest.mark.parametrize("name", catalog.names())
