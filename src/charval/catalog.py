@@ -154,12 +154,9 @@ def _sg_81_4() -> PermGroup:
             for (i1, j1) in pts))
 
     a, b = rmul((1, 0)), rmul((0, 1))
-    g = PermGroup.from_generators([a, b], bound=82)
-    ia, ib = g.element_index(a), g.element_index(b)
-    conj = g.conjugate_index(ia, g.inverse_index(ib))  # b a b^-1
-    if conj != g.element_index(rmul((4, 0))):
+    if b * a * b.inverse() != rmul((4, 0)):
         raise ConstructionMismatch("twist relation b a b^-1 = a^4 failed")
-    return g
+    return PermGroup.from_generators([a, b], bound=82)
 
 
 _D8 = partial(_vector_group, 4, 1, _shifts(1) + [_scale(-1)], 8)

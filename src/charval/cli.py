@@ -252,10 +252,7 @@ def run(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (ParseError, catalog.UnknownName, catalog.ConstructionMismatch,
             OrderBoundExceeded, SizeMismatch, TooManyClasses,
-            ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,12 +20,15 @@ of y*g_s for every element y and generator g_s.  Any product by a fixed
 element is then read off these tables by replaying the BFS tree
 (PermGroup.left_mult): conjugacy classes, inverses, quotients, the
 class matrices ClassData keeps and the cosets of G' are integer
-lookups, not compositions.
+lookups, not compositions.  PermGroup.mult_index composes one pair, for
+the commutators of derived_series and the powers of a representative;
+no other module calls either product.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from collections import Counter
 from functools import reduce
@@ -87,6 +90,10 @@ class Permutation:
     def __init__(self, images, _check: bool = True):
         images = tuple(images)
         if _check:
+            try:
+                images = tuple(map(operator.index, images))
+            except TypeError:
+                raise ValueError(f"images must be integers: {images}") from None
             if sorted(images) != list(range(len(images))):
                 raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images}")
         self.images = images
@@ -392,15 +399,6 @@ class PermGroup:
     def generator_indices(self) -> tuple[int, ...]:
         return tuple(self._index[g.images] for g in self.generators)
 
-    def commutator_index(self, i: int, j: int) -> int:
-        # [i, j] = i^-1 j^-1 i j
-        t = self.mult_index(self.inverse_index(i), self.inverse_index(j))
-        return self.mult_index(self.mult_index(t, i), j)
-
-    def conjugate_index(self, i: int, g: int) -> int:
-        # i^g = g^-1 i g
-        return self.mult_index(self.mult_index(self.inverse_index(g), i), g)
-
     def __repr__(self):
         return f"PermGroup(order={self.order}, degree={self.degree})"
 
@@ -468,13 +466,12 @@ class ClassData:
         """
         powers = self._powers.get(i)
         if powers is None:
-            group = self.group
-            rep = group.elements[self.reps[i]]
-            out, p = [0], rep
+            mult, rep = self.group.mult_index, self.reps[i]
+            out, x = [0], rep
             for u in range(1, self.element_orders[i]):
                 if u > 1:
-                    p = p * rep
-                out.append(self.elt_class[group.element_index(p)])
+                    x = mult(x, rep)
+                out.append(self.elt_class[x])
             powers = self._powers[i] = tuple(out)
         return powers
 
@@ -609,6 +606,7 @@ def derived_series(table: CharTable) -> list[int]:
     subgroup.
     """
     group, cd = table.group, table.classes
+    mult, inv = group.mult_index, group._inverses()
     term = (1 << cd.n_classes) - 1
     series = [term]
     xs = ts = group.generator_indices()
@@ -616,7 +614,8 @@ def derived_series(table: CharTable) -> list[int]:
         comms = 1
         for x in xs:
             for t in ts:
-                comms |= 1 << cd.elt_class[group.commutator_index(x, t)]
+                # [x, t] = x^-1 t^-1 x t
+                comms |= 1 << cd.elt_class[mult(mult(inv[x], inv[t]), mult(x, t))]
         nxt = _normal_closure(table, comms)
         if nxt == term:
             return series
@@ -807,36 +806,40 @@ def is_cyclic_quotient(classes: ClassData, mask: int) -> bool:
                for i in range(classes.n_classes))
 
 
+def centralizes(classes: ClassData, i: int, mask: int, below: int = 1) -> bool:
+    """Whether the representative x of class i commutes modulo N with every
+    element of the classes in mask, N the union of the classes in below.
+
+    Both products are lookups in left_mult(x): x*y, and y*x =
+    (x^-1 y^-1)^-1, with x^-1 z read off the inverse of that list.
+    """
+    group = classes.group
+    inv = group._inverses()
+    left, left_inv = group.left_mult(classes.reps[i]), [0] * group.order
+    for y, xy in enumerate(left):
+        left_inv[xy] = y
+    for j, cls in enumerate(classes.classes):
+        if not mask >> j & 1:
+            continue
+        for y in cls:
+            xy, yx = left[y], inv[left_inv[inv[y]]]
+            # (yx)^-1 xy = [x, y]; below == 1 is N = 1
+            if xy != yx and (below == 1 or not below >> classes.elt_class[
+                    group.mult_index(inv[yx], xy)] & 1):
+                return False
+    return True
+
+
 def is_abelian_section(classes: ClassData, mask: int, below: int = 1) -> bool:
     """Whether K/N is abelian, K >= N normal with class masks mask, below.
 
     The representative of class i of K is tested against the classes
     j >= i of K: x^g commutes with y modulo N iff x commutes with
     y^(g^-1), and commuting is symmetric, so every pair of classes is
-    covered from the side of its smaller index.  Both products are
-    lookups in left_mult(rep), taken once per representative: rep*y, and
-    y*rep = (rep^-1 y^-1)^-1, with rep^-1 z read off its inverse.
+    covered from the side of its smaller index.
     """
-    group = classes.group
-    inv = group._inverses()
-    for i, rep in enumerate(classes.reps):
-        if not mask >> i & 1:
-            continue
-        left, left_inv = group.left_mult(rep), [0] * group.order
-        for y, ry in enumerate(left):
-            left_inv[ry] = y
-        for j in range(i, classes.n_classes):
-            if not mask >> j & 1:
-                continue
-            for y in classes.classes[j]:
-                ry, yr = left[y], inv[left_inv[inv[y]]]
-                if ry == yr:
-                    continue
-                # (yr)^-1 ry = [rep, y], which is not 1; below == 1 is N = 1
-                if below == 1 or not below >> classes.elt_class[
-                        group.mult_index(inv[yr], ry)] & 1:
-                    return False
-    return True
+    return all(centralizes(classes, i, mask >> i << i, below)
+               for i in range(classes.n_classes) if mask >> i & 1)
 
 
 def frobenius_kernel(table: CharTable, below: int = 1) -> int | None:

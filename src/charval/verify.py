@@ -16,7 +16,7 @@ from .chartab import CharTable, codegree
 from .cyclo import is_p_power, prime_factors
 from .invariants import InvariantReport
 from .permcore import (
-    ClassData, a5a6_free, frobenius_kernel, is_abelian_section,
+    ClassData, a5a6_free, centralizes, frobenius_kernel, is_abelian_section,
     is_extraspecial, large_normal_masks, mask_size, sort_masks,
 )
 # unused here, but perfbench patches and restores verify.structure_flags
@@ -164,6 +164,14 @@ def check_nilpotent_cdc3(table: CharTable, rep: InvariantReport,
     return _met(label, claim, False, "no extraspecial factor group found")
 
 
+def _sylow2_abelian(classes: ClassData, half: int, o2: int) -> bool:
+    """Whether an element of 2-power order outside the index-2 subgroup
+    half centralizes O_2, both class masks.  O_2 is normal, so a conjugate
+    of an element centralizes it iff the element does."""
+    return any(is_p_power(o, 2) and not half >> i & 1 and centralizes(classes, i, o2)
+               for i, o in enumerate(classes.element_orders))
+
+
 def check_nonnilpotent_cdc3(table: CharTable, rep: InvariantReport,
                             label: str) -> Verdict:
     """Non-nilpotent, |cdc|=3, derived length 2: the group is an abelian
@@ -197,13 +205,7 @@ def check_nonnilpotent_cdc3(table: CharTable, rep: InvariantReport,
         return _met(label, claim, False,
                     "no abelian index-2 subgroup with elementary 3-part "
                     "and matching 2-core")
-    # O_2 is normal, so a conjugate of t centralizes it iff t does
-    sylow2_abelian = any(
-        is_p_power(cd.element_orders[i], 2) and not half >> i & 1
-        and all(g.mult_index(t, x) == g.mult_index(x, t)
-                for j, cls in enumerate(cd.classes) if o2 >> j & 1 for x in cls)
-        for i, t in enumerate(cd.reps))
-    if not sylow2_abelian:
+    if not _sylow2_abelian(cd, half, o2):
         # no corpus group reaches this branch; the claimed shape of the
         # Sylow 2-subgroup is left unasserted
         return _met(label, claim, True,

@@ -417,11 +417,21 @@ def exponent(group: PermGroup) -> int:
     return math.lcm(*(group.element_order(i) for i in range(group.order)))
 
 
+def conjugate(group: PermGroup, i: int, g: int) -> int:
+    """i^g = g^-1 i g, by mult_index."""
+    return group.mult_index(group.mult_index(group.inverse_index(g), i), g)
+
+
+def commutator(group: PermGroup, i: int, j: int) -> int:
+    """[i, j] = i^-1 j^-1 i j = i^-1 i^j, by mult_index."""
+    return group.mult_index(group.inverse_index(i), conjugate(group, i, j))
+
+
 def center(group: PermGroup) -> frozenset[int]:
     gen_idx = group.generator_indices()
     out = set()
     for i in range(group.order):
-        if all(group.conjugate_index(i, g) == i for g in gen_idx):
+        if all(conjugate(group, i, g) == i for g in gen_idx):
             out.add(i)
     return frozenset(out)
 
@@ -546,7 +556,7 @@ def naive_conjugacy_partition(group: PermGroup) -> set[frozenset[int]]:
     for i in range(group.order):
         if i in seen:
             continue
-        orbit = {group.conjugate_index(i, g) for g in range(group.order)}
+        orbit = {conjugate(group, i, g) for g in range(group.order)}
         seen |= orbit
         parts.add(frozenset(orbit))
     return parts
@@ -581,7 +591,7 @@ def naive_derived_series(group: PermGroup) -> list[frozenset[int]]:
     term = frozenset(range(group.order))
     series = [term]
     while True:
-        comms = [Permutation(group.elements[group.commutator_index(i, j)].images)
+        comms = [Permutation(group.elements[commutator(group, i, j)].images)
                  for i in term for j in term]
         nxt = frozenset(group.element_index(Permutation(t, _check=False))
                         for t in naive_closure(comms))
@@ -601,7 +611,7 @@ def naive_is_nilpotent(group: PermGroup) -> bool:
             return True
         nxt = frozenset(
             i for i in range(group.order)
-            if all(group.commutator_index(i, g) in z for g in gen_idx))
+            if all(commutator(group, i, g) in z for g in gen_idx))
         if len(nxt) == len(z):
             return False
         z = nxt
@@ -915,6 +925,15 @@ def p_group_modulus_failures(name: str) -> list[str]:
         if any(v.abs_squared() == ONE for v in row.values):
             bad.append(f"{name} row {r}: modulus-one value in a p-group")
     return bad
+
+
+def naive_sylow2_test(group: PermGroup, half: frozenset[int],
+                      o2: frozenset[int]) -> bool:
+    """Whether some element of 2-power order outside half commutes with
+    every element of o2, by mult_index over all elements."""
+    return any(x not in half and bin(group.element_order(x)).count("1") == 1
+               and all(group.mult_index(x, y) == group.mult_index(y, x) for y in o2)
+               for x in range(group.order))
 
 
 def all_commute(group: PermGroup, elems) -> bool:

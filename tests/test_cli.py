@@ -543,7 +543,7 @@ def test_group_file_point_past_the_degree_bound(capsys, tmp_path):
 
 def test_missing_group_file(capsys, tmp_path):
     err = run_err(capsys, ["table", "--group", str(tmp_path / "nope.txt")])
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def _transpositions_file(tmp_path, n: int):

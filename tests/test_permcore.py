@@ -19,6 +19,7 @@ from charval.permcore import (
     Permutation,
     PointOutOfRange,
     RepeatedPoint,
+    centralizes,
     conjugacy_classes,
     derived_length,
     derived_series,
@@ -91,6 +92,16 @@ def test_cycle_validation_errors():
         perm_from_cycles([(0, 5)], 4)
     with pytest.raises(ValueError):
         Permutation((0, 0, 1))
+
+
+def test_permutation_refuses_images_that_are_not_integers():
+    # 1.0 == 1, so the image check alone passed floats through, and
+    # cycle_string then failed on a float index
+    for images in ((1.0, 0.0, 2.0), (0, 1.0), ("0",), (None,)):
+        with pytest.raises(ValueError):
+            Permutation(images)
+    assert Permutation((True, False)).cycle_string() == "(1 2)"
+    assert Permutation((1, 0), _check=False).images == (1, 0)
 
 
 # -- group files -------------------------------------------------------------
@@ -371,21 +382,21 @@ def test_power_class_multiplies_once_per_new_power(monkeypatch):
     # per (class, exponent) took 6361 products in a cold `verify --all`
     # pass, which now makes these 1286 and no other
     calls = 0
-    mul = Permutation.__mul__
+    mult_index = PermGroup.mult_index
 
-    def counting(self, other):
+    def counting(self, i, j):
         nonlocal calls
         calls += 1
-        return mul(self, other)
+        return mult_index(self, i, j)
 
     expected = 0
     for name in catalog.names("core"):
         g = catalog.build(name)
         cd = conjugacy_classes(g)
-        monkeypatch.setattr(Permutation, "__mul__", counting)
+        monkeypatch.setattr(PermGroup, "mult_index", counting)
         got = [[cd.power_class(i, t) for t in range(-m, 2 * m)]
                for i, m in enumerate(cd.element_orders)]
-        monkeypatch.setattr(Permutation, "__mul__", mul)
+        monkeypatch.setattr(PermGroup, "mult_index", mult_index)
         expected += sum(max(m - 2, 0) for m in cd.element_orders)
         assert got == [[cd.elt_class[g.element_index(g.elements[rep] ** t)]
                         for t in range(-m, 2 * m)]
@@ -636,9 +647,9 @@ def test_frobenius_detection_with_brute_centralizers():
         for n in kernel:
             if n == 0:
                 continue
-            centralizes = {x for x in range(g.order)
-                           if g.conjugate_index(n, x) == n}
-            assert centralizes <= kernel, name
+            centralizer = {x for x in range(g.order)
+                           if H.conjugate(g, n, x) == n}
+            assert centralizer <= kernel, name
     assert frobenius_kernel(catalog.bundle("sym_4")[3]) is None
 
 
@@ -776,6 +787,22 @@ def _sl_2_3() -> PermGroup:
         return Permutation(tuple(images))
 
     return PermGroup.from_generators([acting((1, 1, 0, 1)), acting((0, 2, 1, 0))])
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_centralizes_matches_element_commutators(name):
+    # every class representative against every normal K, modulo 1 and, on
+    # the entries _oracle_sized_entries keeps, modulo every normal N <= K
+    _, g, cd, table, _ = catalog.bundle(name)
+    normals = list(zip(normal_masks(table), normal_subgroups(table)))
+    belows = normals if g.order <= 720 and cd.n_classes <= 14 else normals[:1]
+    for i, rep in enumerate(cd.reps):
+        comms = [H.commutator(g, rep, y) for y in range(g.order)]
+        for k, k_set in normals:
+            for n, n_set in belows:
+                if n & ~k == 0:
+                    assert centralizes(cd, i, k, n) == \
+                        all(comms[y] in n_set for y in k_set), (i, k, n)
 
 
 def test_abelian_section_tests_pairs_within_one_class():

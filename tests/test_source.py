@@ -146,13 +146,14 @@ def test_only_permcore_multiplies_by_a_class_representative():
     """One builder of class products: ClassData.class_matrix reads them
     off PermGroup.left_mult and keeps them, and the split and the proof
     both call it.  No other module reaches left_mult, so none can count
-    its own copy of a class matrix."""
+    its own copy of a class matrix, nor mult_index, the one other element
+    product: every product of group elements is made in permcore."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem == "permcore":
             continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Attribute) and node.attr == "left_mult":
+            if isinstance(node, ast.Attribute) and node.attr in ("left_mult", "mult_index"):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
 

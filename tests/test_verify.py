@@ -4,6 +4,7 @@ import pytest
 
 from charval import catalog, chartab, invariants, permcore, verify
 from charval.verify import CLAIMS, Verdict
+from tests import helpers as H
 
 
 def verdict_for(name: str, claim: str) -> Verdict:
@@ -141,16 +142,16 @@ def test_core_verify_stays_at_class_level(monkeypatch):
     # with the bundles warm, the core checkers made 10 127 products when
     # they built quotient tables and compared elements pairwise, and 6 200
     # when class representatives were tested against whole subgroups;
-    # testing each pair of classes from one side made 3 716, and reading
-    # both products of a pair off left_mult leaves the 8 of the Sylow
-    # 2-subgroup test of check_nonnilpotent_cdc3
+    # testing each pair of classes from one side made 3 716, reading both
+    # products of a pair off left_mult left the 8 of the Sylow 2-subgroup
+    # test of check_nonnilpotent_cdc3, and that test now calls centralizes
     for name in catalog.names("core"):
         catalog.bundle(name)
     calls: dict[str, int] = {}
     monkeypatch.setattr(permcore.PermGroup, "mult_index",
                         _counting(calls, "mult_index", permcore.PermGroup.mult_index))
     verify.verify_names()
-    assert 0 < calls["mult_index"] < 100
+    assert calls.get("mult_index", 0) == 0
 
 
 def test_abelian_sections_of_a_non_nilpotent_entry_are_lookups(monkeypatch):
@@ -163,6 +164,21 @@ def test_abelian_sections_of_a_non_nilpotent_entry_are_lookups(monkeypatch):
     verdicts = verify.check_group("sg_147_4")
     assert [v.status for v in verdicts if v.hypothesis_met]
     assert calls.get("mult_index", 0) == 0
+
+
+def test_sylow2_test_matches_element_products():
+    # on every subgroup of index 2 that is the kernel of a linear row
+    outcomes = set()
+    for name in catalog.names():
+        _, g, cd, table, rep = catalog.bundle(name)
+        o2 = rep.flags.o_p.get(2, 1)
+        for half in {row.kernel for row in table.rows if row.degree == 1
+                     and 2 * permcore.mask_size(cd, row.kernel) == g.order}:
+            got = verify._sylow2_abelian(cd, half, o2)
+            assert got == H.naive_sylow2_test(
+                g, H.class_union(cd, half), H.class_union(cd, o2)), (name, half)
+            outcomes.add(got)
+    assert outcomes == {False, True}
 
 
 @pytest.mark.parametrize("name", catalog.names())
