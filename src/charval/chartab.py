@@ -847,24 +847,19 @@ def _self_verify(table: CharTable) -> None:
         if d < 1 or order % d:
             fail("degree is not a positive divisor of the order", "degrees", r)
     p = choose_dixon_prime(table.group, cd)
-    # A row is read as the indices of its (canonical) values, each checked
-    # once; rows share value objects (the lift's memo): identity goes first.
+    # A row is read as the indices of its (canonical) values, each checked once.
     index: dict[Cyc, int] = {}
-    by_object: dict[int, int] = {}
     ids = []
     for r, row in enumerate(rows):
         id_row = []
         for i, v in enumerate(row.values):
-            n = by_object.get(id(v))
+            n = index.get(v)
             if n is None:
-                n = index.get(v)
-                if n is None:
-                    if v.den != 1:
-                        fail("value is not an algebraic integer", "integrality", r, i)
-                    if (p - 1) % v.n:
-                        fail(f"value conductor does not divide {p} - 1", "galois", r, i)
-                    n = index[v] = len(index)
-                by_object[id(v)] = n
+                if v.den != 1:
+                    fail("value is not an algebraic integer", "integrality", r, i)
+                if (p - 1) % v.n:
+                    fail(f"value conductor does not divide {p} - 1", "galois", r, i)
+                n = index[v] = len(index)
             id_row.append(n)
         if row.values[0] != degs[r]:
             fail("identity value is not the degree", "degrees", r)

@@ -249,12 +249,13 @@ class Cyc:
     num is a tuple of phi(n) ints and den an int >= 1 with
     gcd(den, *num) == 1; zero is (1, (0,), 1).  That form is unique, so
     equality and hashing compare (n, num, den), and a rational hashes
-    like the equal int or Fraction.  The constructor stores its arguments
+    like the equal int or Fraction.  The hash is computed on the first
+    call and kept in _hash.  The constructor stores its arguments
     as given, so they must already be in that form; values are built by
     from_rational, from_exponents, zeta, parse and the arithmetic.
     """
 
-    __slots__ = ("n", "num", "den")
+    __slots__ = ("n", "num", "den", "_hash")
 
     def __init__(self, n: int, num: tuple[int, ...], den: int):
         self.n = n
@@ -511,9 +512,15 @@ class Cyc:
         return self.n == other.n and self.den == other.den and self.num == other.num
 
     def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            pass
         if self.n == 1:
-            return hash(self.num[0] if self.den == 1 else self.as_fraction())
-        return hash((self.n, self.num, self.den))
+            self._hash = hash(self.num[0] if self.den == 1 else self.as_fraction())
+        else:
+            self._hash = hash((self.n, self.num, self.den))
+        return self._hash
 
     def __bool__(self) -> bool:
         return not self.is_zero()

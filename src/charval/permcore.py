@@ -634,21 +634,6 @@ def derived_length(table: CharTable) -> int | None:
     return len(series) - 1 if series[-1] == 1 else None
 
 
-def is_nilpotent(table: CharTable) -> bool:
-    """Upper central series reaches the whole group.
-
-    Z_(i+1)/Z_i = Z(G/Z_i), read off the rows whose kernels contain Z_i.
-    """
-    full = (1 << table.classes.n_classes) - 1
-    z = 1
-    while z != full:
-        nxt = _center_mask(table, z)
-        if nxt == z:
-            return False
-        z = nxt
-    return True
-
-
 def sort_masks(classes: ClassData, masks) -> list[int]:
     """Class masks sorted by (size, elements); where two unions of classes
     first differ, the least element is a class representative."""
@@ -958,12 +943,15 @@ def structure_flags(table: CharTable) -> StructureFlags:
     p_group_p = factors[0] if len(factors) == 1 else None
     elem_p = p_group_p if abelian and all(
         o == p_group_p for o in cd.element_orders[1:]) else None
+    o_p = {p: _o_p_mask(table, p) for p in factors}
     return StructureFlags(
         is_abelian=abelian,
         elementary_abelian_p=elem_p,
-        is_nilpotent=abelian or is_nilpotent(table),
+        # nilpotent exactly when every Sylow subgroup is normal, so O_p
+        # is the Sylow p-subgroup for every p
+        is_nilpotent=math.prod(mask_size(cd, m) for m in o_p.values()) == group.order,
         p_group_p=p_group_p,
         is_extraspecial=is_extraspecial(table),
-        o_p={p: _o_p_mask(table, p) for p in factors},
+        o_p=o_p,
         frobenius=frobenius_kernel(table),
     )

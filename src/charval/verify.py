@@ -12,7 +12,7 @@ import re
 from typing import NamedTuple
 
 from . import catalog
-from .chartab import CharTable, codegree
+from .chartab import CharTable
 from .cyclo import is_p_power, prime_factors
 from .invariants import InvariantReport
 from .permcore import (
@@ -140,8 +140,8 @@ def check_nilpotent_cdc3(table: CharTable, rep: InvariantReport,
     pred_a = len(rep.cdc) == 3
     pred_b = len(rep.cd) == 2 and max(rep.per_char_cv_sizes) <= 3
     pred_c = (len(rep.cd) == 2 and flags.p_group_p == 2
-              and all(codegree(table, r) == 2 * row.degree
-                      for r, row in enumerate(table.rows) if row.degree > 1))
+              and all(cod == 2 * row.degree
+                      for cod, row in zip(rep.cod, table.rows) if row.degree > 1))
     if not (pred_a == pred_b == pred_c):
         return _met(label, claim, False,
                     f"predicates disagree: a={pred_a} b={pred_b} c={pred_c}")
@@ -255,34 +255,29 @@ def check_group(name: str, seed: int = 0) -> list[Verdict]:
         check_nilpotent_cdc3, check_nonnilpotent_cdc3, check_two_degrees)]
 
 
-_PREDICATES = re.compile(r"(cdc|ncv)=(\d+)|rows<=(\d+)|rational")
+# Each predicate is one claim of catalog.CLAIMS: cdc=K, ncv=K and rows<=K
+# pin their claim to K, and rational pins its claim to True.
+SCAN_CLAIMS = {"cdc=": "cdc_size", "ncv=": "ncv_size", "rows<=": "row_cv_max",
+               "rational": "rational"}
+_PREDICATES = re.compile(r"(cdc=|ncv=|rows<=)(\d+)|rational")
 
 
 def scan(predicate: str, names: list[str] | None = None,
          seed: int = 0) -> list[str]:
-    """Catalog names whose report satisfies the predicate.
+    """Catalog names whose table meets the predicate's claim.
 
     Predicates: cdc=K, ncv=K, rows<=K, rational.
     """
     m = _PREDICATES.fullmatch(predicate)
     if m is None:
         raise ValueError(f"unknown predicate {predicate!r}")
+    prefix, number = m.groups()
+    key = SCAN_CLAIMS[prefix or predicate]
+    want = True if number is None else int(number)
     if names is None:
         names = catalog.names("core")
-    hits = []
-    for name in names:
-        _, _, _, table, rep = catalog.bundle(name, seed)
-        if m.group(1) == "cdc":
-            ok = len(rep.cdc) == int(m.group(2))
-        elif m.group(1) == "ncv":
-            ok = len(rep.ncv) == int(m.group(2))
-        elif m.group(3) is not None:
-            ok = max(rep.per_char_cv_sizes) <= int(m.group(3))
-        else:
-            ok = rep.is_rational_group
-        if ok:
-            hits.append(name)
-    return sorted(hits)
+    return sorted(name for name in names
+                  if not catalog.unmet(key, want, *catalog.bundle(name, seed)[3:]))
 
 
 def scan_checks(seed: int = 0) -> list[Verdict]:

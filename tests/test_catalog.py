@@ -6,10 +6,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from charval import catalog
+from charval import catalog, verify
 from charval.catalog import CatalogEntry, ConstructionMismatch, UnknownName
 from charval.chartab import character_table
-from charval.permcore import a5a6_free, conjugacy_classes, parse_group_file
+from charval.permcore import (
+    InvariantViolation, a5a6_free, conjugacy_classes, parse_group_file,
+)
 from tests import helpers as H
 
 
@@ -237,6 +239,49 @@ def test_quaternion_group_has_one_involution():
 def test_core_expectation_blocks(name):
     failures = catalog.check_expected(name)
     assert not failures, failures
+
+
+def _missed(key, want):
+    """A pin that the fact meeting want does not meet."""
+    if isinstance(want, bool):
+        return not want
+    if want is None:
+        return 0
+    if isinstance(want, int):
+        return want - 1 if key == "row_cv_max" else want + 1
+    if isinstance(want, tuple):
+        return want + (0,)
+    return want | {"?"}
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_each_missed_pin_gives_one_mismatch_naming_it(name, monkeypatch):
+    ent = catalog.entry(name)
+    for key, want in ent.expected.items():
+        wrong = _missed(key, want)
+        monkeypatch.setitem(catalog._REGISTRY, name,
+                            ent._replace(expected={**ent.expected, key: wrong}))
+        bad = catalog.check_expected(name)
+        assert len(bad) == 1, (key, bad)
+        assert bad[0].startswith(f"{name}: {key} expected {wrong!r}, got "), bad
+
+
+def test_unknown_pin_is_refused_at_registration():
+    # a misspelled key would otherwise never be checked
+    bogus = CatalogEntry("bogus_c2", 2, "test",
+                         builder=lambda: catalog.build("cyclic_2"),
+                         expected={"cdc_sise": 1})
+    with pytest.raises(InvariantViolation, match="cdc_sise"):
+        catalog._add(bogus)
+    assert "bogus_c2" not in catalog.names()
+
+
+def test_every_claim_is_pinned_or_scanned():
+    """A claim that no entry pins and no scan predicate reads is dead code."""
+    pinned = {key for name in catalog.names() for key in catalog.entry(name).expected}
+    scanned = set(verify.SCAN_CLAIMS.values())
+    assert scanned <= set(catalog.CLAIMS)
+    assert not set(catalog.CLAIMS) - pinned - scanned
 
 
 def test_large_tier_spot_check():

@@ -29,7 +29,6 @@ from charval.permcore import (
     is_abelian_section,
     is_cyclic_quotient,
     is_extraspecial,
-    is_nilpotent,
     large_normal_masks,
     mask_size,
     minimal_normal_masks,
@@ -469,10 +468,10 @@ def test_derived_length_examples():
 
 
 def test_nilpotency_detection():
-    assert is_nilpotent(catalog.bundle("dihedral_8")[3])
-    assert is_nilpotent(catalog.bundle("cyclic_12")[3])
-    assert not is_nilpotent(catalog.bundle("sym_3")[3])
-    assert not is_nilpotent(catalog.bundle("dihedral_10")[3])
+    assert structure_flags(catalog.bundle("dihedral_8")[3]).is_nilpotent
+    assert structure_flags(catalog.bundle("cyclic_12")[3]).is_nilpotent
+    assert not structure_flags(catalog.bundle("sym_3")[3]).is_nilpotent
+    assert not structure_flags(catalog.bundle("dihedral_10")[3]).is_nilpotent
 
 
 def _entries_up_to_order(bound: int) -> list[str]:
@@ -489,7 +488,7 @@ def test_derived_series_matches_pairwise_commutator_closure(name):
 @pytest.mark.parametrize("name", _entries_up_to_order(150))
 def test_is_nilpotent_matches_element_commutators(name):
     _, g, _, table, _ = catalog.bundle(name)
-    assert is_nilpotent(table) == H.naive_is_nilpotent(g)
+    assert structure_flags(table).is_nilpotent == H.naive_is_nilpotent(g)
 
 
 def test_derived_series_stays_at_class_level(monkeypatch):
@@ -655,7 +654,7 @@ def test_frobenius_detection_with_brute_centralizers():
 
 def _non_nilpotent_core_entries() -> list[str]:
     return [name for name in catalog.names("core")
-            if not is_nilpotent(catalog.bundle(name)[3])]
+            if not structure_flags(catalog.bundle(name)[3]).is_nilpotent]
 
 
 @pytest.mark.parametrize("name", _non_nilpotent_core_entries())

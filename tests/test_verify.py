@@ -88,6 +88,22 @@ def test_full_catalog_has_no_failures():
     assert any(v.status == "pass" for v in verdicts)
 
 
+# Core and optional entries by max(per_char_cv_sizes), up to 6: the
+# predicate rows<=K lists the entries up to K.
+ROW_CV_MAX = {
+    1: ["trivial"],
+    2: ["cyclic_2", "elab_2_2", "elab_2_3"],
+    3: ["alt_4", "cyclic_3", "d8xc2", "d8xc2xc2", "dihedral_8", "elab_3_2",
+        "extraspecial_32_minus", "extraspecial_32_plus", "frob_3k_2_1",
+        "frob_3k_2_2", "frob_3k_2_3", "gamma_3", "gamma_4", "q8", "q8xc2", "sym_3"],
+    4: ["cyclic_4", "dihedral_10", "gamma_5", "sg_147_4", "sg_21_1", "sg_250_14",
+        "sg_27_3", "sg_27_4", "sg_36_9", "sg_50_4", "sg_81_12", "sg_81_13", "sym_4"],
+    5: ["alt_5", "alt_6", "c2xs3", "cyclic_5", "dihedral_12", "dihedral_14",
+        "sg_55_1", "sg_80_49", "sym_5"],
+    6: ["cyclic_6", "dihedral_18", "gamma_7", "sg_78_1", "sym_6"],
+}
+
+
 def test_scan_predicates():
     hits = verify.scan("cdc=2")
     assert hits == ["cyclic_3", "elab_3_2", "frob_3k_2_1", "frob_3k_2_2",
@@ -98,6 +114,37 @@ def test_scan_predicates():
     assert "sym_4" in verify.scan("rows<=4")
     with pytest.raises(ValueError):
         verify.scan("degree>9000")
+    # every list, over the core and optional tiers
+    names = catalog.names("core") + catalog.names("optional")
+    assert {k: verify.scan(f"cdc={k}", names) for k in range(1, 5)} == {
+        1: ["cyclic_2", "elab_2_2", "elab_2_3"],
+        2: ["cyclic_3", "elab_3_2", "frob_3k_2_1", "frob_3k_2_2", "frob_3k_2_3",
+            "gamma_3", "sym_3", "sym_4"],
+        3: ["c2xs3", "cyclic_4", "d8xc2", "d8xc2xc2", "dihedral_12", "dihedral_8",
+            "extraspecial_32_minus", "extraspecial_32_plus", "q8", "q8xc2"],
+        4: ["alt_4", "alt_5", "cyclic_5", "dihedral_10", "gamma_4", "gamma_5",
+            "sg_250_14", "sg_50_4", "sym_5"],
+    }
+    assert {k: verify.scan(f"ncv={k}", names) for k in range(1, 7)} == {
+        1: ["cyclic_2", "elab_2_2", "elab_2_3"],
+        2: ["cyclic_3", "elab_3_2", "frob_3k_2_1", "frob_3k_2_2", "frob_3k_2_3",
+            "gamma_3", "sym_3", "sym_4"],
+        3: ["c2xs3", "cyclic_4", "d8xc2", "d8xc2xc2", "dihedral_12", "dihedral_8",
+            "extraspecial_32_minus", "extraspecial_32_plus", "q8", "q8xc2", "sym_5"],
+        4: ["alt_4", "alt_5", "cyclic_5", "dihedral_10", "gamma_4", "gamma_5",
+            "sg_250_14", "sg_50_4", "sym_6"],
+        5: ["alt_6", "cyclic_6", "dihedral_14", "dihedral_18", "sg_147_4", "sg_21_1",
+            "sg_27_3", "sg_27_4", "sg_36_9", "sg_81_12", "sg_81_13"],
+        6: ["cyclic_7", "gamma_7", "sg_80_49"],
+    }
+    for k in range(2, 7):
+        assert verify.scan(f"rows<={k}", names) == \
+            sorted(n for size, group in ROW_CV_MAX.items() if size <= k for n in group), k
+    assert verify.scan("rational", names) == [
+        "c2xs3", "cyclic_2", "d8xc2", "d8xc2xc2", "dihedral_12", "dihedral_8",
+        "elab_2_2", "elab_2_3", "extraspecial_32_minus", "extraspecial_32_plus",
+        "frob_3k_2_1", "frob_3k_2_2", "frob_3k_2_3", "gamma_3", "q8", "q8xc2",
+        "sym_3", "sym_4", "sym_5", "sym_6", "trivial"]
 
 
 def test_corpus_scan_checks_pass():
