@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache, partial, reduce
 from math import factorial
 from operator import contains, eq, le
-from types import MappingProxyType
+from types import MappingProxyType, UnionType
 from typing import Callable, Mapping, NamedTuple
 
 from .chartab import CharTable, character_table
@@ -189,17 +189,33 @@ def _builder_direct(*parts: Callable[[], PermGroup]) -> Callable[[], PermGroup]:
 class Claim:
     """How a pinned key reads its fact off (table, report), and whether
     that fact meets the pinned value.  A per-row claim reads one fact per
-    non-linear row, and each is met or missed on its own.  A plain class,
-    not a NamedTuple: building a NamedTuple class costs about 0.2 ms of
-    every import."""
+    non-linear row, and each is met or missed on its own.  A lattice claim
+    reads its fact off (table, normals) instead, normals being every
+    normal subgroup with its size (_normal_sizes), which check_expected
+    builds at most once.  pin is the type a pinned value must have: a
+    type, exactly (True is no int), C[T] for a tuple or set C of T, or a
+    union of these; _add refuses any other value.  A plain class, not a
+    NamedTuple: building a NamedTuple class costs about 0.2 ms of every
+    import."""
 
-    __slots__ = ("read", "meets", "per_row")
+    __slots__ = ("read", "meets", "per_row", "lattice", "pin")
 
-    def __init__(self, read: Callable[[CharTable, InvariantReport], object],
-                 meets: Callable[[object, object], bool] = eq, per_row: bool = False):
+    def __init__(self, read: Callable[..., object], meets: Callable[[object, object], bool] = eq,
+                 per_row: bool = False, lattice: bool = False, pin=int):
         self.read = read
         self.meets = meets
         self.per_row = per_row
+        self.lattice = lattice
+        self.pin = pin
+
+
+def _fits(value, pin) -> bool:
+    """Whether value has the pin type of a Claim."""
+    if type(pin) is UnionType:
+        return any(_fits(value, p) for p in pin.__args__)
+    if type(pin) is type:
+        return type(value) is pin
+    return type(value) is pin.__origin__ and set(map(type, value)) <= {pin.__args__[0]}
 
 
 def _frobenius_shape(table: CharTable, rep: InvariantReport) -> tuple[int, int] | None:
@@ -217,47 +233,48 @@ def _socle_orders(table: CharTable, rep: InvariantReport) -> list[int]:
 
 
 def _normal_sizes(table: CharTable) -> list[tuple[int, int]]:
-    """Every normal subgroup with its size; only the lattice claims build it."""
+    """Every normal subgroup with its size; only the lattice claims read it."""
     return [(n, mask_size(table.classes, n)) for n in normal_masks(table)]
 
 
-def _frobenius_cyclic_quotient(table: CharTable, rep: InvariantReport) -> bool:
+def _frobenius_cyclic_quotient(table: CharTable, normals: list[tuple[int, int]]) -> bool:
     # the complement of a Frobenius G/N with kernel K/N is isomorphic to G/K
-    kernels = (frobenius_kernel(table, n) for n, size in _normal_sizes(table)
+    kernels = (frobenius_kernel(table, n) for n, size in normals
                if size < table.group.order)
     return any(k is not None and is_cyclic_quotient(table.classes, k) for k in kernels)
 
 
 # Every key an entry may pin, in the order check_expected reports them.
 CLAIMS: Mapping[str, Claim] = MappingProxyType({
-    "degrees": Claim(lambda t, r: t.degrees),
-    "cd": Claim(lambda t, r: r.cd),
-    "cv": Claim(lambda t, r: set(r.cv_displays())),
-    "ncv": Claim(lambda t, r: {v.display() for v in r.ncv}),
+    "degrees": Claim(lambda t, r: t.degrees, pin=tuple[int, ...]),
+    "cd": Claim(lambda t, r: r.cd, pin=tuple[int, ...]),
+    "cv": Claim(lambda t, r: set(r.cv_displays()), pin=set[str]),
+    "ncv": Claim(lambda t, r: {v.display() for v in r.ncv}, pin=set[str]),
     "cdc_size": Claim(lambda t, r: len(r.cdc)),
     "ncv_size": Claim(lambda t, r: len(r.ncv)),
-    "dl": Claim(lambda t, r: r.dl),
-    "rational": Claim(lambda t, r: r.is_rational_group),
+    "dl": Claim(lambda t, r: r.dl, pin=int | None),
+    "rational": Claim(lambda t, r: r.is_rational_group, pin=bool),
     "row_cv_max": Claim(lambda t, r: max(r.per_char_cv_sizes), le),
     "has_row_with_cv_size": Claim(lambda t, r: r.per_char_cv_sizes, contains),
     "four_value_nonlinear": Claim(
         lambda t, r: [s for row, s in zip(t.rows, r.per_char_cv_sizes) if row.degree > 1],
-        lambda sizes, want: (bool(sizes) and all(s == 4 for s in sizes)) == want),
+        lambda sizes, want: (bool(sizes) and all(s == 4 for s in sizes)) == want, pin=bool),
     "nonlinear_count": Claim(lambda t, r: sum(1 for row in t.rows if row.degree > 1)),
     "nonlinear_degrees": Claim(
-        lambda t, r: tuple(sorted(row.degree for row in t.rows if row.degree > 1))),
+        lambda t, r: tuple(sorted(row.degree for row in t.rows if row.degree > 1)),
+        pin=tuple[int, ...]),
     "deg2_rows": Claim(lambda t, r: sum(1 for row in t.rows if row.degree == 2)),
     "nonlinear_row_values": Claim(
         lambda t, r: [{v.display() for v in set(row.values)}
                       for row in t.rows if row.degree > 1],
-        per_row=True),
-    "extraspecial": Claim(lambda t, r: r.flags.is_extraspecial),
+        per_row=True, pin=set[str]),
+    "extraspecial": Claim(lambda t, r: r.flags.is_extraspecial, pin=bool),
     "involutions": Claim(lambda t, r: sum(
         size for size, o in zip(t.classes.sizes, t.classes.element_orders) if o == 2)),
-    "frobenius": Claim(_frobenius_shape),
+    "frobenius": Claim(_frobenius_shape, pin=tuple[int, ...]),
     # a Frobenius complement is isomorphic to G/K
     "complement_cyclic": Claim(lambda t, r: r.flags.frobenius is not None
-                               and is_cyclic_quotient(t.classes, r.flags.frobenius)),
+                               and is_cyclic_quotient(t.classes, r.flags.frobenius), pin=bool),
     # |G : G'| is the number of linear rows
     "derived_size": Claim(
         lambda t, r: t.group.order // sum(1 for row in t.rows if row.degree == 1)),
@@ -266,22 +283,28 @@ CLAIMS: Mapping[str, Claim] = MappingProxyType({
     "unique_minimal_normal": Claim(
         lambda t, r: sorted(mask_size(t.classes, m) for m in minimal_normal_masks(t)),
         lambda sizes, m: sizes == [m]),
-    "normal_count": Claim(lambda t, r: len(normal_masks(t))),
-    "quotient_d10_count": Claim(lambda t, r: sum(
-        1 for n, size in _normal_sizes(t)
-        if t.group.order // size == 10 and not is_abelian_quotient(t, n))),
-    "exists_normal_with_2group_quotient": Claim(lambda t, r: any(
+    "normal_count": Claim(lambda t, normals: len(normals), lattice=True),
+    "quotient_d10_count": Claim(lambda t, normals: sum(
+        1 for n, size in normals
+        if t.group.order // size == 10 and not is_abelian_quotient(t, n)), lattice=True),
+    "exists_normal_with_2group_quotient": Claim(lambda t, normals: any(
         size < t.group.order and is_p_power(t.group.order // size, 2)
-        for _, size in _normal_sizes(t))),
-    "exists_normal_with_frobenius_cyclic_quotient": Claim(_frobenius_cyclic_quotient),
+        for _, size in normals), lattice=True, pin=bool),
+    "exists_normal_with_frobenius_cyclic_quotient": Claim(
+        _frobenius_cyclic_quotient, lattice=True, pin=bool),
 })
 
 
-def unmet(key: str, want, table: CharTable, rep: InvariantReport) -> list:
+def unmet(key: str, want, table: CharTable, rep: InvariantReport,
+          normals: list[tuple[int, int]] | None = None) -> list:
     """The facts of the table that miss the claim key = want, in row
-    order for a per-row claim; [] when the claim holds."""
+    order for a per-row claim; [] when the claim holds.  A lattice claim
+    reads normals, built here when not given."""
     claim = CLAIMS[key]
-    got = claim.read(table, rep)
+    if claim.lattice:
+        got = claim.read(table, _normal_sizes(table) if normals is None else normals)
+    else:
+        got = claim.read(table, rep)
     return [fact for fact in (got if claim.per_row else [got])
             if not claim.meets(fact, want)]
 
@@ -294,10 +317,16 @@ _REGISTRY: dict[str, CatalogEntry] = {}
 def _add(entry: CatalogEntry) -> None:
     if entry.name in _REGISTRY:
         raise InvariantViolation(f"catalog name {entry.name!r} registered twice")
-    unknown = entry.expected.keys() - CLAIMS.keys()
-    if unknown:
-        raise InvariantViolation(
-            f"catalog entry {entry.name!r} pins unknown claims {sorted(unknown)}")
+    for key, want in entry.expected.items():
+        claim = CLAIMS.get(key)
+        if claim is None:
+            unknown = sorted(entry.expected.keys() - CLAIMS.keys())
+            raise InvariantViolation(
+                f"catalog entry {entry.name!r} pins unknown claims {unknown}")
+        pin = claim.pin
+        if type(want) is not pin and not _fits(want, pin):  # most pins are a plain type
+            raise InvariantViolation(f"catalog entry {entry.name!r} pins {key} = {want!r}, "
+                                     f"not {pin.__name__ if type(pin) is type else pin}")
     _REGISTRY[entry.name] = entry
 
 
@@ -554,9 +583,12 @@ def check_expected(name: str, seed: int = 0) -> list[str]:
     ent = entry(name)
     _, _, _, table, rep = bundle(ent.name, seed)
     bad: list[str] = []
-    for key in CLAIMS:
+    normals = None
+    for key, claim in CLAIMS.items():
         if key in ent.expected:
+            if claim.lattice and normals is None:
+                normals = _normal_sizes(table)
             want = ent.expected[key]
             bad += [f"{ent.name}: {key} expected {want!r}, got {got!r}"
-                    for got in unmet(key, want, table, rep)]
+                    for got in unmet(key, want, table, rep, normals)]
     return bad

@@ -32,7 +32,7 @@ import operator
 import re
 from collections import Counter
 from functools import reduce
-from operator import add, and_, or_
+from operator import add, and_, itemgetter, or_
 from typing import TYPE_CHECKING, NamedTuple
 
 from .cyclo import is_p_power, prime_factors
@@ -108,8 +108,7 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         # Composition "apply self, then other".
-        oi = other.images
-        return Permutation(tuple(oi[x] for x in self.images), _check=False)
+        return Permutation(_then(self.images)(other.images), _check=False)
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
@@ -168,6 +167,14 @@ class Permutation:
 
     def __repr__(self):
         return f"Permutation({self.cycle_string()})"
+
+
+def _then(a: tuple[int, ...]):
+    """The map from the image tuple b to that of a*b ("apply a, then b"),
+    b[a[x]] for each point x, as one C-level itemgetter call.  itemgetter
+    of a single index returns a bare item, not a tuple; a permutation of at
+    most one point is the identity, so there a*b is b itself."""
+    return itemgetter(*a) if len(a) > 1 else tuple
 
 
 def perm_from_cycles(cycles, degree: int) -> Permutation:
@@ -287,7 +294,8 @@ class PermGroup:
 
     elements[0] is the identity; the rest follow BFS order over the
     generators, which is the canonical element order used everywhere.
-    Products follow mult_index's convention: x*y applies x, then y.
+    Products follow mult_index's convention: x*y applies x, then y, and
+    each is one C-level itemgetter call on image tuples (_then).
 
     The BFS keeps the product of every element by every generator:
     right[s][y] is the index of y*g_s.  Elements were discovered in index
@@ -313,6 +321,11 @@ class PermGroup:
     def from_generators(cls, generators, degree: int | None = None, bound: int = 2500) -> "PermGroup":
         """Breadth-first closure of the generators from the identity.
 
+        The closure runs on plain image tuples: each element cur builds
+        _then(cur), an itemgetter, once, and its call on a generator's
+        images is the image tuple of cur*g.  The elements are wrapped as
+        Permutations in one pass after the closure ends.
+
         Args:
           generators: permutations, all of the same degree.
           degree: optional; inferred from the generators.
@@ -326,25 +339,26 @@ class PermGroup:
         for g in gens:
             if g.degree != degree:
                 raise ValueError("mixed degrees among generators")
-        ident = Permutation.identity(degree)
-        elements = [ident]
-        index = {ident.images: 0}
+        ident = tuple(range(degree))
+        images = [ident]
+        index = {ident: 0}
         right: list[list[int]] = [[] for _ in gens]
         pairs = [(g.images, row.append) for g, row in zip(gens, right)]
         get = index.get
-        for perm in elements:
-            cur = perm.images
+        for cur in images:
+            step = _then(cur)
             for gi, append in pairs:
-                nxt = tuple([gi[x] for x in cur])
+                nxt = step(gi)
                 j = get(nxt)
                 if j is None:
-                    if len(elements) >= bound:
+                    if len(images) >= bound:
                         raise OrderBoundExceeded(
                             f"group order exceeds bound {bound}")
-                    j = index[nxt] = len(elements)
-                    elements.append(Permutation(nxt, _check=False))
+                    j = index[nxt] = len(images)
+                    images.append(nxt)
                 append(j)
-        return cls(degree, tuple(gens), tuple(elements), index, tuple(right))
+        elements = tuple([Permutation(t, _check=False) for t in images])
+        return cls(degree, tuple(gens), elements, index, tuple(right))
 
     def element_index(self, perm: Permutation) -> int:
         try:
@@ -353,9 +367,7 @@ class PermGroup:
             raise KeyError(f"{perm!r} is not in the group") from None
 
     def mult_index(self, i: int, j: int) -> int:
-        a = self.elements[i].images
-        b = self.elements[j].images
-        return self._index[tuple(b[x] for x in a)]
+        return self._index[_then(self.elements[i].images)(self.elements[j].images)]
 
     def _replay(self, table: list[int], lefts) -> list[int]:
         """Extend table along the BFS tree: for each element j first

@@ -30,6 +30,7 @@ from charval.chartab import (
 from charval.cyclo import Cyc, is_prime, power_basis
 from charval.permcore import (
     ClassData,
+    OrderBoundExceeded,
     PermGroup,
     Permutation,
     derived_series,
@@ -530,23 +531,31 @@ def socle_from_normals(group: PermGroup,
 A5A6_ENTRIES = frozenset({"alt_5", "sym_5", "alt_6", "sym_6"})
 
 
-def naive_closure(perms: list[Permutation]) -> set[tuple[int, ...]]:
-    """Set-based multiplicative closure, no BFS indexing."""
-    out = {p.images for p in perms}
-    if not perms:
-        return out
-    out.add(Permutation.identity(perms[0].degree).images)
-    while True:
-        new = set()
-        for a in out:
-            pa = Permutation(a, _check=False)
-            for b in out:
-                c = (pa * Permutation(b, _check=False)).images
-                if c not in out:
-                    new.add(c)
-        if not new:
-            return out
-        out |= new
+def naive_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The image tuple of a*b (apply a, then b), from the image tuples of a
+    and b, by an explicit list comprehension."""
+    return tuple([b[x] for x in a])
+
+
+def naive_closure(gens, degree: int, bound: int):
+    """(images, index, right) of the breadth-first closure of gens from the
+    identity, as PermGroup.from_generators stores them, with every product
+    taken by naive_product.  Raises OrderBoundExceeded, with
+    from_generators' message, on reaching a new element when bound
+    elements are already found."""
+    ident = tuple(range(degree))
+    images, index = [ident], {ident: 0}
+    right: list[list[int]] = [[] for _ in gens]
+    for cur in images:
+        for g, row in zip(gens, right):
+            nxt = naive_product(cur, g.images)
+            if nxt not in index:
+                if len(images) >= bound:
+                    raise OrderBoundExceeded(f"group order exceeds bound {bound}")
+                index[nxt] = len(images)
+                images.append(nxt)
+            row.append(index[nxt])
+    return images, index, right
 
 
 def naive_conjugacy_partition(group: PermGroup) -> set[frozenset[int]]:
@@ -591,10 +600,10 @@ def naive_derived_series(group: PermGroup) -> list[frozenset[int]]:
     term = frozenset(range(group.order))
     series = [term]
     while True:
-        comms = [Permutation(group.elements[commutator(group, i, j)].images)
-                 for i in term for j in term]
-        nxt = frozenset(group.element_index(Permutation(t, _check=False))
-                        for t in naive_closure(comms))
+        comms = sorted({group.elements[commutator(group, i, j)].images
+                        for i in term for j in term})
+        images, _, _ = naive_closure([Permutation(c) for c in comms], group.degree, group.order)
+        nxt = frozenset(group.element_index(Permutation(t, _check=False)) for t in images)
         if nxt == term:
             return series
         series.append(nxt)

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from charval import catalog, verify
+from charval import catalog, permcore, verify
 from charval.catalog import CatalogEntry, ConstructionMismatch, UnknownName
 from charval.chartab import character_table
 from charval.permcore import (
@@ -274,6 +274,42 @@ def test_unknown_pin_is_refused_at_registration():
     with pytest.raises(InvariantViolation, match="cdc_sise"):
         catalog._add(bogus)
     assert "bogus_c2" not in catalog.names()
+
+
+@pytest.mark.parametrize("key, value, pin", [("row_cv_max", "4", "int"),
+                                             ("cdc_size", "2", "int"),
+                                             ("cdc_size", True, "int"),
+                                             ("degrees", [1, 1, 2, 3, 3], "tuple[int, ...]"),
+                                             ("degrees", (1, 1, 2, 3, "3"), "tuple[int, ...]"),
+                                             ("dl", "2", "int | None")])
+def test_a_pin_of_the_wrong_type_is_refused_at_registration(key, value, pin, monkeypatch):
+    # "4" would raise TypeError at check time and "2" would be a mismatch
+    # there; both are refused when the entry is registered
+    ent = catalog.entry("sym_4")
+    monkeypatch.delitem(catalog._REGISTRY, "sym_4")
+    with pytest.raises(InvariantViolation) as exc:
+        catalog._add(ent._replace(expected={**ent.expected, key: value}))
+    assert str(exc.value) == f"catalog entry 'sym_4' pins {key} = {value!r}, not {pin}"
+    assert "sym_4" not in catalog.names()
+    catalog._add(ent)
+    assert catalog.check_expected("sym_4") == []
+
+
+def test_check_expected_builds_the_lattice_at_most_once(monkeypatch):
+    calls = []
+
+    def counting(table):
+        calls.append(table)
+        return permcore.normal_masks(table)
+
+    monkeypatch.setattr(catalog, "normal_masks", counting)
+    lattice = {key for key, claim in catalog.CLAIMS.items() if claim.lattice}
+    for name in catalog.names():
+        calls.clear()
+        assert catalog.check_expected(name) == [], name
+        assert len(calls) == bool(lattice & catalog.entry(name).expected.keys()), name
+    for name in ("dihedral_10", "sg_50_4"):
+        assert len(lattice & catalog.entry(name).expected.keys()) == 2, name
 
 
 def test_every_claim_is_pinned_or_scanned():

@@ -1,6 +1,7 @@
 """Permutation groups: enumeration, classes, quotients, structure."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -217,8 +218,77 @@ def test_cycle_text_errors_keep_their_types_and_carry_the_column():
 def test_closure_matches_naive_oracle():
     gens = [parse_cycle_text("(1 2)", 4), parse_cycle_text("(1 2 3 4)", 4)]
     g = PermGroup.from_generators(gens)
-    assert {e.images for e in g.elements} == H.naive_closure(gens)
+    assert [e.images for e in g.elements] == H.naive_closure(gens, 4, 24)[0]
     assert g.elements[0].is_identity()
+
+
+def _random_generators(seed: int) -> tuple[list[Permutation], int]:
+    """Degree 1 + seed % 8 and zero to three generators, each moving a
+    random subset of the points among themselves."""
+    rng = random.Random(seed)
+    degree = 1 + seed % 8
+    gens = []
+    for _ in range(rng.randrange(4)):
+        support = rng.sample(range(degree), rng.randint(1, degree))
+        images = list(range(degree))
+        for p, q in zip(support, rng.sample(support, len(support))):
+            images[p] = q
+        gens.append(Permutation(images))
+    return gens, degree
+
+
+def _assert_closure_is_naive_bfs(g: PermGroup, gens, degree: int) -> None:
+    # the same elements in the same order, the same index and right tables,
+    # and the order bound met exactly: order closes, order - 1 raises
+    images, index, right = H.naive_closure(gens, degree, g.order)
+    assert [e.images for e in g.elements] == images
+    assert g._index == index
+    assert list(g._right) == right
+    assert PermGroup.from_generators(gens, degree=degree, bound=g.order).order == g.order
+    if g.order > 1:
+        message = f"^group order exceeds bound {g.order - 1}$"
+        with pytest.raises(OrderBoundExceeded, match=message):
+            PermGroup.from_generators(gens, degree=degree, bound=g.order - 1)
+        with pytest.raises(OrderBoundExceeded, match=message):
+            H.naive_closure(gens, degree, g.order - 1)
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_catalog_closures_are_the_naive_bfs(name):
+    g = catalog.build(name)
+    _assert_closure_is_naive_bfs(g, list(g.generators), g.degree)
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_random_closures_are_the_naive_bfs(seed):
+    gens, degree = _random_generators(seed)
+    g = PermGroup.from_generators(gens, degree=degree, bound=40320)
+    _assert_closure_is_naive_bfs(g, gens, degree)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_products_match_naive_composition_on_random_pairs(seed):
+    rng = random.Random(seed)
+    gens, degree = _random_generators(seed)
+    g = PermGroup.from_generators(gens, degree=degree, bound=40320)
+    for _ in range(40):
+        a, b = (Permutation(rng.sample(range(degree), degree)) for _ in range(2))
+        assert (a * b).images == H.naive_product(a.images, b.images)
+        i, j = rng.randrange(g.order), rng.randrange(g.order)
+        ai, bj = g.elements[i].images, g.elements[j].images
+        assert g.elements[g.mult_index(i, j)].images == H.naive_product(ai, bj)
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_products_match_naive_composition_on_catalog_generators(name):
+    g = catalog.build(name)
+    gens = [g.elements[0], *g.generators]
+    indices = [0, *g.generator_indices()]
+    for a, i in zip(gens, indices):
+        for b, j in zip(gens, indices):
+            product = H.naive_product(a.images, b.images)
+            assert (a * b).images == product
+            assert g.elements[g.mult_index(i, j)].images == product
 
 
 def test_enumeration_order_is_bfs():
