@@ -33,8 +33,15 @@ the restriction of M_i: as every omega is 1 at class 0, e_0 sees every
 eigenvalue, and that polynomial has one linear factor per eigenspace,
 where the characteristic polynomial has one per dimension.  A
 quadratic is solved in closed form, by a square root mod p; a
-polynomial of higher degree is split at random.  Each eigenspace is
-read off one row reduction (_split_subspace).  Central characters,
+polynomial of higher degree is split at random.  The split reads M_i
+by column: an echelon basis row is 1 at its pivot, 0 at the other
+pivots and nonzero elsewhere only in its tail, so its image is the sum
+of the columns at its nonzero entries, and the work follows those
+entries rather than k per row.  The coordinates of an image are its
+entries at the pivots, so its combination of the basis rows agrees
+with it at every pivot column by the echelon form, and invariance is
+checked at the other columns only.  Each eigenspace is read off one
+row reduction (_split_subspace).  Central characters,
 degrees, and values are computed mod p, then the values of each row
 are lifted exactly to cyclotomic integers through root-of-unity
 multiplicities.  The lift also gives each row's kernel and centre: at
@@ -48,8 +55,9 @@ identity), so it fixes the multiplicities, both checks, the value and
 the two bits.  The finished table is then proven to be the group's
 table (_self_verify): its central characters must be eigenvectors of
 one class-algebra element with distinct eigenvalues, decided modulo a
-power of the Dixon prime, with the split's class matrices and kernel,
-_mat_vecs.  Failure raises OrthogonalityFailure, never a wrong table.
+power of the Dixon prime, with the class matrices the split built and
+_mat_vecs, which packs one coordinate of every vector into an integer.
+Failure raises OrthogonalityFailure, never a wrong table.
 """
 
 from __future__ import annotations
@@ -57,6 +65,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+from itertools import compress
 
 from .cyclo import Cyc, is_prime, prime_factors
 from .permcore import ClassData, PermGroup, conjugacy_classes, mask_size
@@ -336,17 +345,6 @@ def _mat_vecs(mat: list[list[tuple[int, int]]], vecs: list[list[int]],
     return [list(v) for v in zip(*images)]
 
 
-def _combine(coefs: list[int], basis: list[list[int]], p: int) -> list[int]:
-    """sum(coefs[s] * basis[s]) mod p."""
-    out = [0] * len(basis[0])
-    for cs, bs in zip(coefs, basis):
-        if cs:
-            for c, x in enumerate(bs):
-                if x:
-                    out[c] += cs * x
-    return [x % p for x in out]
-
-
 def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form mod p: (nonzero reduced rows, pivot columns).
 
@@ -394,6 +392,19 @@ def _split_subspace(space: tuple[list[list[int]], list[int]],
     says it is not scalar, so a single piece comes back only when that
     rule failed, and the caller refuses it.
 
+    mat's rows are turned into columns once.  A reduced echelon row is
+    1 at its pivot and 0 at the other pivots, so its other nonzero
+    entries, its tail, lie at non-pivot columns, and the image of
+    basis[s] is column pivots[s] plus x times column t for each tail
+    entry (t, x): a sum over the nonzero entries of the row and of the
+    columns they meet, where mat's rows would each be read against the
+    whole vector.  The coordinates of the image are its entries at the
+    pivots.  At a pivot column the combination of the basis rows with
+    these coordinates is the coordinate itself, since each row is 1 at
+    its own pivot and 0 at the others, so it agrees with the image there
+    by the echelon form, and invariance is checked at the non-pivot
+    columns only, against the tails.
+
     The eigenvalues are the roots of _minimal_polynomial, the minimal
     polynomial of the coordinate e_0 under the restriction R.  The space
     is spanned by central characters omega, each 1 at class 0, and its
@@ -414,35 +425,61 @@ def _split_subspace(space: tuple[list[list[int]], list[int]],
     is N B for the echelon basis B: its row for f is 0 before pivots[f]
     and 1 there, and at each other pivots[f'] it reads N's 0 at f'.
     Reduced echelon form is unique, so the pieces are what _rref of them
-    would return.
+    would return.  A row of N B is N's entries at the pivots, plus the
+    tails of the basis rows times those entries.
     """
     basis, piv = space
-    d = len(basis)
-    images = _mat_vecs(mat, basis, p)
+    d, k = len(basis), len(mat)
+    cols: list[list[tuple[int, int]]] = [[] for _ in mat]
+    for j, row in enumerate(mat):
+        for t, a in row:
+            cols[t].append((j, a))
+    pivot_set = set(piv)
+    free_cols = [c for c in range(k) if c not in pivot_set]
+    tails = [[(t, v[t]) for t in compress(range(k), v) if t != c]
+             for v, c in zip(basis, piv)]
     # coords[t][s]: coefficient of basis[s] in the image of basis[t]
     coords = []
-    for w in images:
-        coef = [w[c] for c in piv]
-        if _combine(coef, basis, p) != w:
+    for s, tail in enumerate(tails):
+        w = [0] * k
+        for j, a in cols[piv[s]]:
+            w[j] = a
+        for t, x in tail:
+            for j, a in cols[t]:
+                w[j] += x * a
+        coef = [w[c] % p for c in piv]
+        for y, other in zip(coef, tails):
+            if y:
+                for t, x in other:
+                    w[t] -= y * x
+        if any(w[c] % p for c in free_cols):
             raise EigensplitFailure("subspace not invariant under class matrix", p)
         coords.append(coef)
     roots = _distinct_roots(_minimal_polynomial(coords, p), p, rng)
+    # R[s][t] = coords[t][s], with coordinate t in column d - 1 - t
+    transposed = [list(row) for row in zip(*reversed(coords))]
     pieces = []
     for lam in roots:
-        # R - lam I, R[s][t] = coords[t][s], with coordinate t in column d - 1 - t
-        reduced, rpiv = _rref([[(coords[t][s] - (lam if s == t else 0)) % p
-                                for t in reversed(range(d))] for s in range(d)], p)
+        shifted = [row[:] for row in transposed]
+        for s, row in enumerate(shifted):
+            row[d - 1 - s] = (row[d - 1 - s] - lam) % p
+        reduced, rpiv = _rref(shifted, p)
         bound = {d - 1 - c: row for row, c in zip(reduced, rpiv)}
         free = [f for f in range(d) if f not in bound]
         if not free:
             raise EigensplitFailure("eigenvalue without eigenvector", p)
         vecs = []
         for f in free:
-            v = [0] * d
-            v[f] = 1
-            for t, row in bound.items():
-                v[t] = -row[d - 1 - f] % p
-            vecs.append(_combine(v, basis, p))
+            terms = [(f, 1)] + [(t, -row[d - 1 - f] % p) for t, row in bound.items()]
+            vec = [0] * k
+            for t, y in terms:
+                if y:
+                    vec[piv[t]] = y
+                    for c, x in tails[t]:
+                        vec[c] += y * x
+            for c in free_cols:
+                vec[c] %= p
+            vecs.append(vec)
         pieces.append((vecs, [piv[f] for f in free]))
     if sum(len(pivots) for _, pivots in pieces) != d:
         raise EigensplitFailure("restriction is not semisimple", p)

@@ -44,6 +44,8 @@ def _looks_like_path(selector: str) -> bool:
 def _load(selector: str, seed: int, max_order: int) -> tuple[
         str, PermGroup, CharTable, InvariantReport]:
     """Resolve a catalog name or group file into computed artifacts."""
+    if max_order < 1:
+        raise ValueError("--max-order must be a positive integer")
     if _looks_like_path(selector):
         with open(selector, encoding="utf-8") as fh:
             group = parse_group_file(fh.read(), bound=max_order)

@@ -19,10 +19,14 @@ from charval import catalog
 from charval.chartab import (
     Character,
     CharTable,
+    EigensplitFailure,
     OrthogonalityFailure,
+    _distinct_roots,
     _mat_vecs,
+    _minimal_polynomial,
     _pmul,
     _psub,
+    _rref,
     _split_subspace,
     character_table,
     choose_dixon_prime,
@@ -241,6 +245,49 @@ def index_order_splits(group: PermGroup, cd: ClassData,
             refined.extend(pieces)
         spaces = refined
     return seen
+
+
+def dense_split_subspace(space: tuple[list[list[int]], list[int]],
+                         mat: list[list[tuple[int, int]]], p: int,
+                         rng: random.Random) -> list[tuple[list[list[int]], list[int]]]:
+    """chartab._split_subspace read densely: every basis vector mapped by
+    _mat_vecs, invariance checked at every column and each eigenvector
+    combined from the whole basis rows."""
+    basis, piv = space
+    d = len(basis)
+
+    def combine(coefs: list[int]) -> list[int]:
+        out = [0] * len(basis[0])
+        for cs, bs in zip(coefs, basis):
+            for c, x in enumerate(bs):
+                out[c] += cs * x
+        return [x % p for x in out]
+
+    coords = []
+    for w in _mat_vecs(mat, basis, p):
+        coef = [w[c] for c in piv]
+        if combine(coef) != w:
+            raise EigensplitFailure("subspace not invariant under class matrix", p)
+        coords.append(coef)
+    pieces = []
+    for lam in _distinct_roots(_minimal_polynomial(coords, p), p, rng):
+        reduced, rpiv = _rref([[(coords[t][s] - (lam if s == t else 0)) % p
+                                for t in reversed(range(d))] for s in range(d)], p)
+        bound = {d - 1 - c: row for row, c in zip(reduced, rpiv)}
+        free = [f for f in range(d) if f not in bound]
+        if not free:
+            raise EigensplitFailure("eigenvalue without eigenvector", p)
+        vecs = []
+        for f in free:
+            v = [0] * d
+            v[f] = 1
+            for t, row in bound.items():
+                v[t] = -row[d - 1 - f] % p
+            vecs.append(combine(v))
+        pieces.append((vecs, [piv[f] for f in free]))
+    if sum(len(pivots) for _, pivots in pieces) != d:
+        raise EigensplitFailure("restriction is not semisimple", p)
+    return pieces
 
 
 def cyc_kernel(row: Character) -> int:

@@ -699,22 +699,22 @@ def test_class_matrices_are_built_and_applied_only_where_they_split(
     g = catalog.build(name)
     cd = conjugacy_classes(g)
     calls = _count_calls(monkeypatch, "_split_subspace", "_minimal_polynomial", "_rref")
-    # products counts the vectors the split hands to _mat_vecs; the proof
-    # makes its own product, and builds only the matrices of the classes
-    # it combines that the split did not apply
+    # products counts the basis rows the split maps, every row of each
+    # space it is handed, each by the columns of the class matrix; the
+    # proof makes its own product, and builds only the matrices of the
+    # classes it combines that the split did not apply
     vectors, applied, memo = [], set(), []
-    mat_vecs, self_verify = chartab._mat_vecs, chartab._self_verify
+    split_subspace, self_verify = chartab._split_subspace, chartab._self_verify
     class_matrix = ClassData.class_matrix
 
     def proving(table):
-        monkeypatch.setattr(chartab, "_mat_vecs", mat_vecs)
         monkeypatch.setattr(ClassData, "class_matrix", class_matrix)
         memo.append(set(cd._matrices))
         self_verify(table)
         memo.append(set(cd._matrices))
 
-    monkeypatch.setattr(chartab, "_mat_vecs", lambda mat, vecs, p:
-                        vectors.append(len(vecs)) or mat_vecs(mat, vecs, p))
+    monkeypatch.setattr(chartab, "_split_subspace", lambda space, mat, p, rng:
+                        vectors.append(len(space[0])) or split_subspace(space, mat, p, rng))
     monkeypatch.setattr(ClassData, "class_matrix",
                         lambda cd, i: applied.add(i) or class_matrix(cd, i))
     monkeypatch.setattr(chartab, "_self_verify", proving)
@@ -807,9 +807,35 @@ def test_split_returns_each_eigenspace_in_echelon_form(seed):
     rmat, _, s = _diagonalised(rng, lams, p, [1] * d)
     mat = [[(t, x) for t, x in enumerate(row) if x] for row in rmat]
     identity = [[int(i == j) for j in range(d)] for i in range(d)]
-    pieces = _split_subspace((identity, list(range(d))), mat, p, rng)
+    pieces = _split_like_the_dense_oracle((identity, list(range(d))), mat, p, rng)
     assert pieces == [_rref([[row[j] for row in s] for j in range(d) if lams[j] == lam], p)
                       for lam in sorted(distinct)]
+
+
+def _split_like_the_dense_oracle(space, mat, p, rng):
+    # _split_subspace, asserted to return the pieces of H.dense_split_subspace
+    # and to draw from rng as it does
+    twin = random.Random()
+    twin.setstate(rng.getstate())
+    pieces = _split_subspace(space, mat, p, rng)
+    assert pieces == H.dense_split_subspace(space, mat, p, twin)
+    assert rng.getstate() == twin.getstate()
+    return pieces
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_split_matches_the_dense_oracle_on_every_split(monkeypatch, name):
+    # every split the build makes under seeds 0 and 1, read by column and
+    # checked at the non-pivot columns, returns the pieces of the dense
+    # split: _mat_vecs images, every column checked, whole rows combined
+    _, g, cd, table, _ = catalog.bundle(name)
+    dims = []
+    monkeypatch.setattr(chartab, "_split_subspace", lambda space, mat, p, rng: (
+        dims.append(len(space[0])) or _split_like_the_dense_oracle(space, mat, p, rng)))
+    for seed in (0, 1):
+        character_table(g, cd, seed=seed)
+    # W, the span of the non-linear rows, is split only when it is not a line
+    assert dims or sum(d > 1 for d in table.degrees) <= 1
 
 
 def test_split_refuses_a_subspace_that_is_not_invariant():
@@ -821,6 +847,34 @@ def test_split_refuses_a_subspace_that_is_not_invariant():
     with pytest.raises(EigensplitFailure) as info:
         _split_subspace(space, cd.class_matrix(1), p, random.Random(0))
     assert (p, info.value.message) == (7, "subspace not invariant under class matrix")
+
+
+@pytest.mark.parametrize("name", ["sym_4", "sg_81_3", "sg_250_14"])
+def test_split_refuses_a_class_matrix_bent_at_one_non_pivot_column(monkeypatch, name):
+    # the first space the build splits, under its class matrix with row j,
+    # the first non-pivot column, also counting column piv[0] once more:
+    # only the image of basis[0] moves, by e_j, which is 0 at every pivot,
+    # so the image keeps its coordinates and leaves the space at column j
+    # alone; the dense oracle, which checks every column, refuses it too
+    _, g, cd, _, _ = catalog.bundle(name)
+    p = choose_dixon_prime(g, cd)
+    first = []
+    monkeypatch.setattr(chartab, "_split_subspace", lambda space, mat, p, rng: (
+        first.append((space, mat)) or _split_subspace(space, mat, p, rng)))
+    character_table(g, cd)
+    (basis, piv), mat = first[0]
+    j = next(c for c in range(cd.n_classes) if c not in piv)
+    counts = dict(mat[j])
+    counts[piv[0]] = counts.get(piv[0], 0) + 1
+    bent = [sorted(counts.items()) if i == j else row for i, row in enumerate(mat)]
+    moved = [[c for c, (x, y) in enumerate(zip(v, w)) if x != y]
+             for v, w in zip(chartab._mat_vecs(mat, basis, p),
+                             chartab._mat_vecs(bent, basis, p))]
+    assert moved == [[j]] + [[]] * (len(basis) - 1)
+    for split in (_split_subspace, H.dense_split_subspace):
+        with pytest.raises(EigensplitFailure) as info:
+            split((basis, piv), bent, p, random.Random(0))
+        assert info.value.message == "subspace not invariant under class matrix"
 
 
 def test_split_refuses_an_eigenvalue_without_eigenvector(monkeypatch):

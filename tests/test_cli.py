@@ -533,6 +533,18 @@ def test_group_file_order_bound(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("bound", ["0", "-5"])
+@pytest.mark.parametrize("command", ["table", "invariants"])
+def test_nonpositive_max_order_is_an_input_error(capsys, tmp_path, command, bound):
+    # for a group file, which the bound limits, and for a catalog name,
+    # which it does not
+    path = tmp_path / "s4.txt"
+    path.write_text("degree 4\n(1 2)\n(1 2 3 4)\n")
+    for group in (str(path), "sym_4"):
+        err = run_err(capsys, [command, "--group", group, "--max-order", bound])
+        assert err == "error: --max-order must be a positive integer\n"
+
+
 def test_group_file_point_past_the_degree_bound(capsys, tmp_path):
     path = tmp_path / "far.txt"
     path.write_text("(1 2000000)\n")
