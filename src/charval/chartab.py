@@ -637,6 +637,7 @@ def character_table(group: PermGroup, classes: ClassData | None = None,
     w_inv = pow(w, p - 2, p)
 
     powers = [cd.powers(i) for i in range(k)]
+    canon: dict[Cyc, Cyc] = {}
     lifted: dict[tuple[int, ...], tuple[Cyc, bool, bool]] = {}
     rows: list[Character] = []
     for r, (basis, _) in enumerate(spaces):
@@ -661,7 +662,7 @@ def character_table(group: PermGroup, classes: ClassData | None = None,
             raise failure("no degree d <= sqrt|G| with d^2 = |G|/s mod p", r)
         theta = [d * omega[i] % p * inv_sizes[i] % p for i in range(k)]
         try:
-            values, kernel, center_z = _lift_row(theta, d, powers, p, e, w_inv, lifted)
+            values, kernel, center_z = _lift_row(theta, d, powers, p, e, w_inv, canon, lifted)
         except EigensplitFailure as exc:
             raise failure(exc.message, r, *exc.indices) from exc
         if values[0] != d:
@@ -743,7 +744,7 @@ def _linear_characters(cd: ClassData, e: int) -> tuple[tuple[int, ...], list[lis
 
 
 def _lift_row(theta: list[int], d: int, powers: list[tuple[int, ...]],
-              p: int, e: int, w_inv: int,
+              p: int, e: int, w_inv: int, canon: dict[Cyc, Cyc],
               lifted: dict[tuple[int, ...], tuple[Cyc, bool, bool]]
               ) -> tuple[list[Cyc], int, int]:
     """Lift one row: (values, kernel, center_z), the last two class masks.
@@ -763,6 +764,11 @@ def _lift_row(theta: list[int], d: int, powers: list[tuple[int, ...]],
     result are functions of the key, and a stored key needs no lift.  A
     key that fails a check raises before it is stored, so the failure
     names the first (row, class) that meets it.
+
+    canon maps each value lifted so far in the table to its one object.
+    Equal values lifted at classes of different orders are built apart;
+    through canon they are one object, so every later set, dict or
+    sort-key lookup of a value finds it by identity, not by Cyc.__eq__.
     """
     values: list[Cyc] = [Cyc.zero()] * len(powers)
     kernel = center = 0
@@ -782,6 +788,7 @@ def _lift_row(theta: list[int], d: int, powers: list[tuple[int, ...]],
                     f"multiplicities at class {i} sum to {sum(mus)}, not {d}",
                     p, None, (i,))
             value = Cyc.from_exponents(m, {j: mu for j, mu in enumerate(mus) if mu})
+            value = canon.setdefault(value, value)
             lift = lifted[key] = (value, d in mus, mus[0] == d)
         values[i], in_centre, in_kernel = lift
         if in_centre:

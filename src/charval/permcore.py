@@ -1,12 +1,13 @@
 """Finite permutation groups with full element enumeration.
 
 Groups here are small (order bounded, default 2500), so the element list
-is materialized by breadth-first closure over the generators, and
-classes are answered by exact enumeration.  Every structural question
-is read off the group's proven character table as class masks (bit i
-set for class i): a normal closure is an intersection of irreducible
-kernels, the rows of G/N are the rows with N in their kernel, and each
-centre Z(G/N) is an intersection of the rows' Z(chi).  The derived
+is materialized, as image tuples, by breadth-first closure over the
+generators, and classes are answered by exact enumeration.  Every
+structural question is read off the group's proven character table as
+class masks (bit i set for class i): a normal closure is an
+intersection of irreducible kernels, the rows of G/N are the rows with
+N in their kernel, and each centre Z(G/N) is an intersection of the
+rows' Z(chi).  The derived
 series, O_p, the Frobenius kernel, the socle and a chief series are
 normal closures of a few classes over a known term; only
 normal_subgroups and four claims of check_expected build every normal
@@ -132,25 +133,12 @@ class Permutation:
         return all(i == x for i, x in enumerate(self.images))
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles()))
+        return _order(self.images)
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, each rotated to start at its least point,
         sorted by that point."""
-        seen = [False] * len(self.images)
-        out = []
-        for start in range(len(self.images)):
-            if seen[start] or self.images[start] == start:
-                seen[start] = True
-                continue
-            cyc = []
-            x = start
-            while not seen[x]:
-                seen[x] = True
-                cyc.append(x)
-                x = self.images[x]
-            out.append(tuple(cyc))
-        return tuple(out)
+        return _cycles(self.images)
 
     def cycle_string(self) -> str:
         """1-based disjoint cycle notation; identity is "()"."""
@@ -167,6 +155,29 @@ class Permutation:
 
     def __repr__(self):
         return f"Permutation({self.cycle_string()})"
+
+
+def _cycles(images: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The nontrivial cycles of an image tuple (Permutation.cycles)."""
+    seen = [False] * len(images)
+    out = []
+    for start in range(len(images)):
+        if seen[start] or images[start] == start:
+            seen[start] = True
+            continue
+        cyc = []
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            cyc.append(x)
+            x = images[x]
+        out.append(tuple(cyc))
+    return tuple(out)
+
+
+def _order(images: tuple[int, ...]) -> int:
+    """The order of an image tuple: the lcm of its cycle lengths."""
+    return math.lcm(*map(len, _cycles(images)))
 
 
 def _then(a: tuple[int, ...]):
@@ -289,13 +300,38 @@ def parse_group_file(text: str, bound: int = 2500) -> "PermGroup":
     return PermGroup.from_generators(gens, degree=degree, bound=bound)
 
 
+class Elements:
+    """A read-only sequence view of a group's elements over its image
+    tuples: len, int indexing and iteration in BFS order.  Each access
+    wraps one tuple as a Permutation; the tuples are the only copy kept,
+    so a caller that needs only a few elements wraps only those."""
+
+    __slots__ = ("_images",)
+
+    def __init__(self, images: list[tuple[int, ...]]):
+        self._images = images
+
+    def __len__(self) -> int:
+        return len(self._images)
+
+    def __getitem__(self, i: int) -> Permutation:
+        return Permutation(self._images[operator.index(i)], _check=False)
+
+    def __iter__(self):
+        for images in self._images:
+            yield Permutation(images, _check=False)
+
+
 class PermGroup:
     """A fully enumerated permutation group.
 
-    elements[0] is the identity; the rest follow BFS order over the
-    generators, which is the canonical element order used everywhere.
-    Products follow mult_index's convention: x*y applies x, then y, and
-    each is one C-level itemgetter call on image tuples (_then).
+    The closure's image tuples are the only element store.  elements is a
+    read-only view over them (Elements) that wraps a Permutation per
+    access; elements[0] is the identity, and the rest follow BFS order
+    over the generators, which is the canonical element order used
+    everywhere.  Products follow mult_index's convention: x*y applies x,
+    then y, and each is one C-level itemgetter call on image tuples
+    (_then).
 
     The BFS keeps the product of every element by every generator:
     right[s][y] is the index of y*g_s.  Elements were discovered in index
@@ -306,13 +342,15 @@ class PermGroup:
     generator list is stored.
     """
 
-    __slots__ = ("degree", "generators", "elements", "order", "_index", "_right", "_inv")
+    __slots__ = ("degree", "generators", "elements", "order", "_images", "_index",
+                 "_right", "_inv")
 
-    def __init__(self, degree, generators, elements, index, right):
+    def __init__(self, degree, generators, images, index, right):
         self.degree = degree
         self.generators = generators
-        self.elements = elements
-        self.order = len(elements)
+        self.elements = Elements(images)
+        self.order = len(images)
+        self._images = images
         self._index = index
         self._right = right
         self._inv = None
@@ -323,8 +361,8 @@ class PermGroup:
 
         The closure runs on plain image tuples: each element cur builds
         _then(cur), an itemgetter, once, and its call on a generator's
-        images is the image tuple of cur*g.  The elements are wrapped as
-        Permutations in one pass after the closure ends.
+        images is the image tuple of cur*g.  The group keeps the list of
+        those tuples as its element store and builds no Permutation.
 
         Args:
           generators: permutations, all of the same degree.
@@ -357,8 +395,7 @@ class PermGroup:
                     j = index[nxt] = len(images)
                     images.append(nxt)
                 append(j)
-        elements = tuple([Permutation(t, _check=False) for t in images])
-        return cls(degree, tuple(gens), elements, index, tuple(right))
+        return cls(degree, tuple(gens), images, index, tuple(right))
 
     def element_index(self, perm: Permutation) -> int:
         try:
@@ -367,7 +404,7 @@ class PermGroup:
             raise KeyError(f"{perm!r} is not in the group") from None
 
     def mult_index(self, i: int, j: int) -> int:
-        return self._index[_then(self.elements[i].images)(self.elements[j].images)]
+        return self._index[_then(self._images[i])(self._images[j])]
 
     def _replay(self, table: list[int], lefts) -> list[int]:
         """Extend table along the BFS tree: for each element j first
@@ -406,7 +443,7 @@ class PermGroup:
         return self._inverses()[i]
 
     def element_order(self, i: int) -> int:
-        return self.elements[i].order()
+        return _order(self._images[i])
 
     def generator_indices(self) -> tuple[int, ...]:
         return tuple(self._index[g.images] for g in self.generators)
@@ -450,7 +487,7 @@ class ClassData:
                         orbit.append(y)
                         frontier.append(y)
             raw.append(sorted(orbit))
-        keyed = sorted((group.element_order(c[0]), len(c), group.elements[c[0]].images, c)
+        keyed = sorted((group.element_order(c[0]), len(c), group._images[c[0]], c)
                        for c in raw)
         self.classes = tuple(tuple(c) for *_, c in keyed)
         self.reps = tuple(c[0] for c in self.classes)

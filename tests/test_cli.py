@@ -533,6 +533,14 @@ def test_group_file_order_bound(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["table", "invariants"])
+def test_order_bound_does_not_limit_catalog_names(capsys, command):
+    # a catalog entry past the bound prints as it does under the default
+    out = run_ok(capsys, [command, "--group", "sym_4", "--max-order", "10"])
+    assert out == run_ok(capsys, [command, "--group", "sym_4"])
+    assert out.splitlines()[0].startswith("group sym_4  order 24 ")
+
+
 @pytest.mark.parametrize("bound", ["0", "-5"])
 @pytest.mark.parametrize("command", ["table", "invariants"])
 def test_nonpositive_max_order_is_an_input_error(capsys, tmp_path, command, bound):

@@ -242,6 +242,9 @@ def _assert_closure_is_naive_bfs(g: PermGroup, gens, degree: int) -> None:
     # and the order bound met exactly: order closes, order - 1 raises
     images, index, right = H.naive_closure(gens, degree, g.order)
     assert [e.images for e in g.elements] == images
+    assert len(g.elements) == g.order
+    assert [g.elements[i].images for i in range(g.order)] == images
+    assert g.elements[-1].images == images[-1]
     assert g._index == index
     assert list(g._right) == right
     assert PermGroup.from_generators(gens, degree=degree, bound=g.order).order == g.order
@@ -289,6 +292,48 @@ def test_products_match_naive_composition_on_catalog_generators(name):
             product = H.naive_product(a.images, b.images)
             assert (a * b).images == product
             assert g.elements[g.mult_index(i, j)].images == product
+
+
+def _count_permutations(monkeypatch) -> list[int]:
+    count = [0]
+    init = Permutation.__init__
+
+    def counting(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Permutation, "__init__", counting)
+    return count
+
+
+def test_enumeration_wraps_no_element(monkeypatch):
+    # the closure keeps image tuples; a Permutation is built per access
+    s7 = catalog.build("sym_7")
+    text = "degree 7\n" + "".join(f"{g.cycle_string()}\n" for g in s7.generators)
+    count = _count_permutations(monkeypatch)
+    g = parse_group_file(text, bound=5040)
+    assert g.order == 5040 and count[0] == len(s7.generators)
+    count[0] = 0
+    assert PermGroup.from_generators(g.generators, bound=5040).order == 5040
+    assert count[0] == 0
+    cd = conjugacy_classes(g)
+    assert count[0] == 0
+    reps = [g.elements[r] for r in cd.reps]
+    assert count[0] == len(reps) == cd.n_classes
+    assert [p.images for p in reps] == [s7.elements[r].images for r in cd.reps]
+
+
+def test_elements_view_is_read_only_and_bounded():
+    g = catalog.build("sym_4")
+    with pytest.raises(IndexError):
+        g.elements[g.order]
+    with pytest.raises(IndexError):
+        g.elements[-g.order - 1]
+    assert g.elements[-g.order] == g.elements[0] == Permutation.identity(4)
+    with pytest.raises(TypeError):
+        g.elements[0] = Permutation.identity(4)
+    with pytest.raises(TypeError):
+        g.elements[1:3]
 
 
 def test_enumeration_order_is_bfs():

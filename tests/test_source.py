@@ -158,6 +158,38 @@ def test_only_permcore_multiplies_by_a_class_representative():
     assert not found, found
 
 
+ITERATING_CALLS = {"list", "tuple", "sorted", "set", "frozenset", "iter",
+                   "enumerate", "zip", "map"}
+
+
+def test_no_module_walks_every_element():
+    """PermGroup.elements is a view that wraps one Permutation per access,
+    over the image tuples the closure keeps.  A pass over the whole view
+    (a loop, a comprehension, `in`, unpacking, or handing it to list,
+    tuple, sorted, set or iter) would rebuild every wrapper, so the
+    library reads elements by index only, and permcore reads the tuples."""
+    def whole(node) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == "elements"
+
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+                walked = [node.iter]
+            elif isinstance(node, (ast.Starred, ast.YieldFrom)):
+                walked = [node.value]
+            elif isinstance(node, ast.Compare):
+                walked = [c for op, c in zip(node.ops, node.comparators)
+                          if isinstance(op, (ast.In, ast.NotIn))]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id in ITERATING_CALLS:
+                walked = node.args
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for n in walked if whole(n)]
+    assert not found, found
+
+
 def test_chartab_reaches_no_remainder_by_phi_n():
     """The table proof decides its relations mod a power of the Dixon
     prime, at one root of unity, so chartab neither imports nor calls
