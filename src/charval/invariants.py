@@ -87,10 +87,14 @@ def root_of_unity_elements(table: CharTable) -> tuple[int, ...]:
 
     A cyclotomic integer of modulus 1 is a root of unity: complex
     conjugation is central in the Galois group, so every Galois conjugate
-    has modulus 1 too, and Kronecker's theorem applies.
+    has modulus 1 too, and Kronecker's theorem applies.  Only classes
+    with |G| = k |C_i| are read: if every |chi(g)| = 1, the second
+    orthogonality relation gives |C_G(g)| = sum |chi(g)|^2 = k.
     """
-    return tuple(i for i in range(table.classes.n_classes)
-                 if all(r.values[i].is_root_of_unity() for r in table.rows))
+    cd, order = table.classes, table.group.order
+    k = cd.n_classes
+    return tuple(i for i, size in enumerate(cd.sizes) if order == k * size
+                 and all(r.values[i].is_root_of_unity() for r in table.rows))
 
 
 def report(table: CharTable) -> InvariantReport:

@@ -520,6 +520,39 @@ def test_quadratic_roots_match_brute_force_on_every_quadratic(p):
         assert _distinct_roots([c, a], p, rng) == [-c * pow(a, -1, p) % p]
 
 
+@pytest.mark.parametrize("p", [41, 421, 547, 2521, 3673, 6091])
+def test_evaluation_and_the_split_find_the_same_roots(p):
+    # each path called directly, on products of distinct linear factors
+    # and on ones with a repeated root and an irreducible quadratic factor
+    # x^2 - n, n a non-residue, under a leading coefficient other than 1
+    rng = random.Random(p)
+    n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+    for s in range(3, 31):
+        roots = rng.sample(range(p), s)
+        linear = rng.sample(range(p), s - 2)
+        linear = linear[:-1] + linear[:1]   # s - 2 roots, one twice from s = 4
+        cases = [(H.linear_product(roots, p), sorted(roots)),
+                 (_pmul(H.linear_product(linear, p), [(-n * 5) % p, 0, 5], p),
+                  sorted(set(linear)))]
+        for f, expected in cases:
+            assert len(f) == s + 1
+            assert chartab._evaluated_roots(f, p) == expected, (p, s)
+            assert chartab._split_roots(f, p, random.Random(s)) == expected, (p, s)
+
+
+def test_the_root_finder_evaluates_exactly_below_the_crossover(monkeypatch):
+    # p <= _EVAL_FACTOR * s * p.bit_length() evaluates, a larger p splits
+    calls = _count_calls(monkeypatch, "_evaluated_roots", "_split_roots")
+    for p in (41, 421, 547, 2521, 3673, 6091):
+        for s in range(3, 31):
+            f = H.linear_product(range(1, s + 1), p)
+            before = calls["_evaluated_roots"]
+            assert _distinct_roots(f, p, random.Random(0)) == list(range(1, s + 1))
+            evaluated = calls["_evaluated_roots"] > before
+            assert evaluated == (p <= chartab._EVAL_FACTOR * s * p.bit_length()), (p, s)
+    assert calls["_evaluated_roots"] and calls["_split_roots"]
+
+
 def test_self_verify_rejects_a_table_without_a_row():
     _, g, cd, table, _ = catalog.bundle("sym_4")
     short = CharTable(g, cd, table.rows[:-1], table.dixon_prime)
@@ -1152,6 +1185,59 @@ def test_a_failing_pattern_is_met_where_the_full_lift_meets_it(monkeypatch):
     assert str(cached.value) == str(full.value)
     assert cached.value.indices[1] == where[0][1]
     assert cached.value.message.startswith(f"multiplicities at class {where[0][1]} sum")
+
+
+def _orbit_constant(m: int, rng: random.Random) -> list[int]:
+    # one multiplicity per set {j : gcd(j, m) = g}
+    by_gcd = {g: rng.randrange(6) for g in range(1, m + 1) if m % g == 0}
+    return [by_gcd[math.gcd(j, m)] for j in range(m)]
+
+
+def test_moebius_sums_agree_with_the_cyclotomic_reduction():
+    # sum_j mu[j] zeta_m^j for mu constant on each set {j : gcd(j, m) = g}
+    # is the integer sum_g mu[g] mu(m/g); any other mu is refused
+    rng = random.Random(31)
+    for m in range(1, 61):
+        for _ in range(5):
+            mus = _orbit_constant(m, rng)
+            value = chartab._moebius_sum(mus)
+            assert Cyc.from_rational(value) == \
+                Cyc.from_exponents(m, dict(enumerate(mus))), (m, mus)
+            j = next((j for j in range(2, m) if math.gcd(j, m) == 1), None)
+            if j is not None:   # the set of the units mod m has 1 and j
+                mus[j] += 1
+                assert chartab._moebius_sum(mus) is None, (m, mus)
+
+
+def test_only_orbit_constant_multiplicities_take_the_moebius_sum(monkeypatch):
+    # at m = 6, p = 7, w = 3: zeta + zeta^4 = 0 is rational, but its
+    # multiplicities e_1 + e_4 are not constant on {1, 5} and {2, 4}, so
+    # it is reduced by from_exponents; zeta + zeta^5 = 1 is a Moebius sum
+    reduced = []
+    from_exponents = Cyc.from_exponents
+    monkeypatch.setattr(Cyc, "from_exponents", staticmethod(
+        lambda n, terms: reduced.append(dict(terms)) or from_exponents(n, terms)))
+    assert chartab._moebius_sum([0, 1, 0, 0, 1, 0]) is None
+    for exps, expected, via in [((1, 4), 0, [{1: 1, 4: 1}]), ((1, 5), 1, [])]:
+        theta = [sum(pow(3, j * t, 7) for j in exps) % 7 for t in range(6)]
+        reduced.clear()
+        values, kernel, centre = chartab._lift_row(
+            theta, 2, [tuple(range(6))], 7, 6, pow(3, -1, 7), {}, {})
+        assert values == [expected] and (kernel, centre) == (0, 0)
+        assert reduced == via, exps
+
+
+def test_cold_tables_find_roots_by_the_path_their_prime_sets(monkeypatch):
+    # every core entry and sg_250_14 have p <= 421 and evaluate their
+    # polynomials of degree 3 and up; PSL(2, 17), p = 3673, splits them
+    calls = _count_calls(monkeypatch, "_evaluated_roots", "_split_roots", "_ppowmod")
+    for name in catalog.names("core") + ["sg_250_14"]:
+        character_table(catalog.build(name))
+    assert calls["_evaluated_roots"] > 0
+    assert calls["_split_roots"] == calls["_ppowmod"] == 0
+    table = character_table(H.psl2(17))
+    assert table.dixon_prime == 3673
+    assert calls["_split_roots"] > 0 and calls["_ppowmod"] > 0
 
 
 def test_self_verify_applies_one_class_algebra_element(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 
 from charval import catalog
 from charval.cyclo import Cyc
-from charval.invariants import report, sorted_values
+from charval.invariants import report, root_of_unity_elements, sorted_values
 from tests import helpers as H
 
 CORE = catalog.names("core")
@@ -122,3 +122,13 @@ def test_modulus_sets_match_the_abs_squared_definitions(name):
     assert rep.root_of_unity_elements == tuple(
         i for i in range(cd.n_classes)
         if all(r.values[i].abs_squared() == one for r in table.rows)), name
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_root_of_unity_elements_read_only_classes_of_centraliser_k(name):
+    # the classes skipped, those with |C_G(g)| != k, never hold a row of
+    # units: the filtered tuple is the definition over every class
+    _, g, cd, table, rep = catalog.bundle(name)
+    assert rep.root_of_unity_elements == root_of_unity_elements(table) == tuple(
+        i for i in range(cd.n_classes)
+        if all(r.values[i].is_root_of_unity() for r in table.rows)), name
