@@ -22,6 +22,12 @@ because b != 0 (a rational factor takes a path with no descent).  So
 the result lies outside Q(zeta_(m/p)), and its minimal conductor keeps
 p^alpha, whichever other prime is removed first.  from_exponents and
 parse have no operands to compare and try every prime.
+
+Two kinds of sum take a path with neither embedding nor descent.  A
+rational q added to x changes only coordinate 0 of x at x's own
+conductor, and that conductor stays minimal: were x + q in a smaller
+field, x = (x + q) - q would lie there too (q = 0 returns x itself).  A
+sum whose numerators all cancel is 0 and is returned as such.
 """
 
 from __future__ import annotations
@@ -323,13 +329,26 @@ class Cyc:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.n == 1 or other.n == 1:
+            # A rational q moves only coordinate 0 of x and keeps x's
+            # conductor (module docstring).
+            q, x = (self, other) if self.n == 1 else (other, self)
+            if not q.num[0]:
+                return x
+            den = math.lcm(q.den, x.den)
+            fx = den // x.den
+            num = [c * fx for c in x.num]
+            num[0] += q.num[0] * (den // q.den)
+            return _lowest_terms(x.n, num, den)
         den = math.lcm(self.den, other.den)
         fa, fb = den // self.den, den // other.den
         m = math.lcm(self.n, other.n)
         a = _embed_ints(self.num, self.n, m)
         b = _embed_ints(other.num, other.n, m)
-        return _from_ints(m, [x * fa + y * fb for x, y in zip(a, b)], den,
-                          _shared_primes(self.n, other.n))
+        num = [x * fa + y * fb for x, y in zip(a, b)]
+        if not any(num):
+            return _ZERO
+        return _from_ints(m, num, den, _shared_primes(self.n, other.n))
 
     __radd__ = __add__
 

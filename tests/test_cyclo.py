@@ -310,8 +310,9 @@ def assert_canonical(v: Cyc) -> None:
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(cyc_values(), cyc_values(), small_rationals, st.integers(1, 40))
 def test_every_constructed_value_is_in_lowest_terms(a, b, q, v):
-    values = [a, b, a + b, a - b, a * b, -a, a * q, q + a, q - a, a.abs_squared(),
-              a.conjugate(), Cyc.parse(a.display()), Cyc.from_rational(q)]
+    values = [a, b, a + b, a - b, a * b, -a, a * q, q + a, q - a, a - q,
+              a + (-a), Cyc.zero() + a, a.abs_squared(), a.conjugate(),
+              Cyc.parse(a.display()), Cyc.from_rational(q)]
     if math.gcd(v, a.n) == 1:
         values.append(a.galois(v))
     for value in values:
@@ -327,8 +328,13 @@ ORACLE_CONDUCTORS = [1, 3, 4, 5, 8, 9, 12, 15, 16, 20, 24, 27, 36, 45]
 def oracle_pairs(draw):
     a = draw(cyc_values(n=draw(st.sampled_from(ORACLE_CONDUCTORS))))
     b = draw(cyc_values(n=draw(st.sampled_from(ORACLE_CONDUCTORS))))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["any", "shifted", "negated", "rational"]))
+    if kind == "shifted":
         b = b - a  # a + b falls back to b's old conductor, or to 0
+    elif kind == "negated":
+        b = -a  # a + b cancels to 0
+    elif kind == "rational":
+        b = Cyc.from_rational(draw(small_rationals))  # 0 included
     return a, b
 
 
@@ -356,18 +362,27 @@ def test_sums_and_products_match_the_all_prime_descent(pair):
         assert (got.n, got.num, got.den) == (want.n, want.num, want.den)
 
 
-def _descent_attempts(monkeypatch, op) -> int:
-    calls = []
-    inner = cyclo._try_descend
+def _call_counts(monkeypatch, op, *names) -> tuple[int, ...]:
+    # how often op calls each named cyclo function
+    counts = dict.fromkeys(names, 0)
 
-    def counted(n, d, num):
-        calls.append((n, d))
-        return inner(n, d, num)
+    def counted(name):
+        inner = getattr(cyclo, name)
+
+        def call(*args):
+            counts[name] += 1
+            return inner(*args)
+        return call
 
     with monkeypatch.context() as patch:
-        patch.setattr(cyclo, "_try_descend", counted)
+        for name in names:
+            patch.setattr(cyclo, name, counted(name))
         op()
-    return len(calls)
+    return tuple(counts.values())
+
+
+def _descent_attempts(monkeypatch, op) -> int:
+    return _call_counts(monkeypatch, op, "_try_descend")[0]
 
 
 def test_sums_and_products_skip_primes_they_cannot_remove(monkeypatch):
@@ -382,6 +397,30 @@ def test_sums_and_products_skip_primes_they_cannot_remove(monkeypatch):
     assert zeta(3) * zeta(3, 2) == 1
     assert zeta(5) + (-zeta(5)) == 0
     assert zeta(12) * zeta(12, 5) == -1
+
+
+def test_sums_with_a_rational_operand_or_a_zero_result_skip_the_field_work(
+        monkeypatch):
+    z7, z12, z9, z8, z5 = zeta(7), zeta(12), zeta(9), zeta(8), zeta(5)
+    zero, half = Cyc.zero(), Fraction(1, 2)
+    for op in (lambda: z7 + half, lambda: zero + z12, lambda: 3 + z9,
+               lambda: z8 - 1):
+        assert _call_counts(monkeypatch, op, "_embed_ints",
+                            "_try_descend") == (0, 0)
+    minus_z5 = -z5
+    for op in (lambda: z5 + minus_z5, lambda: z12 - z12):
+        assert _descent_attempts(monkeypatch, op) == 0
+        got = op()
+        assert (got.n, got.num, got.den) == (1, (0,), 1)
+
+
+def test_a_rational_sum_divides_out_a_common_factor():
+    # (1 + 2*z3)/2 + 1/2 = (2 + 2*z3)/2 = 1 + z3
+    z3 = zeta(3)
+    got = Fraction(1, 2) * (1 + 2 * z3) + Fraction(1, 2)
+    assert_canonical(got)
+    assert got == 1 + z3
+    assert got.den == 1
 
 
 def test_parse_descends_at_every_prime():
