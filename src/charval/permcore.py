@@ -17,13 +17,14 @@ canonical: BFS from the identity with the generator list in the given
 order, which makes every downstream computation deterministic.
 
 The enumeration keeps the products it computes: right[s][y] is the index
-of y*g_s for every element y and generator g_s.  Any product by a fixed
-element is then read off these tables by replaying the BFS tree
-(PermGroup.left_mult): conjugacy classes, inverses, quotients, the
-class matrices ClassData keeps and the cosets of G' are integer
-lookups, not compositions.  PermGroup.mult_index composes one pair, for
-the commutators of derived_series and the powers of a representative;
-no other module calls either product.
+of y*g_s for every element y and generator g_s, and the BFS tree it
+walked, the parent and generator that first reached each element.  Any
+product by a fixed element is then read off these tables in one pass
+over that tree (PermGroup.left_mult): conjugacy classes, inverses,
+quotients, the class matrices ClassData keeps and the cosets of G' are
+integer lookups, not compositions.  PermGroup.mult_index composes one
+pair, for the commutators of derived_series and the powers of a
+representative; no other module calls either product.
 """
 
 from __future__ import annotations
@@ -334,18 +335,23 @@ class PermGroup:
     (_then).
 
     The BFS keeps the product of every element by every generator:
-    right[s][y] is the index of y*g_s.  Elements were discovered in index
-    order, so element j was first reached as right[s][pos] == j at the
-    moment j was the next new index.  Replaying that walk from right
-    alone rebuilds the BFS tree, and with it any product a*j as
-    (a*pos)*g_s = right[s][a*pos] (left_mult).  No per-element parent or
-    generator list is stored.
+    right[s][y] is the index of y*g_s.  It also keeps its tree: element
+    j >= 1 was first reached as pos*g_s, with pos < j, and _parents[j-1]
+    is pos and _via[j-1] is s.  Any product a*j is then (a*pos)*g_s =
+    right[s][a*pos], read in one pass over the tree (left_mult).
+
+    _parents is a list of the int objects the index dict already holds,
+    one pointer per element: a fresh int per element would cost about
+    150 KiB more on S7.  _via is bytes, one byte per element, or past
+    256 generators, which a byte cannot number, a list of the generator
+    numbers.  Neither form needs array or struct, whose import loads an
+    extension module and lengthens start-up.
     """
 
     __slots__ = ("degree", "generators", "elements", "order", "_images", "_index",
-                 "_right", "_inv")
+                 "_right", "_parents", "_via", "_inv")
 
-    def __init__(self, degree, generators, images, index, right):
+    def __init__(self, degree, generators, images, index, right, parents, via):
         self.degree = degree
         self.generators = generators
         self.elements = Elements(images)
@@ -353,6 +359,8 @@ class PermGroup:
         self._images = images
         self._index = index
         self._right = right
+        self._parents = parents
+        self._via = via
         self._inv = None
 
     @classmethod
@@ -363,6 +371,12 @@ class PermGroup:
         _then(cur), an itemgetter, once, and its call on a generator's
         images is the image tuple of cur*g.  The group keeps the list of
         those tuples as its element store and builds no Permutation.
+
+        Each new element records its BFS parent and generator as it is
+        reached, the tree _replay walks.  The parent is the int object the
+        index dict holds for it, carried beside its image tuple in ids,
+        so the tree makes no new int; the generator numbers are packed
+        into bytes when there are at most 256 generators.
 
         Args:
           generators: permutations, all of the same degree.
@@ -381,11 +395,12 @@ class PermGroup:
         images = [ident]
         index = {ident: 0}
         right: list[list[int]] = [[] for _ in gens]
-        pairs = [(g.images, row.append) for g, row in zip(gens, right)]
-        get = index.get
-        for cur in images:
+        ids, parents, via = [0], [], []
+        steps = [(s, g.images, row.append) for s, (g, row) in enumerate(zip(gens, right))]
+        get, new_id, new_parent, new_via = index.get, ids.append, parents.append, via.append
+        for pos, cur in zip(ids, images):
             step = _then(cur)
-            for gi, append in pairs:
+            for s, gi, append in steps:
                 nxt = step(gi)
                 j = get(nxt)
                 if j is None:
@@ -394,8 +409,14 @@ class PermGroup:
                             f"group order exceeds bound {bound}")
                     j = index[nxt] = len(images)
                     images.append(nxt)
+                    new_id(j)
+                    new_parent(pos)
+                    new_via(s)
                 append(j)
-        return cls(degree, tuple(gens), images, index, tuple(right))
+        # a byte holds a generator number below 256
+        if len(gens) <= 256:
+            via = bytes(via)
+        return cls(degree, tuple(gens), images, index, tuple(right), parents, via)
 
     def element_index(self, perm: Permutation) -> int:
         try:
@@ -407,20 +428,18 @@ class PermGroup:
         return self._index[_then(self._images[i])(self._images[j])]
 
     def _replay(self, table: list[int], lefts) -> list[int]:
-        """Extend table along the BFS tree: for each element j first
-        reached as pos*g_s, append lefts[s][table[pos]]."""
-        append, nxt = table.append, 1
-        pairs = list(zip(self._right, lefts))
-        for pos, t in enumerate(table):
-            for row, left in pairs:
-                if row[pos] == nxt:
-                    append(left[t])
-                    nxt += 1
+        """Extend table along the BFS tree the closure recorded: for each
+        element j first reached as pos*g_s, append lefts[s][table[pos]].
+        pos < j, so table[pos] is already there."""
+        append = table.append
+        for pos, s in zip(self._parents, self._via):
+            append(lefts[s][table[pos]])
         return table
 
     def left_mult(self, a: int) -> list[int]:
         """The index of a*y for every element y, by table lookup only:
-        a*(pos*g_s) = (a*pos)*g_s."""
+        a*(pos*g_s) = (a*pos)*g_s, one lookup in right per element, in
+        the order of the recorded tree."""
         return self._replay([a], self._right)
 
     def _generator_inverse(self, s: int) -> int:
@@ -730,10 +749,10 @@ def quotient_group(group: PermGroup, subset) -> PermGroup:
     Right multiplication x -> xg on right cosets makes the projection a
     homomorphism under the "apply left factor first" composition.
 
-    The cosets are read off the BFS tree: when element j is first reached
-    as pos*g_s and lies in no coset yet, its coset is the image of pos's
-    coset under right[s].  Every generator must then map each coset onto
-    one coset, which holds exactly when N is a subgroup.
+    The cosets are read off the recorded BFS tree: when element j, first
+    reached as pos*g_s, lies in no coset yet, its coset is the image of
+    pos's coset under right[s].  Every generator must then map each coset
+    onto one coset, which holds exactly when N is a subgroup.
 
     Raises NotNormal if the subset is not a normal subgroup.
     """
@@ -751,23 +770,18 @@ def quotient_group(group: PermGroup, subset) -> PermGroup:
     cosets = [sorted(n_set)]
     for x in cosets[0]:
         coset_of[x] = 0
-    nxt = 1
-    for pos in range(group.order):
-        for row in right:
-            if row[pos] != nxt:
-                continue
-            nxt += 1
-            j = row[pos]
-            if coset_of[j] != -1:
-                continue
-            coset = [row[x] for x in cosets[coset_of[pos]]]
-            for y in coset:
-                if coset_of[y] != -1:
-                    raise NotNormal("subset is not a subgroup (cosets overlap)")
-                coset_of[y] = len(cosets)
-            if coset_of[j] != len(cosets):
-                raise NotNormal("subset is not a subgroup")
-            cosets.append(coset)
+    for j, (pos, s) in enumerate(zip(group._parents, group._via), start=1):
+        if coset_of[j] != -1:
+            continue
+        row = right[s]
+        coset = [row[x] for x in cosets[coset_of[pos]]]
+        for y in coset:
+            if coset_of[y] != -1:
+                raise NotNormal("subset is not a subgroup (cosets overlap)")
+            coset_of[y] = len(cosets)
+        if coset_of[j] != len(cosets):
+            raise NotNormal("subset is not a subgroup")
+        cosets.append(coset)
     q_gens = []
     for row in right:
         images = tuple(coset_of[row[coset[0]]] for coset in cosets)

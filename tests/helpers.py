@@ -373,6 +373,21 @@ def power_basis_by_rows(acc: list[int], n: int) -> list[int]:
     return out
 
 
+def scanned_replay(group: PermGroup, table: list[int], lefts) -> list[int]:
+    """PermGroup._replay without the recorded tree: scan every (element,
+    generator) pair in order for the next new index, which finds each j
+    where the BFS first reached it as pos*g_s, and append
+    lefts[s][table[pos]] there."""
+    append, nxt = table.append, 1
+    pairs = list(zip(group._right, lefts))
+    for pos, t in enumerate(table):
+        for row, left in pairs:
+            if row[pos] == nxt:
+                append(left[t])
+                nxt += 1
+    return table
+
+
 def naive_inverses(group: PermGroup) -> list[int]:
     """The index of every element's inverse, by Permutation.inverse."""
     return [group.element_index(e.inverse()) for e in group.elements]

@@ -525,6 +525,19 @@ def test_file_named_like_an_entry_does_not_shadow_it(capsys, tmp_path,
     assert out.splitlines()[0].startswith("group sym_4  order 3 ")
 
 
+def test_group_file_of_more_than_255_generators(capsys, tmp_path):
+    # S4 from 299 copies of (1 2) and then (1 2 3 4) reports what S4 from
+    # two generators does; only the group's name differs
+    many, two = tmp_path / "s4_many.txt", tmp_path / "s4_two.txt"
+    many.write_text("degree 4\n" + "(1 2)\n" * 299 + "(1 2 3 4)\n")
+    two.write_text("degree 4\n(1 2)\n(1 2 3 4)\n")
+    out_many = run_ok(capsys, ["invariants", "--group", str(many)]).splitlines()
+    out_two = run_ok(capsys, ["invariants", "--group", str(two)]).splitlines()
+    assert out_many[0].startswith("group s4_many  order 24 ")
+    assert out_many[0].replace("s4_many", "s4_two") == out_two[0]
+    assert out_many[1:] == out_two[1:]
+
+
 def test_group_file_order_bound(capsys, tmp_path):
     path = tmp_path / "s4.txt"
     path.write_text("degree 4\n(1 2)\n(1 2 3 4)\n")

@@ -444,6 +444,9 @@ _EDGE_GROUPS = {
         _cycles("(1 2)", "(1 2 3 4 5)", "(1 2)", "(1 2 3 4 5)", degree=5)),
     "three_generators": lambda: catalog.build("sg_81_3"),
     "quotient": _sym_4_over_klein_four,
+    # S4 whose generator (1 2 3 4) is number 299, past what a byte holds
+    "past_255_generators": lambda: parse_group_file(
+        "degree 4\n" + "(1 2)\n" * 299 + "(1 2 3 4)\n"),
 }
 
 
@@ -453,6 +456,32 @@ def test_tables_hold_on_edge_case_generator_lists(name):
     for a in range(g.order):
         assert g.left_mult(a) == [g.mult_index(a, y) for y in range(g.order)], a
     _assert_matches_element_level_oracle(g, conjugacy_classes(g))
+
+
+def _assert_plan_is_the_bfs_tree(g: PermGroup) -> None:
+    # the recorded (pos, s) of each j >= 1 is the first pair, in (pos, s)
+    # order, with right[s][pos] == j, and pos < j
+    first: dict[int, tuple[int, int]] = {}
+    for pos in range(g.order):
+        for s, row in enumerate(g._right):
+            first.setdefault(row[pos], (pos, s))
+    tree = list(zip(g._parents, g._via))
+    assert tree == [first[j] for j in range(1, g.order)]
+    assert all(pos < j for j, (pos, _) in enumerate(tree, start=1))
+    for a in {0, 1 % g.order, g.order - 1}:
+        assert g.left_mult(a) == H.scanned_replay(g, [a], g._right), a
+    lefts = [g.left_mult(g._generator_inverse(s)) for s in range(len(g._right))]
+    assert g._inverses() == H.scanned_replay(g, [0], lefts)
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_catalog_closures_record_the_bfs_tree(name):
+    _assert_plan_is_the_bfs_tree(catalog.build(name))
+
+
+@pytest.mark.parametrize("name", list(_EDGE_GROUPS))
+def test_edge_case_closures_record_the_bfs_tree(name):
+    _assert_plan_is_the_bfs_tree(_EDGE_GROUPS[name]())
 
 
 def test_classes_and_products_make_no_element_products(monkeypatch):
@@ -521,8 +550,9 @@ def test_power_class_multiplies_once_per_new_power(monkeypatch):
 def test_kept_generator_products_cost_no_memory_peak():
     # tracemalloc peak of parse + classes + table on sym_7, CPython 3.11.7:
     # 1682.9 KiB before the generator products were kept, 1315.8 KiB with
-    # them.  The bound is the second figure plus 32 KiB; storing a BFS
-    # parent and generator per element adds about 187 KiB and fails it.
+    # them.  The bound is the second figure plus 32 KiB.  With the recorded
+    # BFS tree (a parent list sharing the index's ints, and one generator
+    # byte per element) the peak is 1166.6 KiB.
     import gc
     import tracemalloc
 

@@ -226,6 +226,25 @@ def test_chartab_imports_only_the_standard_library():
     assert not found, found
 
 
+def test_no_module_imports_array_or_struct():
+    """array and struct each load a lib-dynload extension at import:
+    `import array` alone raised the benchmark's set-up time about 5 %
+    (the CHANGES.md line on PermGroup._replay).  Packed data is
+    kept as bytes, bytearray or memoryview, which need no import."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for module in modules
+                      if module.split(".")[0] in ("array", "struct")]
+    assert not found, found
+
+
 def test_import_loads_no_introspection_modules():
     """Records are NamedTuples, not dataclasses, so `import charval` does
     not load dataclasses and the inspect, ast and dis chain behind it."""
